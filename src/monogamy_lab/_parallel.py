@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -35,7 +35,3 @@ def map_indexed(fn: Callable[[int], T], n: int, threads: int | None = 1) -> list
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(lambda span: [fn(i) for i in range(span[0], span[1])], spans))
     return [item for part in parts for item in part]
-
-
-def map_over(fn: Callable[[T], object], items: Sequence[T], threads: int | None = 1) -> list:
-    return map_indexed(lambda i: fn(items[i]), len(items), threads)

@@ -10,6 +10,7 @@ GHZ-generator protocol.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,14 +108,13 @@ def spectrum_state_2pn(spec, n_b: int) -> PureState:
 
 THRESHOLD_NEGATIVITY = 1.0 / 3.0 + math.sqrt(1.0 / 3.0)
 
-_verified_steps: set[float] = set()
-
 
 def threshold_state() -> Spectrum:
     """The spectrum saturating the no-entanglement-generation threshold."""
     return Spectrum((0.5, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0))
 
 
+@functools.cache
 def verify_threshold_region(step: float = 1e-3) -> int:
     """Grid-check that above the threshold no internal entanglement is possible.
 
@@ -144,7 +144,6 @@ def verify_threshold_region(step: float = 1e-3) -> int:
         if np.any(n_max[saturated] > 1e-12):
             raise DomainError("l4 >= 1/6 spectra must admit no internal entanglement")
         checked += int(np.count_nonzero(ok))
-    _verified_steps.add(step)
     return checked
 
 
@@ -154,7 +153,7 @@ def threshold_negativity(verify: bool = True, step: float = 1e-3) -> float:
     The first call per process re-verifies the claim by grid search over the
     ordered simplex (pass verify=False to skip).
     """
-    if verify and step not in _verified_steps:
+    if verify:
         verify_threshold_region(step)
     return THRESHOLD_NEGATIVITY
 

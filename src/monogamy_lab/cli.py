@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand is deterministic given its flags and seed, emits CSV files
-with frozen column schemas, and writes a JSON manifest (``<out>.manifest.json``)
-recording the resolved configuration, seed, version, wall time, and a sha256
-digest of each output file.
+Every subcommand is deterministic given its flags, emits CSV files with
+frozen column schemas, and writes a JSON manifest (``<out>.manifest.json``)
+recording the resolved configuration, version, wall time, and a sha256
+digest of each output file. Only the sampled datasets (``fig2``, ``fig3``)
+take ``--seed``, and their manifests record it.
 
 Exit codes: 0 success; 1 property violation in the generated data; 2 I/O,
 parse, configuration, or query errors; 3 resource cap exceeded; 4 ambiguous
@@ -60,7 +61,6 @@ def _write_manifest(out_path: Path, command: str, config: dict, outputs: list[Pa
         "schema_version": 1,
         "command": command,
         "config": config,
-        "seed": config.get("seed"),
         "library_version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "outputs": [
@@ -130,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     prot.add_argument("--ha", choices=["oat", "tat", "tf", "ghz"], default=None)
     prot.add_argument("--t-steps", type=int, default=None)
     prot.add_argument("--tp-steps", type=int, default=None)
-    prot.add_argument("--seed", type=int, default=None)
     prot.add_argument("--out", required=True, metavar="CSV")
     common(prot)
 
@@ -143,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--ha", choices=["oat", "tat", "tf", "ghz"], default=None)
     exp.add_argument("--t-max", type=float, default=None)
     exp.add_argument("--steps", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=None)
     exp.add_argument("--out", required=True, metavar="CSV")
     common(exp)
 
@@ -152,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     appb.add_argument("--ha-kinds", default=None, help="comma list from oat,tat,tf")
     appb.add_argument("--t-max", type=float, default=None)
     appb.add_argument("--steps", type=int, default=None)
-    appb.add_argument("--seed", type=int, default=None)
     appb.add_argument("--out", required=True, metavar="PREFIX",
                       help="output prefix; one CSV per (size, kind)")
     common(appb)
@@ -197,7 +194,7 @@ def _cmd_fig2(args) -> int:
     config = {"samples": samples, "seed": seed, "threads": threads,
               "corrupt_bound_test_hook": bool(args.test_corrupt_bound), **ds.metadata}
     _write_manifest(out, "fig2", config, [out], {str(out): count}, started,
-                    extra={"violations": int(violation.sum())})
+                    extra={"seed": seed, "violations": int(violation.sum())})
     return EXIT_OK if int(violation.sum()) == 0 else EXIT_VIOLATION
 
 
@@ -226,8 +223,15 @@ def _cmd_fig3(args) -> int:
     count = _write_csv(out, ["l1", "l2", "l3", "l4", "n_ab", "n_max", "class"], rows())
     config = {"samples": samples, "seed": seed, "threads": threads, **ds.metadata}
     _write_manifest(out, "fig3", config, [out], {str(out): count}, started,
-                    extra={"threshold": threshold, "violations": violations})
+                    extra={"seed": seed, "threshold": threshold, "violations": violations})
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
+
+
+def _check_subsystem_cap(n_a: int, n_b: int) -> None:
+    if max(n_a, n_b) > protocol.MAX_SUBSYSTEM_QUBITS:
+        raise ResourceCapError(
+            f"per-subsystem size is capped at {protocol.MAX_SUBSYSTEM_QUBITS} qubits"
+        )
 
 
 def _cmd_protocol(args) -> int:
@@ -239,10 +243,8 @@ def _cmd_protocol(args) -> int:
     ha = str(_resolve(args, file_cfg, "ha", "tf", str))
     t_steps = int(_resolve(args, file_cfg, "t_steps", 401, int))
     tp_steps = int(_resolve(args, file_cfg, "tp_steps", 2000, int))
-    seed = int(_resolve(args, file_cfg, "seed", 0, int))
     threads = resolve_threads(_resolve(args, file_cfg, "threads", None, int))
-    if n_a > 5 or n_b > 5:
-        raise ResourceCapError("per-subsystem size is capped at 5 qubits")
+    _check_subsystem_cap(n_a, n_b)
 
     cfg = protocol.ProtocolConfig(
         n_a=n_a,
@@ -251,7 +253,6 @@ def _cmd_protocol(args) -> int:
         h_a_kind=ha,
         t_grid=protocol.default_t_grid(hab, t_steps),
         tp_grid=protocol.default_tp_grid(ha, tp_steps),
-        seed=seed,
     )
     score_kinds = []
     for kind in [HamiltonianKind(ha), HamiltonianKind.OAT, HamiltonianKind.TAT, HamiltonianKind.TF]:
@@ -284,7 +285,7 @@ def _cmd_protocol(args) -> int:
             scores[kind.value] = None
     config = {
         "na": n_a, "nb": n_b, "hab": hab, "ha": ha,
-        "t_steps": t_steps, "tp_steps": tp_steps, "seed": seed, "threads": threads,
+        "t_steps": t_steps, "tp_steps": tp_steps, "threads": threads,
     }
     _write_manifest(out, "protocol", config, [out], {str(out): count}, started,
                     extra={"monotonicity_scores": scores,
@@ -303,13 +304,11 @@ def _cmd_explore(args) -> int:
     ha = str(_resolve(args, file_cfg, "ha", "tf", str))
     t_max = float(_resolve(args, file_cfg, "t_max", 100.0, float))
     steps = int(_resolve(args, file_cfg, "steps", 2001, int))
-    seed = int(_resolve(args, file_cfg, "seed", 0, int))
-    if n_a > 5 or n_b > 5:
-        raise ResourceCapError("per-subsystem size is capped at 5 qubits")
+    _check_subsystem_cap(n_a, n_b)
 
     cfg = protocol.ProtocolConfig(
         n_a=n_a, n_b=n_b, h_ab_kind=hab, h_a_kind=ha,
-        t_grid=protocol.default_t_grid(hab), tp_grid=protocol.default_tp_grid(ha), seed=seed,
+        t_grid=protocol.default_t_grid(hab), tp_grid=protocol.default_tp_grid(ha),
     )
     rho_a = protocol.reduced_a_at(cfg, prep_t)
     trace = protocol.explore_measure_vs_squeezing(rho_a, ha, t_max=t_max, steps=steps)
@@ -321,7 +320,7 @@ def _cmd_explore(args) -> int:
     )
     count = _write_csv(out, ["tp", "xi2_a", "n_a"], rows)
     config = {"na": n_a, "nb": n_b, "hab": hab, "prep_t": prep_t, "ha": ha,
-              "t_max": t_max, "steps": steps, "seed": seed, **trace.metadata}
+              "t_max": t_max, "steps": steps, **trace.metadata}
     _write_manifest(out, "explore", config, [out], {str(out): count}, started,
                     extra={"min_xi2": trace.min_xi2, "max_n_a": trace.max_n_a,
                            "n_a_at_min_xi2": trace.n_a_at_min_xi2})
@@ -335,7 +334,6 @@ def _cmd_appendix_b(args) -> int:
     kinds_raw = str(_resolve(args, file_cfg, "ha_kinds", "oat,tat,tf", str))
     t_max = float(_resolve(args, file_cfg, "t_max", 100.0, float))
     steps = int(_resolve(args, file_cfg, "steps", 2001, int))
-    seed = int(_resolve(args, file_cfg, "seed", 0, int))
     sizes = [int(s) for s in sizes_raw.split(",") if s.strip()]
     kinds = [k.strip() for k in kinds_raw.split(",") if k.strip()]
 
@@ -349,7 +347,7 @@ def _cmd_appendix_b(args) -> int:
         )
         rows_per_file[str(path)] = _write_csv(path, ["t", "s_l_a", "xi2_a"], rows)
         outputs.append(path)
-    config = {"sizes": sizes, "ha_kinds": kinds, "t_max": t_max, "steps": steps, "seed": seed}
+    config = {"sizes": sizes, "ha_kinds": kinds, "t_max": t_max, "steps": steps}
     _write_manifest(Path(prefix + ".csv"), "appendix-b", config, outputs, rows_per_file, started)
     return EXIT_OK
 
@@ -378,7 +376,9 @@ def _read_curve_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_invert(args) -> int:
     file_cfg = _load_config_file(args.config)
-    merge_tol = float(_resolve(args, file_cfg, "merge_tol", 1e-3, float))
+    merge_tol = float(_resolve(args, file_cfg, "merge_tol", protocol.MERGE_TOL, float))
+    if not merge_tol >= 0.0:
+        raise ValueError("--merge-tol must be >= 0")
     curve_path = Path(args.curve)
     x, y = _read_curve_csv(curve_path)
 

@@ -14,7 +14,7 @@ stay constant to 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,18 @@ from .hamiltonians import HamiltonianKind, _as_kind, build
 from .qcore import DensityMatrix, Partition, SpectralPropagator, all_down_state, half_partition
 
 MAX_TOTAL_QUBITS = 10
+MAX_SUBSYSTEM_QUBITS = 5
 NEGATIVITY_DRIFT_TOL = 1e-9
+# Width of the local-time bracket at which golden-section refinement stops.
+REFINE_TOL = 1e-6
+# S_L distance below which inversion candidates are one value.
+MERGE_TOL = 1e-3
+# Share of the observed S_L range above which calibration branches count as
+# distinct when flagging nonmonotone rows (never below MERGE_TOL).
+FLAG_REL = 0.05
+# Cut-negativity probes per local sweep: evenly spaced grid times plus the
+# refined minimum.
+NEGATIVITY_PROBES = 3
 _INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 P_STATE_TARGETS = {"p1": 0.1, "p2": 0.7, "p3": 0.7}
@@ -61,13 +72,7 @@ class ProtocolConfig:
     h_a_kind: HamiltonianKind
     t_grid: np.ndarray
     tp_grid: np.ndarray
-    seed: int = 0
     omega: float = 1.0
-    refine_tol: float = 1e-6
-    flag_tol: float | None = None
-    flag_rel: float = 0.05
-    merge_tol: float = 1e-3
-    negativity_probes: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "h_ab_kind", _as_kind(self.h_ab_kind))
@@ -86,33 +91,6 @@ class ProtocolConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
             grid.setflags(write=False)
             object.__setattr__(self, name, grid)
-        if self.negativity_probes < 2:
-            raise ConfigError("need at least two negativity probes per sweep")
-
-    def flag_threshold(self, s_l: np.ndarray) -> float:
-        """Absolute S_L disagreement above which calibration branches count
-        as distinct; defaults to flag_rel times the observed S_L range."""
-        if self.flag_tol is not None:
-            return self.flag_tol
-        span = float(np.max(s_l) - np.min(s_l))
-        return max(self.flag_rel * span, self.merge_tol)
-
-    def with_h_a(self, kind) -> "ProtocolConfig":
-        return ProtocolConfig(
-            self.n_a,
-            self.n_b,
-            self.h_ab_kind,
-            _as_kind(kind),
-            self.t_grid,
-            self.tp_grid,
-            self.seed,
-            self.omega,
-            self.refine_tol,
-            self.flag_tol,
-            self.flag_rel,
-            self.merge_tol,
-            self.negativity_probes,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,15 +143,13 @@ class CalibrationCurve:
     """(min xi2_A, S_L,AB) pairs in trace order with monotone-run annotations.
 
     ``merge_tol`` is the S_L distance below which inversion candidates are
-    treated as one value; ``flag_threshold`` is the larger disagreement above
-    which a region counts as part of the broken one-to-one window.
+    treated as one value.
     """
 
     x: np.ndarray
     y: np.ndarray
     segments: tuple[tuple[int, int], ...]
-    merge_tol: float = 1e-3
-    flag_threshold: float = 1e-3
+    merge_tol: float = MERGE_TOL
     ghz_exact: bool = False
     metadata: dict = field(default_factory=dict)
 
@@ -186,10 +162,6 @@ class InversionResult:
 
 # ---------------------------------------------------------------------------
 # subsystem sweep engine
-
-
-def _moments_pure(psi: np.ndarray, operators) -> np.ndarray:
-    return np.array([np.vdot(psi, op @ psi).real for op in operators])
 
 
 class _SubsystemEngine:
@@ -301,7 +273,7 @@ def run_protocol_multi(
 
     # Probe times for the cut-negativity constancy check: the sweep start,
     # evenly spaced interior points, and the refined minimum.
-    n_fixed = cfg.negativity_probes - 1
+    n_fixed = NEGATIVITY_PROBES - 1
     fixed_probes = [
         float(cfg.tp_grid[int(round(j * (cfg.tp_grid.size - 1) / max(1, n_fixed)))])
         for j in range(n_fixed)
@@ -312,14 +284,14 @@ def run_protocol_multi(
         psi_t = prop.apply(psi0.amplitudes, t)
         rho_a = qcore.reduced_state_matrix(psi_t, n, keep)
         s_l = measures.linear_entropy(rho_a)
-        xi2_full, _ = spin.xi2_from_moment_arrays(_moments_pure(psi_t, mops_full)[:, None], n)
+        xi2_full, _ = spin.xi2_from_moment_arrays(spin._moment_values(psi_t, mops_full)[:, None], n)
         per_kind = {}
         for kind in kinds:
             eng = engines[kind]
             rho_eig = eng.to_eigenbasis(rho_a)
             xi2_grid, _ = eng.xi2_sweep(rho_eig, cfg.tp_grid)
             tau_min, xi2_min = _min_over_tp(
-                xi2_grid, cfg.tp_grid, lambda tau: eng.xi2_at(rho_eig, tau), cfg.refine_tol
+                xi2_grid, cfg.tp_grid, lambda tau: eng.xi2_at(rho_eig, tau), REFINE_TOL
             )
             negs = []
             for tau in [*fixed_probes, tau_min]:
@@ -344,10 +316,9 @@ def run_protocol_multi(
             raise ContractViolationError(
                 f"cut negativity drifted by {worst:.3e} along a local sweep"
             )
-        flags = _nonmonotone_flags(min_xi2, s_l_arr, cfg.flag_threshold(s_l_arr))
-        trace_cfg = cfg.with_h_a(kind)
+        flags = _nonmonotone_flags(min_xi2, s_l_arr, _flag_threshold(s_l_arr))
         trace = ProtocolTrace(
-            config=trace_cfg,
+            config=replace(cfg, h_a_kind=kind),
             t=cfg.t_grid.copy(),
             s_l_ab=s_l_arr.copy(),
             xi2_ab=xi2_ab_arr.copy(),
@@ -483,11 +454,16 @@ def calibration(trace: ProtocolTrace) -> CalibrationCurve:
         x=x,
         y=y,
         segments=_monotone_segments(x),
-        merge_tol=trace.config.merge_tol,
-        flag_threshold=trace.config.flag_threshold(y),
         ghz_exact=ghz_exact,
         metadata=dict(trace.metadata),
     )
+
+
+def _flag_threshold(s_l: np.ndarray) -> float:
+    """Absolute S_L disagreement above which calibration branches count as
+    distinct: FLAG_REL times the observed S_L range, at least MERGE_TOL."""
+    span = float(np.max(s_l) - np.min(s_l))
+    return max(FLAG_REL * span, MERGE_TOL)
 
 
 def _nonmonotone_flags(x: np.ndarray, y: np.ndarray, threshold: float) -> np.ndarray:
@@ -552,27 +528,6 @@ def monotonicity_score(curve: CalibrationCurve) -> float:
 
 # ---------------------------------------------------------------------------
 # measure-versus-squeezing exploration (mixed initial states of A)
-
-
-def evolve_density_conjugation(rho: np.ndarray, hamiltonian, t: float) -> np.ndarray:
-    """rho -> U rho U+ with U = exp(-i H t) from the spectral decomposition."""
-    prop = SpectralPropagator(hamiltonian)
-    u = prop.unitary(t)
-    return u @ rho @ u.conj().T
-
-
-def evolve_density_purification(rho: np.ndarray, hamiltonian, t: float) -> np.ndarray:
-    """Same evolution routed through a purification of rho.
-
-    The purification lives on system x mirror; the unitary acts on the
-    system factor only and the mirror is traced back out.
-    """
-    w, v = qcore.hermitian_eigen(rho)
-    w = np.clip(w, 0.0, None)
-    x = v * np.sqrt(w)  # columns scaled: X X+ = rho
-    prop = SpectralPropagator(hamiltonian)
-    x_t = prop.unitary(t) @ x
-    return x_t @ x_t.conj().T
 
 
 def explore_measure_vs_squeezing(

@@ -84,7 +84,7 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ContractViolationError(f"trace {tr!r} deviates from 1")
-        w, _ = jacobi_eigh(m, compute_vectors=False)
+        w = hermitian_eigenvalues(m)
         if w[-1] < -PSD_TOL:
             raise ContractViolationError(f"negative eigenvalue {w[-1]!r}")
         object.__setattr__(self, "matrix", _freeze(m.copy()))
@@ -251,23 +251,24 @@ def partial_transpose(rho: DensityMatrix, p: Partition, side: str = "a") -> np.n
     return partial_transpose_matrix(rho.matrix, rho.n_qubits, p.side(side))
 
 
-def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix."""
+def _hermitian_input(matrix) -> np.ndarray:
+    """The matrix as a complex array, checked square and Hermitian."""
     m = _as_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.conj().T)) > EIGEN_INPUT_TOL:
         raise ContractViolationError("matrix is not Hermitian within 1e-10")
-    w, v = jacobi_eigh(m, compute_vectors=True)
-    return w, v
+    return m
+
+
+def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix."""
+    return jacobi_eigh(_hermitian_input(matrix), compute_vectors=True)
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
     """Descending eigenvalues only (same solver, no eigenvector accumulation)."""
-    m = _as_matrix(matrix)
-    if np.max(np.abs(m - m.conj().T)) > EIGEN_INPUT_TOL:
-        raise ContractViolationError("matrix is not Hermitian within 1e-10")
-    w, _ = jacobi_eigh(m, compute_vectors=False)
+    w, _ = jacobi_eigh(_hermitian_input(matrix), compute_vectors=False)
     return w
 
 

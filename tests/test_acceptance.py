@@ -257,12 +257,12 @@ def test_criterion_8_cli_thread_determinism(tmp_path):
         "protocol": run_pair(
             "protocol",
             ["protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", "tf",
-             "--t-steps", "31", "--tp-steps", "200", "--seed", "1"],
+             "--t-steps", "31", "--tp-steps", "200"],
         ),
         "explore": run_pair(
             "explore",
             ["explore", "--na", "2", "--nb", "2", "--hab", "oat", "--prep-t", "0.4",
-             "--ha", "tf", "--t-max", "5", "--steps", "101", "--seed", "1"],
+             "--ha", "tf", "--t-max", "5", "--steps", "101"],
         ),
     }
 

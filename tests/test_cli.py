@@ -105,8 +105,9 @@ def test_protocol_oat_ghz_point_for_each_local_kind(tmp_path):
 
 
 def test_protocol_resource_cap(tmp_path):
-    code = main(["protocol", "--na", "6", "--nb", "2", "--out", str(tmp_path / "x.csv")])
-    assert code == 3
+    for command in ("protocol", "explore"):
+        code = main([command, "--na", "6", "--nb", "2", "--out", str(tmp_path / "x.csv")])
+        assert code == 3
 
 
 def test_invert_ghz_curve(tmp_path):
@@ -137,12 +138,16 @@ def test_invert_ambiguous_curve(tmp_path):
     assert code == 4
 
 
-def test_invert_parse_errors(tmp_path):
+def test_invert_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["invert", "--curve", str(bad), "--xi2", "0.5"]) == 2
     missing = tmp_path / "missing.csv"
     assert main(["invert", "--curve", str(missing), "--xi2", "0.5"]) == 2
+    good = tmp_path / "good.csv"
+    good.write_text("min_xi2_a,s_l_ab\n0.2,0.1\n0.8,0.5\n")
+    assert main(["invert", "--curve", str(good), "--xi2", "0.5", "--merge-tol", "-1"]) == 2
+    assert "error: --merge-tol" in capsys.readouterr().err
 
 
 def test_invert_extrapolation_error(tmp_path):

@@ -18,8 +18,6 @@ from monogamy_lab.protocol import (
     calibration,
     default_t_grid,
     default_tp_grid,
-    evolve_density_conjugation,
-    evolve_density_purification,
     explore_measure_vs_squeezing,
     invert,
     monotonicity_score,
@@ -227,19 +225,6 @@ def test_p_state_selection_synthetic():
     assert out["p3"]["index"] == 5
     none = _select_p_states(np.array([0.5, 0.5]), np.array([False, False]), np.arange(2.0))
     assert none["p1"] is None and none["p3"] is None
-
-
-# ---------------------------------------------------------------------------
-# density-matrix evolution routes
-
-
-def test_density_evolution_paths_agree(rng):
-    h = build("tf", 1.0, range(3), 3)
-    for _ in range(10):
-        rho = random_density(8, rng, rank=3)
-        a = evolve_density_conjugation(rho, h, 1.7)
-        b = evolve_density_purification(rho, h, 1.7)
-        assert np.max(np.abs(a - b)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
