@@ -1,9 +1,8 @@
 """Cyclic Jacobi eigensolver for complex Hermitian matrices.
 
 The sweep order (row-major over the upper triangle) is fixed, so repeated
-runs on the same input produce identical output. A numba-compiled kernel is
-used when available; a numpy-vectorized kernel implements the exact same
-rotation sequence as a fallback.
+runs on the same input produce identical output. Each rotation updates
+whole rows and columns with numpy.
 """
 
 from __future__ import annotations
@@ -14,73 +13,14 @@ import numpy as np
 
 from .errors import ContractViolationError, ResourceCapError
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 MAX_DIM = 1024
 _MAX_SWEEPS = 64
 _REL_TOL = 1e-14
 
 
-def _kernel_loops(a, v, compute_v, tol, max_sweeps):
+def _kernel(a, v, compute_v, tol):
     n = a.shape[0]
-    for sweep in range(max_sweeps):
-        off2 = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                x = a[p, q]
-                off2 += x.real * x.real + x.imag * x.imag
-        if math.sqrt(2.0 * off2) <= tol:
-            return sweep
-        thresh = tol / (2.0 * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                b = abs(apq)
-                if b <= thresh:
-                    continue
-                phi = 0.5 * math.atan2(2.0 * b, a[p, p].real - a[q, q].real)
-                c = math.cos(phi)
-                s = math.sin(phi)
-                u = apq / b
-                uc = u.conjugate()
-                su = s * u
-                suc = s * uc
-                for i in range(n):
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip + suc * aiq
-                    a[i, q] = -su * aip + c * aiq
-                for j in range(n):
-                    apj = a[p, j]
-                    aqj = a[q, j]
-                    a[p, j] = c * apj + su * aqj
-                    a[q, j] = -suc * apj + c * aqj
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real + 0.0j
-                a[q, q] = a[q, q].real + 0.0j
-                if compute_v:
-                    for i in range(n):
-                        vip = v[i, p]
-                        viq = v[i, q]
-                        v[i, p] = c * vip + suc * viq
-                        v[i, q] = -su * vip + c * viq
-    return -1
-
-
-if _HAVE_NUMBA:
-    _kernel_numba = njit(cache=True, nogil=True)(_kernel_loops)
-
-
-def _kernel_numpy(a, v, compute_v, tol, max_sweeps):
-    # Same rotation sequence as _kernel_loops, with whole-row/column updates.
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         off2 = float(np.sum(np.abs(np.triu(a, 1)) ** 2))
         if math.sqrt(2.0 * off2) <= tol:
             return sweep
@@ -120,35 +60,22 @@ def _kernel_numpy(a, v, compute_v, tol, max_sweeps):
 def jacobi_eigh(
     matrix: np.ndarray,
     compute_vectors: bool = True,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
 
     Returns eigenvalues in descending order and, when requested, the matching
-    orthonormal eigenvectors as columns. The input is not checked for
-    Hermiticity here; callers own that contract.
+    orthonormal eigenvectors as columns. The input is not checked to be
+    non-empty, square or Hermitian here; callers own that contract.
     """
     a = np.array(matrix, dtype=np.complex128, order="C", copy=True)
     n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ContractViolationError("expected a square matrix")
     if n > MAX_DIM:
         raise ResourceCapError(f"matrix dimension {n} exceeds cap {MAX_DIM}")
-    if n == 0:
-        raise ContractViolationError("empty matrix")
 
     v = np.eye(n, dtype=np.complex128) if compute_vectors else np.empty((1, 1), dtype=np.complex128)
     tol = _REL_TOL * max(1e-300, float(np.linalg.norm(a)))
 
-    if backend is None:
-        backend = "numba" if _HAVE_NUMBA else "numpy"
-    if backend == "numba":
-        sweeps = _kernel_numba(a, v, compute_vectors, tol, _MAX_SWEEPS)
-    elif backend == "numpy":
-        sweeps = _kernel_numpy(a, v, compute_vectors, tol, _MAX_SWEEPS)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    if sweeps < 0:
+    if _kernel(a, v, compute_vectors, tol) < 0:
         raise ContractViolationError("Jacobi eigensolver failed to converge")
 
     w = np.real(np.diag(a)).copy()

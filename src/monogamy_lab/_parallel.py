@@ -2,7 +2,8 @@
 
 Work is split by index, each index is computed independently of the
 schedule, and results are reassembled in index order, so the output is
-identical for any worker count.
+identical for any worker count. The pool never starts more threads than
+there are spans of work or machine cores.
 """
 
 from __future__ import annotations
@@ -32,6 +33,6 @@ def map_indexed(fn: Callable[[int], T], n: int, threads: int | None = 1) -> list
         return [fn(i) for i in range(n)]
     chunk = max(1, (n + 4 * threads - 1) // (4 * threads))
     spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(spans), os.cpu_count() or 1)) as pool:
         parts = list(pool.map(lambda span: [fn(i) for i in range(span[0], span[1])], spans))
     return [item for part in parts for item in part]

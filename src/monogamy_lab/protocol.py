@@ -164,23 +164,17 @@ class InversionResult:
 # subsystem sweep engine
 
 
-class _SubsystemEngine:
-    """Precomputed eigenbasis data for sweeping the local evolution of A."""
+class _SubsystemEngine(SpectralPropagator):
+    """Eigenbasis of A's local Hamiltonian, for sweeping the local evolution of A."""
 
     def __init__(self, kind: HamiltonianKind, n_a: int, omega: float):
-        self.kind = kind
+        super().__init__(build(kind, omega, range(n_a), n_a))
         self.n_a = n_a
-        h = build(kind, omega, range(n_a), n_a)
-        self.w, self.v = qcore.hermitian_eigen(h.matrix)
-        self._vh = self.v.conj().T
         ops = spin.collective_ops(n_a)
-        self.tilde_ops = [self._vh @ op @ self.v for op in ops.moment_operators]
+        self.tilde_ops = [self.to_eigenbasis(op) for op in ops.moment_operators]
 
     def to_eigenbasis(self, rho: np.ndarray) -> np.ndarray:
-        return self._vh @ rho @ self.v
-
-    def unitary(self, tau: float) -> np.ndarray:
-        return (self.v * np.exp(-1j * self.w * tau)) @ self._vh
+        return self._vh @ rho @ self.eigenvectors
 
     def xi2_sweep(self, rho_eig: np.ndarray, tp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squeezing of A for every local time, via frequency decomposition.
@@ -188,7 +182,7 @@ class _SubsystemEngine:
         <O>(tau) = sum_jk rho_jk O~_kj exp(-i (w_j - w_k) tau), evaluated as
         two small matrix products per observable.
         """
-        a = np.exp(-1j * np.outer(self.w, tp))
+        a = np.exp(-1j * np.outer(self.eigenvalues, tp))
         ac = a.conj()
         vals = np.empty((9, tp.size))
         for k, ot in enumerate(self.tilde_ops):
@@ -197,15 +191,15 @@ class _SubsystemEngine:
         return spin.xi2_from_moment_arrays(vals, self.n_a)
 
     def xi2_at(self, rho_eig: np.ndarray, tau: float) -> float:
-        e = np.exp(-1j * self.w * tau)
+        e = np.exp(-1j * self.eigenvalues * tau)
         ph = np.outer(e, e.conj())
         vals = np.array([np.sum(rho_eig * ot.T * ph).real for ot in self.tilde_ops])
         xi2, _ = spin.xi2_from_moment_arrays(vals[:, None], self.n_a)
         return float(xi2[0])
 
     def density_at(self, rho_eig: np.ndarray, tau: float) -> np.ndarray:
-        e = np.exp(-1j * self.w * tau)
-        return self.v @ (np.outer(e, e.conj()) * rho_eig) @ self._vh
+        e = np.exp(-1j * self.eigenvalues * tau)
+        return self.eigenvectors @ (np.outer(e, e.conj()) * rho_eig) @ self._vh
 
 
 def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -600,8 +594,8 @@ def appendix_b_study(
         dh = 2 ** (size // 2)
         for kind in kinds:
             eng = _SubsystemEngine(kind, size, omega)
-            c0 = eng.v.conj().T @ psi0
-            states = eng.v @ (np.exp(-1j * np.outer(eng.w, t)) * c0[:, None])  # (d, T)
+            c0 = eng.eigenvectors.conj().T @ psi0
+            states = eng.eigenvectors @ (np.exp(-1j * np.outer(eng.eigenvalues, t)) * c0[:, None])  # (d, T)
             vals = np.empty((9, t.size))
             for k, op in enumerate(mops):
                 vals[k] = np.einsum("dt,dt->t", states.conj(), op @ states).real

@@ -252,10 +252,10 @@ def partial_transpose(rho: DensityMatrix, p: Partition, side: str = "a") -> np.n
 
 
 def _hermitian_input(matrix) -> np.ndarray:
-    """The matrix as a complex array, checked square and Hermitian."""
+    """The matrix as a complex array, checked non-empty, square and Hermitian."""
     m = _as_matrix(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.conj().T)) > EIGEN_INPUT_TOL:
         raise ContractViolationError("matrix is not Hermitian within 1e-10")
     return m

@@ -33,7 +33,6 @@ class SampleRecord:
     y: float
     cls: SampleClass
     spectrum: Spectrum | None = None
-    state: PureState | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +127,7 @@ def fig2_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
         x = schmidt_concurrence(state, FIG2_PARTITION)
         y = measures.concurrence(rho_a)
         spectrum = Spectrum.from_values(qcore.hermitian_eigenvalues(rho_a))
-        return SampleRecord(x, y, _classify(spectrum.as_array()), spectrum=spectrum, state=state)
+        return SampleRecord(x, y, _classify(spectrum.as_array()), spectrum=spectrum)
 
     records = map_indexed(one, n_samples, threads)
     return Dataset(
@@ -154,8 +153,9 @@ def fig3_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
     """(N_AB, N_max) pairs for random 2+N reduced spectra, plus the four
     named boundary spectra appended as marker records.
 
-    Sample i pins ``i mod 3`` eigenvalues to zero, so the two-, three-, and
-    four-nonzero populations are evenly represented.
+    Sample i pins ``(2, 1, 0)[i mod 3]`` eigenvalues to zero (sample 0 has two
+    zeros), so the two-, three-, and four-nonzero populations are evenly
+    represented.
     """
     if n_samples < 1:
         raise DomainError("need at least one sample")
@@ -187,7 +187,7 @@ def fig3_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
             "n_samples": n_samples,
             "seed": seed,
             "sampling": "uniform_simplex_exponential_normalization",
-            "zero_striping": "sample i pins (i mod 3) eigenvalues to zero",
+            "zero_striping": "sample i pins (2, 1, 0)[i mod 3] eigenvalues to zero",
             "markers": [list(m) for m in MARKER_SPECTRA],
         },
     )

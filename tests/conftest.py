@@ -1,15 +1,6 @@
 import numpy as np
 import pytest
 
-from monogamy_lab import hermitian_eigen
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_eigensolver():
-    # First call JIT-compiles the Jacobi kernel; keep that cost out of
-    # the timed acceptance sections.
-    hermitian_eigen(np.eye(4, dtype=complex))
-
 
 @pytest.fixture()
 def rng():

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from monogamy_lab import analytic, measures, qcore
+from monogamy_lab import _parallel, analytic, measures, qcore
 from monogamy_lab.errors import DomainError
 from monogamy_lab.sampling import (
     FIG2_PARTITION,
@@ -129,6 +131,34 @@ def test_fig3_classes_and_markers():
             continue
         nonzero = int(np.sum(r.spectrum.as_array() > 1e-12))
         assert {2: SampleClass.TWO_NONZERO, 3: SampleClass.THREE_NONZERO, 4: SampleClass.FOUR_NONZERO}[nonzero] is r.cls
+    striping = (SampleClass.TWO_NONZERO, SampleClass.THREE_NONZERO, SampleClass.FOUR_NONZERO)
+    for i, r in enumerate(ds.records[:90]):
+        assert r.cls is striping[i % 3]
+
+
+def test_thread_pool_bounded_by_work_and_cores(monkeypatch):
+    # A serial stand-in for the pool records the requested worker count
+    # without starting any thread.
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", SerialPool)
+    many = fig3_dataset(30, seed=31, threads=100000)
+    assert requested and requested[0] <= min(30, os.cpu_count() or 1)
+    one = fig3_dataset(30, seed=31, threads=1)
+    assert np.array_equal(np.array(many.xy()), np.array(one.xy()))
 
 
 def test_fig3_rank2_records_on_rescaled_curve():
