@@ -22,7 +22,7 @@ def resolve_threads(threads: int | None) -> int:
         env = os.environ.get(THREADS_ENV_VAR)
         threads = int(env) if env else 1
     if threads < 1:
-        raise ValueError("thread count must be >= 1")
+        raise ValueError(f"thread count must be >= 1 (argument or ${THREADS_ENV_VAR}), got {threads}")
     return threads
 
 

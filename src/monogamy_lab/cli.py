@@ -34,6 +34,8 @@ EXIT_RESOURCE = 3
 EXIT_AMBIGUOUS = 4
 
 VIOLATION_SLACK = 1e-9
+# Options that count something and must be at least 1.
+COUNT_OPTIONS = ("threads", "samples", "steps", "t_steps", "tp_steps")
 
 
 def _fmt(x) -> str:
@@ -95,6 +97,17 @@ def _resolve(args, file_cfg: dict, name: str, default, cast):
     if name in file_cfg:
         return cast(file_cfg[name])
     return default
+
+
+def _check_counts(args, file_cfg: dict) -> None:
+    """Reject a count below 1 from any subcommand's flags or config file, and
+    resolve the worker count (flag, config file, then the environment)."""
+    for name in COUNT_OPTIONS:
+        if hasattr(args, name):
+            value = _resolve(args, file_cfg, name, None, int)
+            if value is not None and value < 1:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+    args.threads = resolve_threads(_resolve(args, file_cfg, "threads", None, int))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,16 +182,12 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
-def _cmd_fig2(args) -> int:
+def _cmd_fig2(args, file_cfg: dict) -> int:
     started = time.perf_counter()
-    file_cfg = _load_config_file(args.config)
     samples = int(_resolve(args, file_cfg, "samples", 3000, int))
     seed = int(_resolve(args, file_cfg, "seed", 0, int))
-    threads = resolve_threads(_resolve(args, file_cfg, "threads", None, int))
-    if samples < 1:
-        raise ValueError("--samples must be >= 1")
 
-    ds = sampling.fig2_dataset(samples, seed, threads)
+    ds = sampling.fig2_dataset(samples, seed, args.threads)
     x, y = ds.xy()
     bound = analytic.cmax_boundary(x)
     if args.test_corrupt_bound:
@@ -191,23 +200,19 @@ def _cmd_fig2(args) -> int:
         for i in range(len(x))
     )
     count = _write_csv(out, ["c_ab", "c_a1a2", "bound", "violation"], rows)
-    config = {"samples": samples, "seed": seed, "threads": threads,
+    config = {"samples": samples, "seed": seed, "threads": args.threads,
               "corrupt_bound_test_hook": bool(args.test_corrupt_bound), **ds.metadata}
     _write_manifest(out, "fig2", config, [out], {str(out): count}, started,
                     extra={"seed": seed, "violations": int(violation.sum())})
     return EXIT_OK if int(violation.sum()) == 0 else EXIT_VIOLATION
 
 
-def _cmd_fig3(args) -> int:
+def _cmd_fig3(args, file_cfg: dict) -> int:
     started = time.perf_counter()
-    file_cfg = _load_config_file(args.config)
     samples = int(_resolve(args, file_cfg, "samples", 100000, int))
     seed = int(_resolve(args, file_cfg, "seed", 0, int))
-    threads = resolve_threads(_resolve(args, file_cfg, "threads", None, int))
-    if samples < 1:
-        raise ValueError("--samples must be >= 1")
 
-    ds = sampling.fig3_dataset(samples, seed, threads)
+    ds = sampling.fig3_dataset(samples, seed, args.threads)
     threshold = analytic.threshold_negativity(verify=False)
     violations = 0
     out = Path(args.out)
@@ -221,7 +226,7 @@ def _cmd_fig3(args) -> int:
             yield [*(_fmt(v) for v in vals), _fmt(rec.x), _fmt(rec.y), rec.cls.value]
 
     count = _write_csv(out, ["l1", "l2", "l3", "l4", "n_ab", "n_max", "class"], rows())
-    config = {"samples": samples, "seed": seed, "threads": threads, **ds.metadata}
+    config = {"samples": samples, "seed": seed, "threads": args.threads, **ds.metadata}
     _write_manifest(out, "fig3", config, [out], {str(out): count}, started,
                     extra={"seed": seed, "threshold": threshold, "violations": violations})
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
@@ -234,16 +239,14 @@ def _check_subsystem_cap(n_a: int, n_b: int) -> None:
         )
 
 
-def _cmd_protocol(args) -> int:
+def _cmd_protocol(args, file_cfg: dict) -> int:
     started = time.perf_counter()
-    file_cfg = _load_config_file(args.config)
     n_a = int(_resolve(args, file_cfg, "na", 2, int))
     n_b = int(_resolve(args, file_cfg, "nb", 2, int))
     hab = str(_resolve(args, file_cfg, "hab", "oat", str))
     ha = str(_resolve(args, file_cfg, "ha", "tf", str))
     t_steps = int(_resolve(args, file_cfg, "t_steps", 401, int))
     tp_steps = int(_resolve(args, file_cfg, "tp_steps", 2000, int))
-    threads = resolve_threads(_resolve(args, file_cfg, "threads", None, int))
     _check_subsystem_cap(n_a, n_b)
 
     cfg = protocol.ProtocolConfig(
@@ -258,7 +261,7 @@ def _cmd_protocol(args) -> int:
     for kind in [HamiltonianKind(ha), HamiltonianKind.OAT, HamiltonianKind.TAT, HamiltonianKind.TF]:
         if kind not in score_kinds:
             score_kinds.append(kind)
-    traces = protocol.run_protocol_multi(cfg, score_kinds, threads)
+    traces = protocol.run_protocol_multi(cfg, score_kinds, args.threads)
     trace = traces[HamiltonianKind(ha)]
 
     out = Path(args.out)
@@ -285,7 +288,7 @@ def _cmd_protocol(args) -> int:
             scores[kind.value] = None
     config = {
         "na": n_a, "nb": n_b, "hab": hab, "ha": ha,
-        "t_steps": t_steps, "tp_steps": tp_steps, "threads": threads,
+        "t_steps": t_steps, "tp_steps": tp_steps, "threads": args.threads,
     }
     _write_manifest(out, "protocol", config, [out], {str(out): count}, started,
                     extra={"monotonicity_scores": scores,
@@ -294,9 +297,8 @@ def _cmd_protocol(args) -> int:
     return EXIT_OK
 
 
-def _cmd_explore(args) -> int:
+def _cmd_explore(args, file_cfg: dict) -> int:
     started = time.perf_counter()
-    file_cfg = _load_config_file(args.config)
     n_a = int(_resolve(args, file_cfg, "na", 4, int))
     n_b = int(_resolve(args, file_cfg, "nb", 4, int))
     hab = str(_resolve(args, file_cfg, "hab", "oat", str))
@@ -327,9 +329,8 @@ def _cmd_explore(args) -> int:
     return EXIT_OK
 
 
-def _cmd_appendix_b(args) -> int:
+def _cmd_appendix_b(args, file_cfg: dict) -> int:
     started = time.perf_counter()
-    file_cfg = _load_config_file(args.config)
     sizes_raw = str(_resolve(args, file_cfg, "sizes", "2,4,6,8", str))
     kinds_raw = str(_resolve(args, file_cfg, "ha_kinds", "oat,tat,tf", str))
     t_max = float(_resolve(args, file_cfg, "t_max", 100.0, float))
@@ -363,19 +364,21 @@ def _read_curve_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     except ValueError:
         raise ValueError("curve file must have min_xi2_a and s_l_ab columns") from None
     xs, ys = [], []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        xs.append(float(parts[ix]))
-        ys.append(float(parts[iy]))
+        try:
+            xs.append(float(parts[ix]))
+            ys.append(float(parts[iy]))
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}, line {lineno}: no number in column min_xi2_a or s_l_ab") from None
     if not xs:
         raise ValueError("curve file has no data rows")
     return np.array(xs), np.array(ys)
 
 
-def _cmd_invert(args) -> int:
-    file_cfg = _load_config_file(args.config)
+def _cmd_invert(args, file_cfg: dict) -> int:
     merge_tol = float(_resolve(args, file_cfg, "merge_tol", protocol.MERGE_TOL, float))
     if not merge_tol >= 0.0:
         raise ValueError("--merge-tol must be >= 0")
@@ -419,7 +422,9 @@ def main(argv=None) -> int:
         "invert": _cmd_invert,
     }
     try:
-        return handlers[args.command](args)
+        file_cfg = _load_config_file(args.config)
+        _check_counts(args, file_cfg)
+        return handlers[args.command](args, file_cfg)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -286,9 +286,13 @@ class SpectralPropagator:
         self._vh = np.ascontiguousarray(self.eigenvectors.conj().T)
         self.dim = m.shape[0]
 
-    def apply(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    def apply(self, amplitudes: np.ndarray, t) -> np.ndarray:
+        """The evolved state at time t, or a (d, T) array with one column per
+        time when t is an array of T times."""
+        t = np.asarray(t)
         c = self._vh @ amplitudes
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * c)
+        phases = np.exp(-1j * np.multiply.outer(self.eigenvalues, t))  # (d,) or (d, T)
+        return self.eigenvectors @ (phases * (c[:, None] if t.ndim else c))
 
     def unitary(self, t: float) -> np.ndarray:
         return (self.eigenvectors * np.exp(-1j * self.eigenvalues * t)) @ self._vh

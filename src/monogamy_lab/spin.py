@@ -80,83 +80,17 @@ class SqueezingResult:
     degenerate_mean_spin: bool
 
 
-def _moment_values(state, operators) -> np.ndarray:
-    if isinstance(state, PureState):
-        state = state.amplitudes
-    elif isinstance(state, DensityMatrix):
-        state = state.matrix
-    state = np.asarray(state)
-    if state.ndim == 1:
-        return np.array([np.vdot(state, op @ state).real for op in operators])
-    return np.array([np.vdot(state, op).real for op in operators])
+def pure_moments(states: np.ndarray, operators) -> np.ndarray:
+    """Expectation values <psi_t|O|psi_t> of each operator for a (d, T) array
+    of pure states, one column per state: shape (len(operators), T)."""
+    bra = states.conj()
+    return np.array([np.einsum("dt,dt->t", bra, op @ states).real for op in operators])
 
 
-def _covariance(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = moments[:3]
-    sxx, syy, szz, sxy, sxz, syz = moments[3:]
-    second = np.array([[sxx, sxy, sxz], [sxy, syy, syz], [sxz, syz, szz]])
-    return mean, second - np.outer(mean, mean)
-
-
-def _perp_basis(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Seed with the coordinate axis least aligned with the mean spin.
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(unit)))] = 1.0
-    v1 = e - np.dot(e, unit) * unit
-    v1 /= np.linalg.norm(v1)
-    v2 = np.cross(unit, v1)
-    return v1, v2
-
-
-def squeezing_parameter(state, ops: CollectiveSpinOps) -> SqueezingResult:
-    """Kitagawa-Ueda squeezing parameter with exact direction minimization.
-
-    Accepts a DensityMatrix, a PureState, or the corresponding raw arrays,
-    on the same register as ``ops``.
-    """
-    dim = state.dim if isinstance(state, (DensityMatrix, PureState)) else np.asarray(state).shape[0]
-    if dim != ops.dim:
-        raise DimensionMismatchError("state and spin operators live on different registers")
-    moments = _moment_values(state, ops.moment_operators)
-    mean, gamma = _covariance(moments)
-    n = ops.n_spins
-    norm = float(np.linalg.norm(mean))
-
-    if norm < DEGENERATE_MEAN_SPIN_TOL:
-        w, v = qcore.hermitian_eigen(gamma.astype(np.complex128))
-        lam = max(0.0, float(w[-1]))
-        direction = v[:, -1].real
-        nrm = np.linalg.norm(direction)
-        if nrm < 1e-12:  # eigenvector came out along the imaginary axis
-            direction = np.abs(v[:, -1])
-            nrm = np.linalg.norm(direction)
-        direction = direction / nrm
-        return SqueezingResult(4.0 * lam / n, mean, direction, True)
-
-    unit = mean / norm
-    v1, v2 = _perp_basis(unit)
-    g11 = float(v1 @ gamma @ v1)
-    g22 = float(v2 @ gamma @ v2)
-    g12 = float(v1 @ gamma @ v2)
-    half_gap = 0.5 * np.hypot(g11 - g22, 2.0 * g12)
-    lam = max(0.0, 0.5 * (g11 + g22) - half_gap)
-    if abs(g12) < 1e-15 and g11 <= g22:
-        x, y = 1.0, 0.0
-    else:
-        x, y = g12, lam - g11
-        if abs(x) < 1e-15 and abs(y) < 1e-15:
-            x, y = 1.0, 0.0
-    direction = x * v1 + y * v2
-    direction = direction / np.linalg.norm(direction)
-    return SqueezingResult(4.0 * lam / n, mean, direction, False)
-
-
-def xi2_from_moment_arrays(moments: np.ndarray, n_spins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized squeezing parameter from a (9, T) array of moment values.
-
-    Row order matches ``CollectiveSpinOps.moment_operators``. Returns the
-    squeezing values and a mask of time points with degenerate mean spin.
-    """
+def _spin_frame(moments: np.ndarray):
+    """Mean spin (T, 3), covariance (T, 3, 3), the degenerate-mean-spin mask,
+    and two unit vectors (T, 3) spanning the plane perpendicular to the mean
+    spin, from a (9, T) array of moment values."""
     moments = np.asarray(moments, dtype=float)
     mean = moments[:3].T  # (T, 3)
     sxx, syy, szz, sxy, sxz, syz = moments[3:]
@@ -173,11 +107,49 @@ def xi2_from_moment_arrays(moments: np.ndarray, n_spins: int) -> tuple[np.ndarra
     safe = np.where(degenerate, 1.0, norm)
     unit = mean / safe[:, None]
 
+    # Seed with the coordinate axis least aligned with the mean spin.
     e = np.zeros((t, 3))
     e[np.arange(t), np.argmin(np.abs(unit), axis=1)] = 1.0
     v1 = e - np.sum(e * unit, axis=1)[:, None] * unit
     v1 /= np.linalg.norm(v1, axis=1)[:, None]
     v2 = np.cross(unit, v1)
+    return mean, gamma, degenerate, v1, v2
+
+
+def squeezing_parameter(state, ops: CollectiveSpinOps) -> SqueezingResult:
+    """Kitagawa-Ueda squeezing parameter with exact direction minimization.
+
+    Accepts a DensityMatrix, a PureState, or the corresponding raw arrays,
+    on the same register as ``ops``. The optimal direction is the lowest
+    eigenvector of the covariance projected on the plane perpendicular to
+    the mean spin, or on all of space when there is no mean spin.
+    """
+    if isinstance(state, PureState):
+        state = state.amplitudes
+    elif isinstance(state, DensityMatrix):
+        state = state.matrix
+    state = np.asarray(state)
+    if state.shape[0] != ops.dim:
+        raise DimensionMismatchError("state and spin operators live on different registers")
+    if state.ndim == 1:
+        moments = pure_moments(state[:, None], ops.moment_operators)
+    else:
+        moments = np.array([[np.vdot(state, op).real] for op in ops.moment_operators])
+    xi2, degenerate = xi2_from_moment_arrays(moments, ops.n_spins)
+    mean, gamma, _, v1, v2 = _spin_frame(moments)
+    frame = np.eye(3) if degenerate[0] else np.column_stack([v1[0], v2[0]])
+    _, v = qcore.hermitian_eigen(frame.T @ gamma[0] @ frame)
+    direction = frame @ v[:, -1].real  # a real symmetric input has real eigenvectors
+    return SqueezingResult(float(xi2[0]), mean[0], direction / np.linalg.norm(direction), bool(degenerate[0]))
+
+
+def xi2_from_moment_arrays(moments: np.ndarray, n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized squeezing parameter from a (9, T) array of moment values.
+
+    Row order matches ``CollectiveSpinOps.moment_operators``. Returns the
+    squeezing values and a mask of time points with degenerate mean spin.
+    """
+    _, gamma, degenerate, v1, v2 = _spin_frame(moments)
 
     g11 = np.einsum("ti,tij,tj->t", v1, gamma, v1)
     g22 = np.einsum("ti,tij,tj->t", v2, gamma, v2)

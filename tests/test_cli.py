@@ -148,6 +148,10 @@ def test_invert_parse_errors(tmp_path, capsys):
     good.write_text("min_xi2_a,s_l_ab\n0.2,0.1\n0.8,0.5\n")
     assert main(["invert", "--curve", str(good), "--xi2", "0.5", "--merge-tol", "-1"]) == 2
     assert "error: --merge-tol" in capsys.readouterr().err
+    short = tmp_path / "short.csv"
+    short.write_text("t,s_l_ab,xi2_ab,min_xi2_a,argmin_tp,nonmonotone_flag\n0,0.1\n")
+    assert main(["invert", "--curve", str(short), "--xi2", "0.5"]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_invert_extrapolation_error(tmp_path):
@@ -156,7 +160,8 @@ def test_invert_extrapolation_error(tmp_path):
         "protocol", "--na", "2", "--nb", "2", "--hab", "ghz", "--ha", "ghz",
         "--t-steps", "21", "--tp-steps", "200", "--out", str(out),
     ])
-    assert main(["invert", "--curve", str(out), "--xi2", "3.0"]) == 2
+    for xi2 in ("3.0", "nan"):
+        assert main(["invert", "--curve", str(out), "--xi2", xi2]) == 2
 
 
 def test_explore_subcommand(tmp_path):
@@ -188,6 +193,38 @@ def test_appendix_b_subcommand(tmp_path):
             assert len(rows) == 101
     manifest = json.loads((tmp_path / "appb.csv.manifest.json").read_text())
     assert len(manifest["outputs"]) == 4
+
+
+def _count_runs(tmp_path):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("min_xi2_a,s_l_ab\n0.2,0.1\n0.8,0.5\n")
+    return {
+        "fig2": ["fig2", "--samples", "5", "--out", str(tmp_path / "fig2.csv")],
+        "fig3": ["fig3", "--samples", "5", "--out", str(tmp_path / "fig3.csv")],
+        "protocol": ["protocol", "--t-steps", "3", "--tp-steps", "20",
+                     "--out", str(tmp_path / "protocol.csv")],
+        "explore": ["explore", "--na", "2", "--nb", "2", "--steps", "11",
+                    "--out", str(tmp_path / "explore.csv")],
+        "appendix-b": ["appendix-b", "--sizes", "2", "--steps", "11",
+                       "--out", str(tmp_path / "appb")],
+        "invert": ["invert", "--curve", str(curve), "--xi2", "0.5",
+                   "--out", str(tmp_path / "inv.json")],
+    }
+
+
+def test_counts_below_one_rejected_by_every_subcommand(tmp_path, monkeypatch, capsys):
+    runs = _count_runs(tmp_path)
+    for command, argv in runs.items():
+        assert main([*argv, "--threads", "0"]) == 2, command
+        assert "error: --threads must be >= 1" in capsys.readouterr().err, command
+        monkeypatch.setenv("MONOGAMY_LAB_THREADS", "0")
+        assert main(argv) == 2, command
+        assert "MONOGAMY_LAB_THREADS" in capsys.readouterr().err, command
+        monkeypatch.delenv("MONOGAMY_LAB_THREADS")
+    for command in ("explore", "appendix-b"):
+        assert main([*runs[command], "--steps", "0"]) == 2, command
+        assert "error: --steps must be >= 1" in capsys.readouterr().err, command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
 
 
 def test_config_file_and_env_threads(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monogamy_lab import analytic, qcore
+from monogamy_lab import analytic, measures, qcore
 from monogamy_lab.errors import (
     ConfigError,
     ExtrapolationError,
@@ -24,8 +24,10 @@ from monogamy_lab.protocol import (
     reduced_a_at,
     run_protocol,
     run_protocol_multi,
+    state_at,
 )
-from monogamy_lab.qcore import DensityMatrix, Partition, all_down_state
+from monogamy_lab.qcore import DensityMatrix, Partition, SpectralPropagator, all_down_state
+from monogamy_lab.spin import collective_ops, squeezing_parameter
 
 from oracle_utils import random_density
 
@@ -103,7 +105,6 @@ def test_ghz_score_is_one_on_monotone_branch():
 
 def test_sweep_consistency_at_zero_local_time():
     from monogamy_lab.protocol import _SubsystemEngine
-    from monogamy_lab.spin import collective_ops, squeezing_parameter
 
     cfg = ghz_config(t_steps=7)
     eng_ops = collective_ops(2)
@@ -165,6 +166,29 @@ def test_multi_run_shares_entangling_stage():
     traces = run_protocol_multi(cfg, ["tf", "oat"])
     assert np.array_equal(traces[HamiltonianKind.TF].s_l_ab, traces[HamiltonianKind.OAT].s_l_ab)
     assert traces[HamiltonianKind.TF].config.h_a_kind is HamiltonianKind.TF
+
+
+@pytest.mark.parametrize("n_a, n_b", [(2, 2), (3, 2)])
+def test_grid_stages_match_per_row_route(n_a, n_b):
+    # the uneven split catches a wrong reshape of the A block
+    cfg = ProtocolConfig(
+        n_a, n_b, "oat", "tf",
+        t_grid=np.linspace(0, np.pi, 9),
+        tp_grid=np.linspace(0, 10.0, 50),
+    )
+    trace = run_protocol(cfg)
+    ops = collective_ops(n_a + n_b)
+    for i, t in enumerate(cfg.t_grid):
+        assert abs(trace.s_l_ab[i] - measures.linear_entropy(reduced_a_at(cfg, t))) < 1e-12
+        assert abs(trace.xi2_ab[i] - squeezing_parameter(state_at(cfg, t), ops).xi2) < 1e-12
+
+    n = n_a + n_b
+    prop = SpectralPropagator(build("oat", 1.0, range(n), n))
+    psi0 = all_down_state(n).amplitudes
+    columns = prop.apply(psi0, cfg.t_grid)
+    assert columns.shape == (2**n, cfg.t_grid.size)
+    for i, t in enumerate(cfg.t_grid):
+        assert np.max(np.abs(columns[:, i] - prop.apply(psi0, float(t)))) < 1e-14
 
 
 def test_protocol_thread_invariance():
