@@ -67,7 +67,6 @@ from .analytic import (
 from .sampling import (
     Dataset,
     SampleClass,
-    SampleRecord,
     fig2_dataset,
     fig3_dataset,
     haar_random_pure,

@@ -23,7 +23,7 @@ from .qcore import PureState, Spectrum
 
 def _check_domain(x, lo: float, hi: float, name: str):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < lo - 1e-12) or np.any(arr > hi + 1e-12):
+    if not np.all((arr >= lo - 1e-12) & (arr <= hi + 1e-12)):
         raise DomainError(f"{name} must lie in [{lo}, {hi}]")
     return np.clip(arr, lo, hi)
 
@@ -83,9 +83,16 @@ def boundary_curve(kind) -> BoundaryCurve:
     return BoundaryCurve(kind, (0.0, 1.0))
 
 
+def _one_spectrum(spec) -> np.ndarray:
+    vals = _spectrum4(spec)
+    if vals.ndim != 1:
+        raise DomainError(f"expected one spectrum of 4 values, got shape {vals.shape}")
+    return vals
+
+
 def negative_eigs_2pn(spec) -> np.ndarray:
     """The six non-positive partial-transpose eigenvalues -sqrt(l_i l_j), i<j."""
-    vals = _spectrum4(spec)
+    vals = _one_spectrum(spec)
     out = np.array([-math.sqrt(vals[i] * vals[j]) for i in range(4) for j in range(i + 1, 4)])
     return out
 
@@ -98,7 +105,7 @@ def spectrum_state_2pn(spec, n_b: int) -> PureState:
     """
     if n_b < 2:
         raise DomainError("the B register needs at least two qubits to host four Schmidt vectors")
-    vals = _spectrum4(spec)
+    vals = _one_spectrum(spec)
     dim_b = 2**n_b
     amps = np.zeros(4 * dim_b, dtype=np.complex128)
     for i in range(4):

@@ -188,7 +188,7 @@ def _cmd_fig2(args, file_cfg: dict) -> int:
     seed = int(_resolve(args, file_cfg, "seed", 0, int))
 
     ds = sampling.fig2_dataset(samples, seed, args.threads)
-    x, y = ds.xy()
+    x, y = ds.x, ds.y
     bound = analytic.cmax_boundary(x)
     if args.test_corrupt_bound:
         bound = 0.5 * bound
@@ -214,18 +214,14 @@ def _cmd_fig3(args, file_cfg: dict) -> int:
 
     ds = sampling.fig3_dataset(samples, seed, args.threads)
     threshold = analytic.threshold_negativity(verify=False)
-    violations = 0
+    violations = int(np.count_nonzero((ds.x > threshold + VIOLATION_SLACK) & (ds.y > 1e-12)))
+
     out = Path(args.out)
-
-    def rows():
-        nonlocal violations
-        for rec in ds.records:
-            vals = rec.spectrum.values
-            if rec.x > threshold + VIOLATION_SLACK and rec.y > 1e-12:
-                violations += 1
-            yield [*(_fmt(v) for v in vals), _fmt(rec.x), _fmt(rec.y), rec.cls.value]
-
-    count = _write_csv(out, ["l1", "l2", "l3", "l4", "n_ab", "n_max", "class"], rows())
+    rows = (
+        [*(_fmt(v) for v in vals), _fmt(x), _fmt(y), cls.value]
+        for vals, x, y, cls in zip(ds.spectra.tolist(), ds.x.tolist(), ds.y.tolist(), ds.cls)
+    )
+    count = _write_csv(out, ["l1", "l2", "l3", "l4", "n_ab", "n_max", "class"], rows)
     config = {"samples": samples, "seed": seed, "threads": args.threads, **ds.metadata}
     _write_manifest(out, "fig3", config, [out], {str(out): count}, started,
                     extra={"seed": seed, "threshold": threshold, "violations": violations})

@@ -2,8 +2,9 @@
 
 Spectrum-level bounds (`max_concurrence`, `max_negativity`,
 `negativity_2pn_from_spectrum`) quantify the most entanglement any state
-with a given reduced spectrum can carry; the remaining functions evaluate
-concrete states.
+with a given reduced spectrum can carry; each takes one spectrum (and
+returns a float) or a stack of shape (..., 4). The remaining functions
+evaluate concrete states.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ class MeasureValue:
             raise DomainError(f"{self.kind.value} cannot exceed 1, got {self.value}")
 
 
-def _clip01(x: float) -> float:
-    return min(max(float(x), 0.0), 1.0)
+def _clip01(x):
+    """Clip to [0, 1]: a float for a scalar, an array for an array."""
+    return min(max(float(x), 0.0), 1.0) if np.ndim(x) == 0 else np.clip(x, 0.0, 1.0)
 
 
 def _clipped_spectrum(rho) -> np.ndarray:
@@ -175,37 +177,43 @@ def concurrence(rho: DensityMatrix | np.ndarray) -> float:
 
 
 def _spectrum4(spec) -> np.ndarray:
-    """Coerce to a validated, descending length-4 spectrum array."""
+    """Coerce to validated spectra of shape (..., 4), each row descending."""
     vals = spec.as_array() if isinstance(spec, Spectrum) else np.asarray(spec, dtype=float)
-    if vals.shape != (4,):
+    if vals.ndim == 0 or vals.shape[-1] != 4:
         raise DomainError(f"expected 4 spectrum values, got shape {vals.shape}")
-    vals = np.sort(vals)[::-1].copy()
+    vals = np.sort(vals, axis=-1)[..., ::-1].copy()
     vals[(vals < 0) & (vals >= -_CLIP)] = 0.0
-    if vals[-1] < 0:
+    if not np.all(vals[..., -1] >= 0):
         raise DomainError("spectrum values must be non-negative")
-    if abs(vals.sum() - 1.0) > qcore.SPECTRUM_SUM_TOL:
-        raise DomainError(f"spectrum sums to {vals.sum()!r}, not 1")
+    sums = vals.sum(axis=-1)
+    bad = ~(np.abs(sums - 1.0) <= qcore.SPECTRUM_SUM_TOL)
+    if np.any(bad):
+        raise DomainError(f"spectrum sums to {float(sums[bad].flat[0])!r}, not 1")
     return vals
 
 
-def max_concurrence(spec) -> float:
+# math.hypot, element by element: np.hypot differs from it in the last bit
+# on some inputs, and the fig3 dataset is pinned to these bits.
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def max_concurrence(spec):
     """Largest concurrence reachable by unitaries at fixed two-qubit spectrum."""
-    l1, l2, l3, l4 = _spectrum4(spec)
-    return _clip01(l1 - l3 - 2.0 * math.sqrt(l2 * l4))
+    l1, l2, l3, l4 = np.moveaxis(_spectrum4(spec), -1, 0)
+    return _clip01(l1 - l3 - 2.0 * np.sqrt(l2 * l4))
 
 
-def max_negativity(spec) -> float:
+def max_negativity(spec):
     """Largest normalized negativity reachable at fixed two-qubit spectrum."""
-    l1, l2, l3, l4 = _spectrum4(spec)
-    return _clip01(math.hypot(l1 - l3, l2 - l4) - l2 - l4)
+    l1, l2, l3, l4 = np.moveaxis(_spectrum4(spec), -1, 0)
+    return _clip01(np.asarray(_hypot(l1 - l3, l2 - l4), dtype=float) - l2 - l4)
 
 
-def negativity_2pn_from_spectrum(spec) -> float:
+def negativity_2pn_from_spectrum(spec):
     """Normalized cut negativity of a 2+N pure state from its length-4 spectrum.
 
     Equals (1/3) sum_{i != j} sqrt(l_i l_j); the 1/3 sets the maximum
     (the flat spectrum) to one.
     """
-    vals = _spectrum4(spec)
-    s = np.sum(np.sqrt(vals))
+    s = np.sum(np.sqrt(_spectrum4(spec)), axis=-1)
     return _clip01((s * s - 1.0) / 3.0)

@@ -241,6 +241,12 @@ def _min_over_tp(
 # protocol runs
 
 
+def _reduce_leading(psi: np.ndarray, d_a: int) -> np.ndarray:
+    """Reduced states (T, d_A, d_A) of the leading qubits of (T, d) pure states."""
+    blocks = psi.reshape(psi.shape[0], d_a, -1)
+    return blocks @ blocks.conj().transpose(0, 2, 1)
+
+
 def run_protocol_multi(
     cfg: ProtocolConfig, ha_kinds=None, threads: int | None = 1
 ) -> dict[HamiltonianKind, ProtocolTrace]:
@@ -266,9 +272,7 @@ def run_protocol_multi(
     prop = SpectralPropagator(build(cfg.h_ab_kind, cfg.omega, range(n), n))
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
     psi = np.ascontiguousarray(states.T)  # (T, d)
-    # Reduce: A holds the leading qubits, so each row splits into d_A blocks.
-    blocks = psi.reshape(cfg.t_grid.size, 2**cfg.n_a, 2**cfg.n_b)
-    rho_a = blocks @ blocks.conj().transpose(0, 2, 1)  # (T, d_A, d_A)
+    rho_a = _reduce_leading(psi, 2**cfg.n_a)
     s_l_arr = np.array([measures.linear_entropy(r) for r in rho_a])
     moments = spin.pure_moments(states, spin.collective_ops(n).moment_operators)
     xi2_ab_arr, _ = spin.xi2_from_moment_arrays(moments, n)
@@ -596,9 +600,7 @@ def appendix_b_study(
         for kind in kinds:
             states = SpectralPropagator(build(kind, omega, range(size), size)).apply(psi0, t)  # (d, T)
             xi2, _ = spin.xi2_from_moment_arrays(spin.pure_moments(states, mops), size)
-            blocks = states.reshape(dh, -1, t.size)
-            gram = np.einsum("ait,bit->tab", blocks, blocks.conj())
-            pur = np.einsum("tab,tab->t", gram, gram.conj()).real
-            s_l = np.clip(dh / (dh - 1) * (1.0 - pur), 0.0, 1.0)
+            rho = _reduce_leading(states.T, dh)
+            s_l = np.array([measures.linear_entropy(r) for r in rho])
             out[(size, kind)] = AppendixBTrace(size, kind, t, s_l, xi2)
     return out

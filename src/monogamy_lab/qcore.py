@@ -152,11 +152,11 @@ class Spectrum:
         if not vals:
             raise DomainError("empty spectrum")
         arr = np.array(vals)
-        if np.any(np.diff(arr) > 1e-12):
-            raise DomainError("spectrum values must be non-increasing")
-        if arr[-1] < -PSD_TOL or arr[0] > 1.0 + PSD_TOL:
+        if not np.all((arr >= -PSD_TOL) & (arr <= 1.0 + PSD_TOL)):
             raise DomainError("spectrum values must lie in [0, 1]")
-        if abs(arr.sum() - 1.0) > SPECTRUM_SUM_TOL:
+        if not np.all(np.diff(arr) <= 1e-12):
+            raise DomainError("spectrum values must be non-increasing")
+        if not abs(arr.sum() - 1.0) <= SPECTRUM_SUM_TOL:
             raise DomainError(f"spectrum sums to {arr.sum()!r}, not 1")
         object.__setattr__(self, "values", vals)
 

@@ -28,26 +28,18 @@ class SampleClass(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class SampleRecord:
-    x: float
-    y: float
-    cls: SampleClass
-    spectrum: Spectrum | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class Dataset:
-    records: list[SampleRecord]
+    """One row per sample: the plotted pair ``(x, y)``; fig3 also carries the
+    reduced spectra (rows, 4) and each row's ``SampleClass``."""
+
+    x: np.ndarray
+    y: np.ndarray
     metadata: dict = field(default_factory=dict)
+    spectra: np.ndarray | None = None
+    cls: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def xy(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([r.x for r in self.records]),
-            np.array([r.y for r in self.records]),
-        )
+        return self.x.size
 
 
 def _rng(seed) -> np.random.Generator:
@@ -68,6 +60,16 @@ def haar_random_pure(n_qubits: int, seed) -> PureState:
     return PureState(n_qubits, amps / np.linalg.norm(amps))
 
 
+def _draw_spectrum(seed, zeros: int) -> np.ndarray:
+    rng = _rng(seed)
+    k = 4 - zeros
+    draws = rng.standard_exponential(k)
+    vals = np.zeros(4)
+    vals[:k] = draws / draws.sum()
+    vals[::-1].sort()
+    return vals
+
+
 def random_spectrum(seed, zeros: int = 0) -> Spectrum:
     """Length-4 spectrum, uniform on the simplex of the non-zero entries.
 
@@ -76,22 +78,14 @@ def random_spectrum(seed, zeros: int = 0) -> Spectrum:
     """
     if zeros not in (0, 1, 2):
         raise DomainError(f"zeros must be 0, 1, or 2, got {zeros}")
-    rng = _rng(seed)
-    k = 4 - zeros
-    draws = rng.standard_exponential(k)
-    vals = np.zeros(4)
-    vals[:k] = draws / draws.sum()
-    vals[::-1].sort()
-    return Spectrum(tuple(vals))
+    return Spectrum(tuple(_draw_spectrum(seed, zeros)))
 
 
-def _classify(values: np.ndarray) -> SampleClass:
-    nonzero = int(np.count_nonzero(np.asarray(values) > _NONZERO_EIGENVALUE))
-    if nonzero <= 2:
-        return SampleClass.TWO_NONZERO
-    if nonzero == 3:
-        return SampleClass.THREE_NONZERO
-    return SampleClass.FOUR_NONZERO
+# SampleClass by the count of non-zero eigenvalues, 0..4.
+_CLASS_BY_NONZERO = np.array(
+    [SampleClass.TWO_NONZERO] * 3 + [SampleClass.THREE_NONZERO, SampleClass.FOUR_NONZERO],
+    dtype=object,
+)
 
 
 def schmidt_concurrence(state: PureState, partition: Partition) -> float:
@@ -121,17 +115,15 @@ def fig2_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
         raise DomainError("need at least one sample")
     children = _child_seeds(seed, n_samples)
 
-    def one(i: int) -> SampleRecord:
+    def one(i: int) -> tuple[float, float]:
         state = haar_random_pure(3, children[i])
         rho_a = qcore.reduced_state_matrix(state, 3, FIG2_PARTITION.qubits_a)
-        x = schmidt_concurrence(state, FIG2_PARTITION)
-        y = measures.concurrence(rho_a)
-        spectrum = Spectrum.from_values(qcore.hermitian_eigenvalues(rho_a))
-        return SampleRecord(x, y, _classify(spectrum.as_array()), spectrum=spectrum)
+        return schmidt_concurrence(state, FIG2_PARTITION), measures.concurrence(rho_a)
 
-    records = map_indexed(one, n_samples, threads)
+    x, y = np.array(map_indexed(one, n_samples, threads)).T
     return Dataset(
-        records,
+        x,
+        y,
         metadata={
             "n_samples": n_samples,
             "seed": seed,
@@ -151,7 +143,7 @@ MARKER_SPECTRA = (
 
 def fig3_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
     """(N_AB, N_max) pairs for random 2+N reduced spectra, plus the four
-    named boundary spectra appended as marker records.
+    named boundary spectra appended as marker rows.
 
     Sample i pins ``(2, 1, 0)[i mod 3]`` eigenvalues to zero (sample 0 has two
     zeros), so the two-, three-, and four-nonzero populations are evenly
@@ -161,28 +153,15 @@ def fig3_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
         raise DomainError("need at least one sample")
     children = _child_seeds(seed, n_samples)
 
-    def one(i: int) -> SampleRecord:
-        spectrum = random_spectrum(children[i], zeros=(2, 1, 0)[i % 3])
-        vals = spectrum.as_array()
-        return SampleRecord(
-            measures.negativity_2pn_from_spectrum(vals),
-            measures.max_negativity(vals),
-            _classify(vals),
-            spectrum=spectrum,
-        )
-
-    records = map_indexed(one, n_samples, threads)
-    for vals in MARKER_SPECTRA:
-        records.append(
-            SampleRecord(
-                measures.negativity_2pn_from_spectrum(vals),
-                measures.max_negativity(vals),
-                SampleClass.MARKER,
-                spectrum=Spectrum(vals),
-            )
-        )
+    rows = map_indexed(lambda i: _draw_spectrum(children[i], (2, 1, 0)[i % 3]), n_samples, threads)
+    spectra = np.vstack([*rows, MARKER_SPECTRA])
+    cls = _CLASS_BY_NONZERO[np.count_nonzero(spectra > _NONZERO_EIGENVALUE, axis=1)]
+    cls[n_samples:] = SampleClass.MARKER
     return Dataset(
-        records,
+        measures.negativity_2pn_from_spectrum(spectra),
+        measures.max_negativity(spectra),
+        spectra=spectra,
+        cls=cls,
         metadata={
             "n_samples": n_samples,
             "seed": seed,

@@ -75,22 +75,20 @@ def test_criterion_1_ghz_analytic_suite():
 def test_criterion_2_monogamy_bound_datasets():
     start = time.perf_counter()
     ds2 = ml.fig2_dataset(3000, seed=0)
-    x, y = ds2.xy()
-    violations2 = int(np.sum(y > analytic.cmax_boundary(x) + 1e-9))
+    violations2 = int(np.sum(ds2.y > analytic.cmax_boundary(ds2.x) + 1e-9))
 
     ds3 = ml.fig3_dataset(100000, seed=0)
+    x, y = ds3.x, ds3.y
     threshold = analytic.threshold_negativity(verify=True)
-    curve_dev = 0.0
-    threshold_violations = 0
-    for rec in ds3.records:
-        if rec.cls is ml.SampleClass.TWO_NONZERO:
-            curve_dev = max(curve_dev, abs(rec.y - analytic.nmax_boundary_rank2(rec.x)))
-        if rec.x > threshold + 1e-9 and rec.y > 1e-12:
-            threshold_violations += 1
-    markers = [r for r in ds3.records if r.cls is ml.SampleClass.MARKER]
-    expected_pairs = [(0.0, 1.0), (1 / 3, (np.sqrt(2) - 1) / 2), (2 / 3, 0.0), (1.0, 0.0)]
-    marker_dev = max(
-        max(abs(r.x - ex), abs(r.y - ey)) for r, (ex, ey) in zip(markers, expected_pairs)
+    two = ds3.cls == ml.SampleClass.TWO_NONZERO
+    curve_dev = float(np.max(np.abs(y[two] - analytic.nmax_boundary_rank2(x[two]))))
+    threshold_violations = int(np.count_nonzero((x > threshold + 1e-9) & (y > 1e-12)))
+    markers = ds3.cls == ml.SampleClass.MARKER
+    expected_x, expected_y = np.array(
+        [(0.0, 1.0), (1 / 3, (np.sqrt(2) - 1) / 2), (2 / 3, 0.0), (1.0, 0.0)]
+    ).T
+    marker_dev = float(
+        np.max(np.maximum(np.abs(x[markers] - expected_x), np.abs(y[markers] - expected_y)))
     )
     elapsed = time.perf_counter() - start
     ok = (

@@ -40,6 +40,10 @@ def test_cmax_boundary_monotone_and_domain():
     assert np.all((vals >= 0) & (vals <= 1))
     with pytest.raises(DomainError):
         cmax_boundary(1.2)
+    for fn in (cmax_boundary, nmax_boundary_2p1, nmax_boundary_rank2, ghz_s_l_from_min_xi2):
+        for bad in (np.nan, np.inf, -np.inf, np.array([0.1, np.nan])):
+            with pytest.raises(DomainError):
+                fn(bad)
 
 
 def test_nmax_boundary_endpoints():
@@ -104,6 +108,9 @@ def test_spectrum_state_has_requested_spectrum(rng):
     assert np.allclose(w, spec, atol=1e-12)
     with pytest.raises(DomainError):
         spectrum_state_2pn(spec, 1)
+    for fn in (lambda v: spectrum_state_2pn(v, 3), negative_eigs_2pn):
+        with pytest.raises(DomainError):
+            fn(np.array([spec, spec]))
 
 
 # ---------------------------------------------------------------------------

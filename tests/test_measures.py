@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,59 @@ def test_spectrum_bounds_invalid_input():
         max_negativity((0.9, 0.3, -0.1, -0.1))
     with pytest.raises(DomainError):
         negativity_2pn_from_spectrum((1.0, 0.0, 0.0))
+    for bad in ((np.nan, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0), (1.0, -np.inf, np.inf, 0.0)):
+        for fn in (max_concurrence, max_negativity, negativity_2pn_from_spectrum):
+            with pytest.raises(DomainError):
+                fn(bad)
+
+
+def _random_spectra(n: int, seed: int) -> np.ndarray:
+    """Descending simplex points; rows i % 3 == 0 and 1 have two and one zeros."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_exponential((n, 4))
+    vals[0::3, 2:] = 0.0
+    vals[1::3, 3] = 0.0
+    vals /= vals.sum(axis=1, keepdims=True)
+    return -np.sort(-vals, axis=1)
+
+
+def _clip01(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
+def _sq(x: float) -> float:
+    return x * x
+
+
+# One-spectrum reference formulas in scalar math, row by row.
+_ROW_REFERENCE = {
+    max_concurrence: lambda l1, l2, l3, l4: _clip01(l1 - l3 - 2.0 * math.sqrt(l2 * l4)),
+    max_negativity: lambda l1, l2, l3, l4: _clip01(math.hypot(l1 - l3, l2 - l4) - l2 - l4),
+    negativity_2pn_from_spectrum: lambda *ls: _clip01((_sq(sum(map(math.sqrt, ls))) - 1.0) / 3.0),
+}
+
+
+@pytest.mark.parametrize("fn", list(_ROW_REFERENCE), ids=lambda fn: fn.__name__)
+def test_stacked_spectrum_bounds_match_row_calls(fn):
+    spectra = _random_spectra(2400, seed=17)
+    stacked = fn(spectra)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (2400,)
+    rows = [fn(row) for row in spectra]
+    assert all(type(v) is float for v in rows)
+    reference = [_ROW_REFERENCE[fn](*row) for row in spectra.tolist()]
+    assert stacked.tolist() == rows == reference
+    assert fn(spectra.reshape(2, 1200, 4)).shape == (2, 1200)
+
+
+@pytest.mark.parametrize(
+    "bad_row", [(0.9, 0.3, -0.1, -0.1), (0.5, 0.5, 0.5, 0.5), (np.nan, 1.0, 0.0, 0.0)]
+)
+def test_stacked_spectrum_bounds_reject_one_bad_row(bad_row):
+    spectra = _random_spectra(50, seed=3)
+    spectra[37] = bad_row
+    for fn in _ROW_REFERENCE:
+        with pytest.raises(DomainError):
+            fn(spectra)
 
 
 def test_negativity_2pn_values():

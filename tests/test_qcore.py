@@ -76,6 +76,9 @@ def test_spectrum_validation():
         Spectrum((0.2, 0.8))
     with pytest.raises(DomainError):
         Spectrum((0.9, 0.3))
+    for bad in ((np.nan, 0.0, 0.0, 0.0), (1.0, np.nan), (np.inf, 0.0), (1.0, 0.0, -np.inf)):
+        with pytest.raises(DomainError):
+            Spectrum(bad)
     s = Spectrum.from_values([0.25, 0.5, 0.25, -5e-11])
     assert s.values[0] == 0.5
     assert s.values[-1] == 0.0

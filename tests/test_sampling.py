@@ -79,9 +79,14 @@ def test_random_spectrum_order_statistics():
 
 def test_fig2_no_boundary_violations():
     ds = fig2_dataset(500, seed=21)
-    x, y = ds.xy()
-    assert np.all(y <= analytic.cmax_boundary(x) + 1e-9)
-    assert all(r.cls is SampleClass.TWO_NONZERO for r in ds.records)
+    assert np.all(ds.y <= analytic.cmax_boundary(ds.x) + 1e-9)
+    # The same states, rebuilt from the same child seeds: every two-qubit
+    # reduced state of a pure three-qubit state has rank <= 2.
+    children = np.random.SeedSequence(21).spawn(500)
+    psi = np.array([haar_random_pure(3, c).amplitudes for c in children])
+    blocks = psi.reshape(500, 4, 2)
+    w = np.linalg.eigvalsh(blocks @ blocks.conj().transpose(0, 2, 1))
+    assert np.all(np.count_nonzero(w > 1e-12, axis=1) <= 2)
 
 
 def test_fig2_ghz_point_saturates_boundary():
@@ -109,8 +114,7 @@ def test_fig2_product_state_point(rng):
 def test_fig2_deterministic_and_thread_invariant():
     a = fig2_dataset(60, seed=4, threads=1)
     b = fig2_dataset(60, seed=4, threads=4)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.x == rb.x and ra.y == rb.y
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +123,16 @@ def test_fig2_deterministic_and_thread_invariant():
 
 def test_fig3_classes_and_markers():
     ds = fig3_dataset(90, seed=31)
-    assert len(ds) == 94
-    markers = [r for r in ds.records if r.cls is SampleClass.MARKER]
-    assert len(markers) == 4
-    flat = markers[-1]
-    assert abs(flat.x - 1.0) < 1e-12 and flat.y == 0.0
-    pure = markers[0]
-    assert pure.x == 0.0 and abs(pure.y - 1.0) < 1e-12
-    for r in ds.records:
-        if r.cls is SampleClass.MARKER:
-            continue
-        nonzero = int(np.sum(r.spectrum.as_array() > 1e-12))
-        assert {2: SampleClass.TWO_NONZERO, 3: SampleClass.THREE_NONZERO, 4: SampleClass.FOUR_NONZERO}[nonzero] is r.cls
+    assert len(ds) == 94 and ds.spectra.shape == (94, 4) and ds.cls.shape == (94,)
+    markers = ds.cls == SampleClass.MARKER
+    assert np.array_equal(np.flatnonzero(markers), [90, 91, 92, 93])
+    assert abs(ds.x[93] - 1.0) < 1e-12 and ds.y[93] == 0.0
+    assert ds.x[90] == 0.0 and abs(ds.y[90] - 1.0) < 1e-12
+    nonzero = np.count_nonzero(ds.spectra[:90] > 1e-12, axis=1)
+    by_count = {2: SampleClass.TWO_NONZERO, 3: SampleClass.THREE_NONZERO, 4: SampleClass.FOUR_NONZERO}
+    assert [by_count[k] for k in nonzero] == list(ds.cls[:90])
     striping = (SampleClass.TWO_NONZERO, SampleClass.THREE_NONZERO, SampleClass.FOUR_NONZERO)
-    for i, r in enumerate(ds.records[:90]):
-        assert r.cls is striping[i % 3]
+    assert list(ds.cls[:90]) == [striping[i % 3] for i in range(90)]
 
 
 def test_thread_pool_bounded_by_work_and_cores(monkeypatch):
@@ -158,26 +157,30 @@ def test_thread_pool_bounded_by_work_and_cores(monkeypatch):
     many = fig3_dataset(30, seed=31, threads=100000)
     assert requested and requested[0] <= min(30, os.cpu_count() or 1)
     one = fig3_dataset(30, seed=31, threads=1)
-    assert np.array_equal(np.array(many.xy()), np.array(one.xy()))
+    assert np.array_equal(many.x, one.x) and np.array_equal(many.y, one.y)
 
 
 def test_fig3_rank2_records_on_rescaled_curve():
     ds = fig3_dataset(300, seed=41)
-    for r in ds.records:
-        if r.cls is SampleClass.TWO_NONZERO:
-            assert abs(r.y - analytic.nmax_boundary_rank2(r.x)) < 1e-9
+    two = ds.cls == SampleClass.TWO_NONZERO
+    assert np.all(np.abs(ds.y[two] - analytic.nmax_boundary_rank2(ds.x[two])) < 1e-9)
 
 
 def test_fig3_threshold_property():
     ds = fig3_dataset(3000, seed=51)
     th = analytic.threshold_negativity(verify=False)
-    for r in ds.records:
-        if r.x > th + 1e-9:
-            assert r.y <= 1e-12
+    assert np.all(ds.y[ds.x > th + 1e-9] <= 1e-12)
 
 
 def test_fig3_deterministic_and_thread_invariant():
     a = fig3_dataset(90, seed=6, threads=1)
     b = fig3_dataset(90, seed=6, threads=3)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.x == rb.x and ra.y == rb.y and ra.cls is rb.cls
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    assert np.array_equal(a.spectra, b.spectra) and np.array_equal(a.cls, b.cls)
+
+
+def test_fig3_rows_are_the_random_spectrum_draws():
+    ds = fig3_dataset(30, seed=8)
+    children = np.random.SeedSequence(8).spawn(30)
+    drawn = [random_spectrum(c, zeros=(2, 1, 0)[i % 3]).values for i, c in enumerate(children)]
+    assert ds.spectra[:30].tolist() == [list(v) for v in drawn]
