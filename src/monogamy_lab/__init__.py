@@ -33,8 +33,6 @@ from .qcore import (
     tensor_product,
 )
 from .measures import (
-    MeasureKind,
-    MeasureValue,
     concurrence,
     linear_entropy,
     max_concurrence,
@@ -49,10 +47,7 @@ from .measures import (
 from .spin import CollectiveSpinOps, SqueezingResult, collective_ops, squeezing_parameter
 from .hamiltonians import Hamiltonian, HamiltonianKind, SymmetryReport, build as build_hamiltonian, symmetry_report
 from .analytic import (
-    BoundaryCurve,
-    BoundaryKind,
     GhzAnalytics,
-    boundary_curve,
     cmax_boundary,
     ghz_protocol_analytics,
     ghz_s_l_from_min_xi2,

@@ -9,7 +9,6 @@ GHZ-generator protocol.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -57,30 +56,6 @@ def ghz_s_l_from_min_xi2(min_xi2):
     m = _check_domain(min_xi2, 0.0, 1.0, "min_xi2")
     out = (2.0 / 3.0) * (1.0 - (1.0 - m) ** 2)
     return float(out) if np.isscalar(min_xi2) or np.ndim(min_xi2) == 0 else out
-
-
-class BoundaryKind(enum.Enum):
-    CMAX_OF_CAB = "cmax_of_cab"
-    NMAX_OF_NAB_2P1 = "nmax_of_nab_2p1"
-    GHZ_LINEAR_ENTROPY = "ghz_linear_entropy"
-
-
-@dataclass(frozen=True)
-class BoundaryCurve:
-    kind: BoundaryKind
-    domain: tuple[float, float]
-
-    def __call__(self, x):
-        if self.kind is BoundaryKind.CMAX_OF_CAB:
-            return cmax_boundary(x)
-        if self.kind is BoundaryKind.NMAX_OF_NAB_2P1:
-            return nmax_boundary_2p1(x)
-        return ghz_s_l_from_min_xi2(x)
-
-
-def boundary_curve(kind) -> BoundaryCurve:
-    kind = BoundaryKind(kind) if not isinstance(kind, BoundaryKind) else kind
-    return BoundaryCurve(kind, (0.0, 1.0))
 
 
 def _one_spectrum(spec) -> np.ndarray:

@@ -9,9 +9,7 @@ evaluate concrete states.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,38 +18,6 @@ from .errors import DomainError
 from .qcore import DensityMatrix, Partition, PureState, Spectrum
 
 _CLIP = 1e-10
-
-
-class MeasureKind(enum.Enum):
-    TSALLIS = "tsallis"
-    LINEAR_ENTROPY = "linear_entropy"
-    NEGATIVITY_RAW = "negativity_raw"
-    NEGATIVITY_NORMALIZED = "negativity_normalized"
-    CONCURRENCE = "concurrence"
-    MAX_CONCURRENCE = "max_concurrence"
-    MAX_NEGATIVITY = "max_negativity"
-
-
-_NORMALIZED_KINDS = {
-    MeasureKind.LINEAR_ENTROPY,
-    MeasureKind.NEGATIVITY_NORMALIZED,
-    MeasureKind.CONCURRENCE,
-    MeasureKind.MAX_CONCURRENCE,
-    MeasureKind.MAX_NEGATIVITY,
-}
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    kind: MeasureKind
-    value: float
-    q: int | None = None
-
-    def __post_init__(self):
-        if self.value < -_CLIP:
-            raise DomainError(f"{self.kind.value} cannot be negative, got {self.value}")
-        if self.kind in _NORMALIZED_KINDS and self.value > 1.0 + _CLIP:
-            raise DomainError(f"{self.kind.value} cannot exceed 1, got {self.value}")
 
 
 def _clip01(x):

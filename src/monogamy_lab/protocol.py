@@ -83,6 +83,10 @@ class ProtocolConfig:
             raise ResourceCapError(
                 f"{self.n_a + self.n_b} qubits exceed the cap of {MAX_TOTAL_QUBITS}"
             )
+        if max(self.n_a, self.n_b) > MAX_SUBSYSTEM_QUBITS:
+            raise ResourceCapError(
+                f"per-subsystem size is capped at {MAX_SUBSYSTEM_QUBITS} qubits"
+            )
         for name in ("t_grid", "tp_grid"):
             grid = np.asarray(getattr(self, name), dtype=float)
             if grid.size == 0:
@@ -142,16 +146,20 @@ class AppendixBTrace:
 class CalibrationCurve:
     """(min xi2_A, S_L,AB) pairs in trace order with monotone-run annotations.
 
-    ``merge_tol`` is the S_L distance below which inversion candidates are
-    treated as one value.
+    ``segments`` holds the maximal index runs over which x is monotone,
+    computed from x. ``merge_tol`` is the S_L distance below which inversion
+    candidates are treated as one value.
     """
 
     x: np.ndarray
     y: np.ndarray
-    segments: tuple[tuple[int, int], ...]
+    segments: tuple[tuple[int, int], ...] = field(init=False)
     merge_tol: float = MERGE_TOL
     ghz_exact: bool = False
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "segments", _monotone_segments(self.x))
 
 
 @dataclass(frozen=True)
@@ -241,12 +249,6 @@ def _min_over_tp(
 # protocol runs
 
 
-def _reduce_leading(psi: np.ndarray, d_a: int) -> np.ndarray:
-    """Reduced states (T, d_A, d_A) of the leading qubits of (T, d) pure states."""
-    blocks = psi.reshape(psi.shape[0], d_a, -1)
-    return blocks @ blocks.conj().transpose(0, 2, 1)
-
-
 def run_protocol_multi(
     cfg: ProtocolConfig, ha_kinds=None, threads: int | None = 1
 ) -> dict[HamiltonianKind, ProtocolTrace]:
@@ -272,7 +274,7 @@ def run_protocol_multi(
     prop = SpectralPropagator(build(cfg.h_ab_kind, cfg.omega, range(n), n))
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
     psi = np.ascontiguousarray(states.T)  # (T, d)
-    rho_a = _reduce_leading(psi, 2**cfg.n_a)
+    rho_a = qcore.reduced_state_matrix(psi, n, keep)
     s_l_arr = np.array([measures.linear_entropy(r) for r in rho_a])
     moments = spin.pure_moments(states, spin.collective_ops(n).moment_operators)
     xi2_ab_arr, _ = spin.xi2_from_moment_arrays(moments, n)
@@ -449,13 +451,7 @@ def calibration(trace: ProtocolTrace) -> CalibrationCurve:
         trace.config.h_ab_kind is HamiltonianKind.GHZ
         and trace.config.h_a_kind is HamiltonianKind.GHZ
     )
-    return CalibrationCurve(
-        x=x,
-        y=y,
-        segments=_monotone_segments(x),
-        ghz_exact=ghz_exact,
-        metadata=dict(trace.metadata),
-    )
+    return CalibrationCurve(x=x, y=y, ghz_exact=ghz_exact, metadata=dict(trace.metadata))
 
 
 def _flag_threshold(s_l: np.ndarray) -> float:
@@ -468,7 +464,7 @@ def _flag_threshold(s_l: np.ndarray) -> float:
 def _nonmonotone_flags(x: np.ndarray, y: np.ndarray, threshold: float) -> np.ndarray:
     """Flag rows whose min xi2_A maps to materially different S_L values
     on other monotone runs (the broken one-to-one window)."""
-    curve = CalibrationCurve(x=x, y=y, segments=_monotone_segments(x))
+    curve = CalibrationCurve(x=x, y=y)
     flags = np.zeros(x.size, dtype=bool)
     for i in range(x.size):
         cands = _candidates_at(curve, float(x[i]))
@@ -591,16 +587,18 @@ def appendix_b_study(
     out: dict[tuple[int, HamiltonianKind], AppendixBTrace] = {}
     kinds = [_as_kind(k) for k in h_a_kinds]
     for size in sizes:
-        if size % 2 != 0 or size < 2 or size > 8:
-            raise DomainError(f"sizes must be even and within [2, 8], got {size}")
+        if size % 2 != 0 or size < 2:
+            raise DomainError(f"sizes must be even and at least 2, got {size}")
+        if size > 8:
+            raise ResourceCapError(f"sizes are capped at 8 qubits, got {size}")
         t = np.linspace(0.0, float(t_max), int(steps))
         psi0 = all_down_state(size).amplitudes
         mops = spin.collective_ops(size).moment_operators
-        dh = 2 ** (size // 2)
+        half = tuple(range(size // 2))
         for kind in kinds:
             states = SpectralPropagator(build(kind, omega, range(size), size)).apply(psi0, t)  # (d, T)
             xi2, _ = spin.xi2_from_moment_arrays(spin.pure_moments(states, mops), size)
-            rho = _reduce_leading(states.T, dh)
+            rho = qcore.reduced_state_matrix(states.T, size, half)
             s_l = np.array([measures.linear_entropy(r) for r in rho])
             out[(size, kind)] = AppendixBTrace(size, kind, t, s_l, xi2)
     return out

@@ -220,12 +220,19 @@ def partial_trace_matrix(matrix: np.ndarray, n_qubits: int, keep: tuple[int, ...
 
 
 def reduced_state_matrix(state: PureState | np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix of a pure state, without forming the full matrix."""
+    """Reduced density matrix of a pure state, without forming the full matrix.
+
+    ``state`` may also be a (..., d) stack of amplitude vectors; the result
+    is then the (..., d_keep, d_keep) stack of their reduced matrices.
+    """
     amps = state.amplitudes if isinstance(state, PureState) else np.asarray(state)
+    lead = amps.shape[:-1]
+    k = len(lead)
     other = tuple(i for i in range(n_qubits) if i not in keep)
-    t = amps.reshape((2,) * n_qubits).transpose([*keep, *other])
-    x = t.reshape(2 ** len(keep), 2 ** len(other))
-    return x @ x.conj().T
+    t = amps.reshape(*lead, *(2,) * n_qubits)
+    t = t.transpose([*range(k), *(k + i for i in keep), *(k + i for i in other)])
+    x = t.reshape(*lead, 2 ** len(keep), 2 ** len(other))
+    return x @ x.conj().swapaxes(-1, -2)
 
 
 def partial_trace(rho: DensityMatrix, p: Partition, keep: str = "a") -> DensityMatrix:

@@ -4,8 +4,6 @@ import pytest
 from monogamy_lab import measures, qcore
 from monogamy_lab.analytic import (
     THRESHOLD_NEGATIVITY,
-    BoundaryKind,
-    boundary_curve,
     cmax_boundary,
     ghz_protocol_analytics,
     ghz_s_l_from_min_xi2,
@@ -65,13 +63,6 @@ def test_rank2_rescaled_boundary():
         x = measures.negativity_2pn_from_spectrum((lam, 1 - lam, 0.0, 0.0))
         y = measures.max_negativity((lam, 1 - lam, 0.0, 0.0))
         assert abs(nmax_boundary_rank2(x) - y) < 1e-10
-
-
-def test_boundary_curve_factory():
-    c = boundary_curve(BoundaryKind.CMAX_OF_CAB)
-    assert abs(c(0.5) - cmax_boundary(0.5)) < 1e-15
-    c = boundary_curve("ghz_linear_entropy")
-    assert abs(c(1.0) - 2.0 / 3.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------

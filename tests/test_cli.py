@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from monogamy_lab import analytic
 from monogamy_lab.cli import main
@@ -108,6 +109,9 @@ def test_protocol_resource_cap(tmp_path):
     for command in ("protocol", "explore"):
         code = main([command, "--na", "6", "--nb", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 3
+    assert main(["appendix-b", "--sizes", "10", "--out", str(tmp_path / "appb")]) == 3
+    assert main(["appendix-b", "--sizes", "3", "--out", str(tmp_path / "appb")]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invert_ghz_curve(tmp_path):
@@ -243,6 +247,46 @@ def test_config_file_and_env_threads(tmp_path, monkeypatch):
     out3 = tmp_path / "three.csv"
     main(["fig2", "--config", str(cfg), "--out", str(out3)])
     assert out1.read_bytes() == out3.read_bytes()
+
+
+def test_config_file_values_take_the_option_types(tmp_path):
+    cfg = tmp_path / "explore.cfg"
+    cfg.write_text("na=2\nnb=2\nprep-t=0.4\nt_max=10\nsteps=21\nno_such_option=7\n")
+    out = tmp_path / "explore.csv"
+    manifest = tmp_path / "explore.csv.manifest.json"
+    assert main(["explore", "--config", str(cfg), "--out", str(out)]) == 0
+    config = json.loads(manifest.read_text())["config"]
+    assert (config["na"], config["prep_t"], config["t_max"], config["steps"]) == (2, 0.4, 10.0, 21)
+    assert isinstance(config["t_max"], float)
+    _, rows = read_csv(out)
+    assert len(rows) == 21 and float(rows[-1][0]) == 10.0
+    # an explicit flag wins over the file; the rest of the file still applies
+    assert main(["explore", "--config", str(cfg), "--t-max", "5", "--out", str(out)]) == 0
+    config = json.loads(manifest.read_text())["config"]
+    assert (config["t_max"], config["steps"]) == (5.0, 21)
+
+
+def test_config_file_bad_values_and_switches(tmp_path, capsys):
+    out = tmp_path / "fig2.csv"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("samples=abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["fig2", "--config", str(bad), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    bad.write_text("threads=0\n")
+    assert main(["fig2", "--config", str(bad), "--out", str(out)]) == 2
+    assert "error: --threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    # a switch cannot be set from a file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples=20\nseed=3\ntest_corrupt_bound=1\ntest-corrupt-bound=1\n")
+    assert main(["fig2", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "fig2.csv.manifest.json").read_text())
+    assert manifest["config"]["corrupt_bound_test_hook"] is False
+    plain = tmp_path / "plain.csv"
+    assert main(["fig2", "--samples", "20", "--seed", "3", "--out", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_unwritable_output_is_io_error(tmp_path):

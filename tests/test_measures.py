@@ -299,13 +299,3 @@ def test_negativity_2pn_rank2_reduction(rng):
     for lam in np.linspace(0.5, 1.0, 11):
         direct = negativity_2pn_from_spectrum((lam, 1 - lam, 0.0, 0.0))
         assert abs(direct - (2.0 / 3.0) * np.sqrt(lam * (1 - lam))) < 1e-12
-
-
-def test_measure_value_type():
-    from monogamy_lab.measures import MeasureKind, MeasureValue
-
-    MeasureValue(MeasureKind.TSALLIS, 0.3, q=2)
-    with pytest.raises(DomainError):
-        MeasureValue(MeasureKind.CONCURRENCE, 1.5)
-    with pytest.raises(DomainError):
-        MeasureValue(MeasureKind.NEGATIVITY_RAW, -0.2)

@@ -4,6 +4,7 @@ import pytest
 from monogamy_lab import analytic, measures, qcore
 from monogamy_lab.errors import (
     ConfigError,
+    DomainError,
     ExtrapolationError,
     ResourceCapError,
     UndefinedScoreError,
@@ -54,6 +55,9 @@ def test_config_validation():
         ProtocolConfig(2, 2, "ghz", "ghz", np.array([0.0, 0.0]), np.array([0.0, 1.0]))
     with pytest.raises(ResourceCapError):
         ProtocolConfig(6, 5, "oat", "tf", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    for n_a, n_b in ((6, 2), (2, 6)):
+        with pytest.raises(ResourceCapError):
+            ProtocolConfig(n_a, n_b, "oat", "tf", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     cfg = ghz_config()
     assert cfg.h_ab_kind is HamiltonianKind.GHZ
 
@@ -214,10 +218,18 @@ def test_monotone_segments_synthetic():
     assert _monotone_segments(np.array([0.0, 0.0, 1.0, 2.0, 1.0])) == ((0, 3), (3, 4))
 
 
+def test_calibration_curve_computes_its_segments():
+    for x in ([0.0, 1.0, 0.5], [2.0, 2.0, 2.0], [0.0, 0.5, 1.0, 0.6, 0.2], [0.3]):
+        x = np.array(x)
+        assert CalibrationCurve(x=x, y=np.zeros_like(x)).segments == _monotone_segments(x)
+    with pytest.raises(TypeError):
+        CalibrationCurve(x=x, y=x, segments=((0, 0),))
+
+
 def test_invert_ambiguous_on_folded_curve():
     x = np.array([0.0, 0.5, 1.0, 0.6, 0.2])
     y = np.array([0.0, 0.2, 0.4, 0.55, 0.7])
-    curve = CalibrationCurve(x=x, y=y, segments=_monotone_segments(x))
+    curve = CalibrationCurve(x=x, y=y)
     res = invert(curve, 0.4)
     assert res.ambiguous
     assert len(res.candidates) == 2
@@ -227,14 +239,14 @@ def test_invert_ambiguous_on_folded_curve():
 
 def test_monotonicity_score_synthetic():
     x = np.linspace(0, 1, 30)
-    curve = CalibrationCurve(x=x, y=x**2, segments=_monotone_segments(x))
+    curve = CalibrationCurve(x=x, y=x**2)
     assert abs(monotonicity_score(curve) - 1.0) < 1e-12
-    rev = CalibrationCurve(x=x, y=-x, segments=_monotone_segments(x))
+    rev = CalibrationCurve(x=x, y=-x)
     assert abs(monotonicity_score(rev) + 1.0) < 1e-12
-    const = CalibrationCurve(x=x, y=np.ones_like(x), segments=_monotone_segments(x))
+    const = CalibrationCurve(x=x, y=np.ones_like(x))
     with pytest.raises(UndefinedScoreError):
         monotonicity_score(const)
-    tiny = CalibrationCurve(x=x[:2], y=x[:2], segments=((0, 1),))
+    tiny = CalibrationCurve(x=x[:2], y=x[:2])
     with pytest.raises(UndefinedScoreError):
         monotonicity_score(tiny)
 
@@ -320,7 +332,9 @@ def test_appendix_b_tf_optimality_trend():
 
 
 def test_appendix_b_validation():
-    with pytest.raises(Exception):
-        appendix_b_study(sizes=(3,))
-    with pytest.raises(Exception):
-        appendix_b_study(sizes=(10,))
+    for size in (3, 0, -2, 9):
+        with pytest.raises(DomainError):
+            appendix_b_study(sizes=(size,))
+    for sizes in ((10,), (2, 10)):
+        with pytest.raises(ResourceCapError):
+            appendix_b_study(sizes=sizes)

@@ -163,6 +163,26 @@ def test_reduced_state_matrix_matches_partial_trace(rng):
     assert np.allclose(direct, via_dm, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, n_keep", [(8, 4), (4, 2), (10, 5), (8, 6)])
+def test_reduced_state_matrix_of_a_stack_is_bitwise_the_row_results(rng, n, n_keep):
+    psi = np.stack([random_state(2**n, rng) for _ in range(5)])
+    keep = tuple(range(n_keep))
+    stacked = qcore.reduced_state_matrix(psi, n, keep)
+    assert stacked.shape == (5, 2**n_keep, 2**n_keep)
+    for i in range(psi.shape[0]):
+        assert np.array_equal(stacked[i], qcore.reduced_state_matrix(psi[i], n, keep))
+    # the leading-qubit block product the protocol's grid stage used before
+    blocks = psi.reshape(psi.shape[0], 2**n_keep, -1)
+    assert np.array_equal(stacked, blocks @ blocks.conj().transpose(0, 2, 1))
+    # a non-contiguous (T, d) view, as the grid stage passes, and a kept set
+    # out of order reduce the same way
+    assert np.array_equal(qcore.reduced_state_matrix(psi.T.copy().T, n, keep), stacked)
+    other = (n - 1, 0)
+    nested = qcore.reduced_state_matrix(psi.reshape(5, 1, -1), n, other)
+    for i in range(psi.shape[0]):
+        assert np.array_equal(nested[i, 0], qcore.reduced_state_matrix(psi[i], n, other))
+
+
 # ---------------------------------------------------------------------------
 # partial transpose
 
