@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, protocol, sampling
-from ._parallel import THREADS_ENV_VAR, resolve_threads
 from .errors import MonogamyLabError, ResourceCapError
 from .hamiltonians import HamiltonianKind
 
@@ -122,13 +121,11 @@ def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
 
 
 def _check_counts(args) -> None:
-    """Reject a count below 1 from any subcommand's flags or config file, and
-    resolve the worker count (flag, config file, then the environment)."""
+    """Reject a count below 1 from any subcommand's flags or config file."""
     for name in COUNT_OPTIONS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
-    args.threads = resolve_threads(args.threads)
 
 
 def _int_list(text: str) -> list[int]:
@@ -162,8 +159,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     def common(p):
         p.add_argument("--config", metavar="FILE", help="key=value defaults file")
-        p.add_argument("--threads", type=int,
-                       help=f"worker count (fallback: ${THREADS_ENV_VAR}, then 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and checked >= 1; selects nothing")
 
     def dataset(p, samples):
         p.add_argument("--samples", type=int, default=samples, help="number of random samples")
@@ -235,7 +232,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _cmd_fig2(args) -> int:
     started = time.perf_counter()
-    ds = sampling.fig2_dataset(args.samples, args.seed, args.threads)
+    ds = sampling.fig2_dataset(args.samples, args.seed)
     bound = analytic.cmax_boundary(ds.x)
     if args.test_corrupt_bound:
         bound = 0.5 * bound
@@ -244,7 +241,7 @@ def _cmd_fig2(args) -> int:
 
     out = Path(args.out)
     count = _write_csv(out, {"c_ab": ds.x, "c_a1a2": ds.y, "bound": bound, "violation": violation})
-    config = {**_options(args, "samples", "seed", "threads"),
+    config = {**_options(args, "samples", "seed"),
               "corrupt_bound_test_hook": args.test_corrupt_bound, **ds.metadata}
     _write_manifest(out, "fig2", config, {out: count}, started,
                     extra={"seed": args.seed, "violations": violations})
@@ -253,14 +250,14 @@ def _cmd_fig2(args) -> int:
 
 def _cmd_fig3(args) -> int:
     started = time.perf_counter()
-    ds = sampling.fig3_dataset(args.samples, args.seed, args.threads)
+    ds = sampling.fig3_dataset(args.samples, args.seed)
     threshold = analytic.threshold_negativity(verify=False)
     violations = int(np.count_nonzero((ds.x > threshold + VIOLATION_SLACK) & (ds.y > 1e-12)))
 
     out = Path(args.out)
     count = _write_csv(out, {**dict(zip(("l1", "l2", "l3", "l4"), ds.spectra.T)),
                              "n_ab": ds.x, "n_max": ds.y, "class": ds.cls})
-    config = {**_options(args, "samples", "seed", "threads"), **ds.metadata}
+    config = {**_options(args, "samples", "seed"), **ds.metadata}
     _write_manifest(out, "fig3", config, {out: count}, started,
                     extra={"seed": args.seed, "threshold": threshold, "violations": violations})
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
@@ -277,8 +274,7 @@ def _cmd_protocol(args) -> int:
         tp_grid=protocol.default_tp_grid(args.ha, args.tp_steps),
     )
     traces = protocol.run_protocol_multi(
-        cfg, [cfg.h_a_kind, HamiltonianKind.OAT, HamiltonianKind.TAT, HamiltonianKind.TF],
-        args.threads,
+        cfg, [cfg.h_a_kind, HamiltonianKind.OAT, HamiltonianKind.TAT, HamiltonianKind.TF]
     )
     trace = traces[cfg.h_a_kind]
 
@@ -295,7 +291,7 @@ def _cmd_protocol(args) -> int:
             scores[kind.value] = protocol.monotonicity_score(protocol.calibration(tr))
         except MonogamyLabError:
             scores[kind.value] = None
-    config = _options(args, "na", "nb", "hab", "ha", "t_steps", "tp_steps", "threads")
+    config = _options(args, "na", "nb", "hab", "ha", "t_steps", "tp_steps")
     _write_manifest(out, "protocol", config, {out: count}, started,
                     extra={"monotonicity_scores": scores,
                            "p_states": trace.metadata["p_states"],

@@ -210,6 +210,13 @@ class _SubsystemEngine(SpectralPropagator):
         return self.eigenvectors @ (np.outer(e, e.conj()) * rho_eig) @ self._vh
 
 
+def _positive_time(name: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     a, b = lo, hi
     c = b - _INVGOLD * (b - a)
@@ -249,9 +256,7 @@ def _min_over_tp(
 # protocol runs
 
 
-def run_protocol_multi(
-    cfg: ProtocolConfig, ha_kinds=None, threads: int | None = 1
-) -> dict[HamiltonianKind, ProtocolTrace]:
+def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKind, ProtocolTrace]:
     """Run the protocol once, sweeping A under several local Hamiltonians.
 
     The stages that do not depend on the local kind (entangle, reduce, S_L
@@ -260,11 +265,7 @@ def run_protocol_multi(
     """
     if ha_kinds is None:
         ha_kinds = [cfg.h_a_kind]
-    kinds: list[HamiltonianKind] = []
-    for k in ha_kinds:
-        k = _as_kind(k)
-        if k not in kinds:
-            kinds.append(k)
+    kinds = list(dict.fromkeys(_as_kind(k) for k in ha_kinds))  # first-seen order
 
     n = cfg.n_a + cfg.n_b
     keep = tuple(range(cfg.n_a))
@@ -305,7 +306,7 @@ def run_protocol_multi(
             per_kind[kind] = (xi2_min, tau_min, drift)
         return per_kind
 
-    rows = map_indexed(row, cfg.t_grid.size, threads)
+    rows = map_indexed(row, cfg.t_grid.size)
 
     traces: dict[HamiltonianKind, ProtocolTrace] = {}
     for kind in kinds:
@@ -341,9 +342,9 @@ def run_protocol_multi(
     return traces
 
 
-def run_protocol(cfg: ProtocolConfig, threads: int | None = 1) -> ProtocolTrace:
+def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
     """Entangle, sweep the local evolution of A, and record the calibration data."""
-    return run_protocol_multi(cfg, [cfg.h_a_kind], threads)[cfg.h_a_kind]
+    return run_protocol_multi(cfg, [cfg.h_a_kind])[cfg.h_a_kind]
 
 
 def _select_p_states(s_l: np.ndarray, flags: np.ndarray, t: np.ndarray) -> dict:
@@ -367,6 +368,8 @@ def _select_p_states(s_l: np.ndarray, flags: np.ndarray, t: np.ndarray) -> dict:
 
 def state_at(cfg: ProtocolConfig, t: float) -> qcore.PureState:
     """Register state after the entangling stage at time t."""
+    if not math.isfinite(t):
+        raise DomainError(f"entangling time must be finite, got {t}")
     n = cfg.n_a + cfg.n_b
     h_ab = build(cfg.h_ab_kind, cfg.omega, range(n), n)
     return qcore.evolve(all_down_state(n), h_ab, t)
@@ -539,13 +542,14 @@ def explore_measure_vs_squeezing(
     squeezing parameter and the normalized negativity across the internal
     split (default: first half versus second half) are recorded.
     """
+    t_max = _positive_time("t_max", t_max)
     n = initial_rho_a.n_qubits
     if split is None:
         split = half_partition(n)
     split.check_register(n)
     kind = _as_kind(h_a_kind)
     eng = _SubsystemEngine(kind, n, omega)
-    tp = np.linspace(0.0, float(t_max), int(steps))
+    tp = np.linspace(0.0, t_max, int(steps))
     rho_eig = eng.to_eigenbasis(initial_rho_a.matrix)
     xi2, _ = eng.xi2_sweep(rho_eig, tp)
     norm = (2 ** min(len(split.qubits_a), len(split.qubits_b)) - 1) / 2.0
@@ -560,7 +564,7 @@ def explore_measure_vs_squeezing(
         n_a=n_a,
         metadata={
             "h_a_kind": kind.value,
-            "t_max": float(t_max),
+            "t_max": t_max,
             "steps": int(steps),
             "split": {"a": list(split.qubits_a), "b": list(split.qubits_b)},
         },
@@ -582,16 +586,21 @@ def appendix_b_study(
 
     For each even size, the all-spins-down state is evolved under each local
     Hamiltonian; the linear entropy of the half/half split and the squeezing
-    parameter are recorded along the trajectory.
+    parameter are recorded along the trajectory. Repeated sizes and kinds
+    run once, in first-seen order.
     """
-    out: dict[tuple[int, HamiltonianKind], AppendixBTrace] = {}
-    kinds = [_as_kind(k) for k in h_a_kinds]
+    sizes = list(dict.fromkeys(sizes))
+    kinds = list(dict.fromkeys(_as_kind(k) for k in h_a_kinds))
+    if not sizes or not kinds:
+        raise DomainError("need at least one size and one local kind")
     for size in sizes:
         if size % 2 != 0 or size < 2:
             raise DomainError(f"sizes must be even and at least 2, got {size}")
         if size > 8:
             raise ResourceCapError(f"sizes are capped at 8 qubits, got {size}")
-        t = np.linspace(0.0, float(t_max), int(steps))
+    t = np.linspace(0.0, _positive_time("t_max", t_max), int(steps))
+    out: dict[tuple[int, HamiltonianKind], AppendixBTrace] = {}
+    for size in sizes:
         psi0 = all_down_state(size).amplitudes
         mops = spin.collective_ops(size).moment_operators
         half = tuple(range(size // 2))

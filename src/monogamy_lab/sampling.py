@@ -1,8 +1,8 @@
 """Random-state and random-spectrum generation plus the bound-region datasets.
 
 Sampling is deterministic given an integer seed. Dataset generation derives
-one child seed per sample index (numpy SeedSequence spawning), so results
-are identical for any parallel schedule.
+one child seed per sample index (numpy SeedSequence spawning), so sample i
+depends only on the seed and i.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def schmidt_concurrence(state: PureState, partition: Partition) -> float:
 FIG2_PARTITION = Partition((0, 1), (2,))
 
 
-def fig2_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
+def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     """Concurrence pairs (C_AB, C_A1A2) for Haar-random three-qubit states."""
     if n_samples < 1:
         raise DomainError("need at least one sample")
@@ -120,7 +120,7 @@ def fig2_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
         rho_a = qcore.reduced_state_matrix(state, 3, FIG2_PARTITION.qubits_a)
         return schmidt_concurrence(state, FIG2_PARTITION), measures.concurrence(rho_a)
 
-    x, y = np.array(map_indexed(one, n_samples, threads)).T
+    x, y = np.array(map_indexed(one, n_samples)).T
     return Dataset(
         x,
         y,
@@ -141,7 +141,7 @@ MARKER_SPECTRA = (
 )
 
 
-def fig3_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
+def fig3_dataset(n_samples: int, seed: int) -> Dataset:
     """(N_AB, N_max) pairs for random 2+N reduced spectra, plus the four
     named boundary spectra appended as marker rows.
 
@@ -153,7 +153,7 @@ def fig3_dataset(n_samples: int, seed: int, threads: int | None = 1) -> Dataset:
         raise DomainError("need at least one sample")
     children = _child_seeds(seed, n_samples)
 
-    rows = map_indexed(lambda i: _draw_spectrum(children[i], (2, 1, 0)[i % 3]), n_samples, threads)
+    rows = map_indexed(lambda i: _draw_spectrum(children[i], (2, 1, 0)[i % 3]), n_samples)
     spectra = np.vstack([*rows, MARKER_SPECTRA])
     cls = _CLASS_BY_NONZERO[np.count_nonzero(spectra > _NONZERO_EIGENVALUE, axis=1)]
     cls[n_samples:] = SampleClass.MARKER

@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line per numbered criterion so the suite can
 be skimmed from the pytest output (run with -s to see the lines as they
-happen). Timed sections exclude the one-off JIT warmup done in conftest.
+happen). A criterion with a time limit measures its own wall time with
+``time.perf_counter`` and reports it on that line.
 """
 
 import json

@@ -111,7 +111,15 @@ def test_protocol_resource_cap(tmp_path):
         assert code == 3
     assert main(["appendix-b", "--sizes", "10", "--out", str(tmp_path / "appb")]) == 3
     assert main(["appendix-b", "--sizes", "3", "--out", str(tmp_path / "appb")]) == 2
+    assert main(["appendix-b", "--sizes", ",", "--out", str(tmp_path / "appb")]) == 2
+    assert main(["appendix-b", "--ha-kinds", ",", "--out", str(tmp_path / "appb")]) == 2
     assert list(tmp_path.iterdir()) == []
+    # a repeated size or kind is computed and written once
+    prefix = tmp_path / "dup" / "appb"
+    assert main(["appendix-b", "--sizes", "2,2", "--ha-kinds", "tf,tf", "--steps", "11",
+                 "--out", str(prefix)]) == 0
+    manifest = json.loads((tmp_path / "dup" / "appb.csv.manifest.json").read_text())
+    assert [o["path"] for o in manifest["outputs"]] == [str(prefix) + "_size2_tf.csv"]
 
 
 def test_invert_ghz_curve(tmp_path):
@@ -216,22 +224,18 @@ def _count_runs(tmp_path):
     }
 
 
-def test_counts_below_one_rejected_by_every_subcommand(tmp_path, monkeypatch, capsys):
+def test_counts_below_one_rejected_by_every_subcommand(tmp_path, capsys):
     runs = _count_runs(tmp_path)
     for command, argv in runs.items():
         assert main([*argv, "--threads", "0"]) == 2, command
         assert "error: --threads must be >= 1" in capsys.readouterr().err, command
-        monkeypatch.setenv("MONOGAMY_LAB_THREADS", "0")
-        assert main(argv) == 2, command
-        assert "MONOGAMY_LAB_THREADS" in capsys.readouterr().err, command
-        monkeypatch.delenv("MONOGAMY_LAB_THREADS")
     for command in ("explore", "appendix-b"):
         assert main([*runs[command], "--steps", "0"]) == 2, command
         assert "error: --steps must be >= 1" in capsys.readouterr().err, command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
 
 
-def test_config_file_and_env_threads(tmp_path, monkeypatch):
+def test_config_file_and_env_threads(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("samples=25\nseed=9\n# comment\n")
     out1 = tmp_path / "one.csv"
@@ -242,11 +246,24 @@ def test_config_file_and_env_threads(tmp_path, monkeypatch):
     out2 = tmp_path / "two.csv"
     main(["fig2", "--config", str(cfg), "--samples", "10", "--out", str(out2)])
     assert len(read_csv(out2)[1]) == 10
-    # env fallback for threads must not change bytes
-    monkeypatch.setenv("MONOGAMY_LAB_THREADS", "3")
-    out3 = tmp_path / "three.csv"
-    main(["fig2", "--config", str(cfg), "--out", str(out3)])
-    assert out1.read_bytes() == out3.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["appendix-b", "--sizes", "2", "--t-max=nan"],
+    ["appendix-b", "--sizes", "2", "--t-max=inf"],
+    ["appendix-b", "--sizes", "2", "--t-max=-5"],
+    ["appendix-b", "--sizes", "2", "--t-max=0"],
+    ["explore", "--na", "2", "--nb", "2", "--t-max=nan"],
+    ["explore", "--na", "2", "--nb", "2", "--t-max=-inf"],
+    ["explore", "--na", "2", "--nb", "2", "--t-max=-5"],
+    ["explore", "--na", "2", "--nb", "2", "--prep-t=nan"],
+    ["explore", "--na", "2", "--nb", "2", "--prep-t=inf"],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_bad_time_inputs_exit_2_before_any_output(tmp_path, capsys, argv):
+    assert main([*argv, "--steps", "11", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_values_take_the_option_types(tmp_path):

@@ -201,10 +201,10 @@ def test_protocol_thread_invariance():
         t_grid=np.linspace(0, np.pi, 13),
         tp_grid=np.linspace(0, 20.0, 200),
     )
-    one = run_protocol(cfg, threads=1)
-    four = run_protocol(cfg, threads=4)
-    assert np.array_equal(one.min_xi2_a, four.min_xi2_a)
-    assert np.array_equal(one.argmin_tp, four.argmin_tp)
+    one = run_protocol(cfg)
+    two = run_protocol(cfg)
+    assert np.array_equal(one.min_xi2_a, two.min_xi2_a)
+    assert np.array_equal(one.argmin_tp, two.argmin_tp)
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +338,13 @@ def test_appendix_b_validation():
     for sizes in ((10,), (2, 10)):
         with pytest.raises(ResourceCapError):
             appendix_b_study(sizes=sizes)
+    for sizes, kinds in (((), ("tf",)), ((2,), ())):
+        with pytest.raises(DomainError):
+            appendix_b_study(sizes=sizes, h_a_kinds=kinds)
+    for t_max in (0.0, -5.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            appendix_b_study(sizes=(2,), t_max=t_max, steps=11)
+    # repeats run once, in first-seen order
+    res = appendix_b_study(sizes=(4, 2, 4), h_a_kinds=("tf", "oat", HamiltonianKind.TF), steps=11)
+    tf, oat = HamiltonianKind.TF, HamiltonianKind.OAT
+    assert list(res) == [(4, tf), (4, oat), (2, tf), (2, oat)]

@@ -1,9 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
-from monogamy_lab import _parallel, analytic, measures, qcore
+from monogamy_lab import analytic, measures, qcore
 from monogamy_lab.errors import DomainError
 from monogamy_lab.sampling import (
     FIG2_PARTITION,
@@ -112,8 +110,8 @@ def test_fig2_product_state_point(rng):
 
 
 def test_fig2_deterministic_and_thread_invariant():
-    a = fig2_dataset(60, seed=4, threads=1)
-    b = fig2_dataset(60, seed=4, threads=4)
+    a = fig2_dataset(60, seed=4)
+    b = fig2_dataset(60, seed=4)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
@@ -135,31 +133,6 @@ def test_fig3_classes_and_markers():
     assert list(ds.cls[:90]) == [striping[i % 3] for i in range(90)]
 
 
-def test_thread_pool_bounded_by_work_and_cores(monkeypatch):
-    # A serial stand-in for the pool records the requested worker count
-    # without starting any thread.
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", SerialPool)
-    many = fig3_dataset(30, seed=31, threads=100000)
-    assert requested and requested[0] <= min(30, os.cpu_count() or 1)
-    one = fig3_dataset(30, seed=31, threads=1)
-    assert np.array_equal(many.x, one.x) and np.array_equal(many.y, one.y)
-
-
 def test_fig3_rank2_records_on_rescaled_curve():
     ds = fig3_dataset(300, seed=41)
     two = ds.cls == SampleClass.TWO_NONZERO
@@ -173,8 +146,8 @@ def test_fig3_threshold_property():
 
 
 def test_fig3_deterministic_and_thread_invariant():
-    a = fig3_dataset(90, seed=6, threads=1)
-    b = fig3_dataset(90, seed=6, threads=3)
+    a = fig3_dataset(90, seed=6)
+    b = fig3_dataset(90, seed=6)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert np.array_equal(a.spectra, b.spectra) and np.array_equal(a.cls, b.cls)
 
