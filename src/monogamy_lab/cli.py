@@ -208,7 +208,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     appb.add_argument("--sizes", type=_int_list, default="2,4,6,8",
                       help="comma list of even sizes")
     appb.add_argument("--ha-kinds", type=_str_list, default="oat,tat,tf",
-                      help="comma list from oat,tat,tf")
+                      help="comma list from oat,tat,tf,ghz")
     appb.add_argument("--t-max", type=float, default=100.0, help="last local time")
     appb.add_argument("--steps", type=int, default=2001, help="local-time grid points")
     appb.add_argument("--out", required=True, metavar="PREFIX",

@@ -8,10 +8,14 @@ Conventions used throughout the package:
   last computational basis state.
 * All arrays are complex128; values are frozen after construction and safe
   to share across threads.
+* ``symmetric_isometry(n)`` maps the (n+1)-dimensional permutation-symmetric
+  (Dicke) subspace into the register. Collective generators acting on the
+  all-down state never leave it, so callers evolve there and embed back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +188,21 @@ def basis_state(n_qubits: int, index: int) -> PureState:
 def all_down_state(n_qubits: int) -> PureState:
     """Product state with every spin down (|1...1> in our convention)."""
     return basis_state(n_qubits, 2**n_qubits - 1)
+
+
+def symmetric_isometry(n_qubits: int) -> np.ndarray:
+    """Real (2^n, n+1) isometry onto the permutation-symmetric (Dicke) states.
+
+    Column k is the normalised sum of the basis states with k ones (k spins
+    down), so column 0 is the all-up and column n the all-down state.
+    """
+    if n_qubits < 1:
+        raise DomainError("a register needs at least one qubit")
+    idx = np.arange(2**n_qubits)
+    ones = sum((idx >> q) & 1 for q in range(n_qubits))
+    iso = np.zeros((idx.size, n_qubits + 1))
+    iso[idx, ones] = 1.0 / np.sqrt([math.comb(n_qubits, int(k)) for k in ones])
+    return iso
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:

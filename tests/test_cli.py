@@ -311,3 +311,15 @@ def test_unwritable_output_is_io_error(tmp_path):
     target.write_text("file")
     out = target / "fig2.csv"  # parent is a file
     assert main(["fig2", "--samples", "5", "--seed", "1", "--out", str(out)]) == 2
+
+
+def test_appendix_b_accepts_and_lists_ghz(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["appendix-b", "--help"])
+    assert "oat,tat,tf,ghz" in capsys.readouterr().out
+    prefix = tmp_path / "appb"
+    assert main(["appendix-b", "--sizes", "2", "--ha-kinds", "ghz", "--steps", "11",
+                 "--out", str(prefix)]) == 0
+    header, rows = read_csv(tmp_path / "appb_size2_ghz.csv")
+    assert header == ["t", "s_l_a", "xi2_a"]
+    assert len(rows) == 11

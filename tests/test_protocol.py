@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from monogamy_lab import analytic, measures, qcore
 from monogamy_lab.errors import (
     ConfigError,
+    ContractViolationError,
     DomainError,
     ExtrapolationError,
     ResourceCapError,
@@ -11,10 +14,15 @@ from monogamy_lab.errors import (
 )
 from monogamy_lab.hamiltonians import HamiltonianKind, build
 from monogamy_lab.protocol import (
+    REFINE_TOL,
     CalibrationCurve,
     ProtocolConfig,
+    _SubsystemEngine,
+    _min_over_tp,
     _monotone_segments,
+    _probe_negativities,
     _select_p_states,
+    _symmetric_part,
     appendix_b_study,
     calibration,
     default_t_grid,
@@ -28,7 +36,7 @@ from monogamy_lab.protocol import (
     state_at,
 )
 from monogamy_lab.qcore import DensityMatrix, Partition, SpectralPropagator, all_down_state
-from monogamy_lab.spin import collective_ops, squeezing_parameter
+from monogamy_lab.spin import collective_ops, pure_moments, squeezing_parameter, xi2_from_moment_arrays
 
 from oracle_utils import random_density
 
@@ -348,3 +356,82 @@ def test_appendix_b_validation():
     res = appendix_b_study(sizes=(4, 2, 4), h_a_kinds=("tf", "oat", HamiltonianKind.TF), steps=11)
     tf, oat = HamiltonianKind.TF, HamiltonianKind.OAT
     assert list(res) == [(4, tf), (4, oat), (2, tf), (2, oat)]
+
+
+# ---------------------------------------------------------------------------
+# the symmetric-subspace routes against the dense register
+
+
+@functools.cache
+def _dense_propagator(n: int, kind: str) -> SpectralPropagator:
+    """Dense propagator of build(kind, 1.0, range(n), n): the route qcore.evolve
+    takes, solved once per (n, kind) so the 256x256 cases stay affordable."""
+    return SpectralPropagator(build(kind, 1.0, range(n), n))
+
+
+@pytest.mark.parametrize("kind", ["oat", "tf", "tat", "ghz"])
+@pytest.mark.parametrize("n_a, n_b", [(1, 1), (2, 2), (3, 2), (4, 4)])
+def test_state_at_matches_dense_evolution(n_a, n_b, kind):
+    n = n_a + n_b
+    times = np.array([0.0, 0.37, 83 * np.pi / 400, np.pi / 2, 100.0])
+    dense = _dense_propagator(n, kind).apply(all_down_state(n).amplitudes, times)
+    cfg = ProtocolConfig(n_a, n_b, kind, "tf", t_grid=[0.0], tp_grid=[0.0])
+    for j, t in enumerate(times):
+        assert np.max(np.abs(state_at(cfg, t).amplitudes - dense[:, j])) <= 1e-10
+
+
+@pytest.mark.parametrize("n_a, n_b, steps", [(2, 2, 41), (3, 2, 41), (4, 4, 81)])
+def test_symmetric_probes_match_dense_route(n_a, n_b, steps):
+    n = n_a + n_b
+    keep = tuple(range(n_a))
+    t_grid = default_t_grid("oat", steps)
+    tp = default_tp_grid("oat", 400)
+    psi = _dense_propagator(n, "oat").apply(all_down_state(n).amplitudes, t_grid).T
+    rho_a = qcore.reduced_state_matrix(psi, n, keep)
+    iso_a = qcore.symmetric_isometry(n_a)
+    rho_sym = _symmetric_part(rho_a, iso_a)
+    eng = _SubsystemEngine(HamiltonianKind.OAT, n_a, 1.0)
+    for i in range(steps):
+        rho_eig = eng.to_eigenbasis(rho_a[i])
+        grid, _ = eng.xi2_sweep(rho_eig, tp)
+        tau_min, _ = _min_over_tp(grid, tp, lambda tau: eng.xi2_at(rho_eig, tau), REFINE_TOL)
+        taus = [float(tp[0]), float(tp[-1]), tau_min]  # the protocol's three probe times
+        # The Schmidt route takes sqrt of each reduced eigenvalue mu, so a
+        # rounding error of ~1e-15 in mu moves the negativity by up to about
+        # 1e-15 / sqrt(mu): near-product rows (mu ~ 1e-11) are noisier than 1e-12.
+        mu = np.linalg.eigvalsh(rho_sym[i])
+        tol = 1e-12 + 1e-15 * float(np.sum(1.0 / np.sqrt(mu[mu >= 1e-11])))
+        for tau, got in zip(taus, _probe_negativities(eng, iso_a, rho_sym[i], taus)):
+            local = qcore.apply_local_unitary(psi[i], eng.unitary(tau), n, keep)
+            want = measures.schmidt_negativity_raw(qcore.reduced_state_matrix(local, n, keep))
+            assert abs(got - want) <= tol, (i, tau)
+
+
+def test_weight_outside_symmetric_subspace_fails_loudly():
+    iso = qcore.symmetric_isometry(3)
+    down = all_down_state(3).amplitudes
+    singlet = np.kron(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0), [0.0, 1.0])  # on qubits 0, 1
+    sym_rho = np.outer(down, down.conj())
+    singlet_rho = np.outer(singlet, singlet)
+    assert np.allclose(_symmetric_part(sym_rho[None], iso)[0], np.diag([0, 0, 0, 1.0]))
+    for rho in (singlet_rho, (1 - 1e-9) * sym_rho + 1e-9 * singlet_rho):
+        with pytest.raises(ContractViolationError):
+            _symmetric_part(np.stack([sym_rho, rho]), iso)
+
+
+def test_appendix_b_matches_dense_route():
+    kinds = list(HamiltonianKind)
+    sizes = (2, 4, 6, 8)
+    res = appendix_b_study(sizes=sizes, h_a_kinds=kinds, steps=201)
+    t = np.linspace(0.0, 100.0, 201)
+    for size in sizes:
+        mops = collective_ops(size).moment_operators
+        half = tuple(range(size // 2))
+        for kind in kinds:
+            states = _dense_propagator(size, kind.value).apply(all_down_state(size).amplitudes, t)
+            xi2, _ = xi2_from_moment_arrays(pure_moments(states, mops), size)
+            rho = qcore.reduced_state_matrix(states.T, size, half)
+            s_l = np.array([measures.linear_entropy(r) for r in rho])
+            tr = res[(size, kind)]
+            assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-10, (size, kind)
+            assert np.max(np.abs(tr.s_l_a - s_l)) <= 1e-10, (size, kind)

@@ -372,3 +372,18 @@ def test_apply_local_unitary_matches_embedding(rng):
     t = psi.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(-1)
     ref = (full @ t).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(-1)
     assert np.allclose(out, ref, atol=1e-12)
+
+
+def test_symmetric_isometry_is_the_dicke_basis():
+    for n in (1, 2, 3, 5, 8):
+        iso = qcore.symmetric_isometry(n)
+        assert iso.shape == (2**n, n + 1)
+        assert np.max(np.abs(iso.T @ iso - np.eye(n + 1))) < 1e-14
+        # column n is the all-down state, the last basis state
+        assert np.array_equal(iso[:, n], all_down_state(n).amplitudes.real)
+        # column k is supported exactly on the basis states with k ones
+        ones = np.array([bin(i).count("1") for i in range(2**n)])
+        for k in range(n + 1):
+            assert np.array_equal(iso[:, k] > 0, ones == k)
+    with pytest.raises(DomainError):
+        qcore.symmetric_isometry(0)
