@@ -19,12 +19,22 @@ The same symmetry puts the register state in sym(n): `state_at` and
 `appendix_b_study` evolve the all-down state there and embed the result.
 The protocol's own entangle stage stays dense, because on flat rows its
 argmin_tp is set by rounding noise that the benchmark's stored references
-pin.
+pin. The sweep and refine stay dense for the same reason; what they share
+across rows (the sweep phases, the fixed probe propagators) is built once
+per local kind, and the moment products once per row and kind.
+
+`explore_measure_vs_squeezing` runs in sym(A): it restricts its input there
+(rejecting weight outside), sweeps with the restricted Hamiltonian and
+moment operators, and takes each internal negativity from the partial
+transpose on sym(A_1) (x) sym(A_2) given by
+`qcore.symmetric_split_isometry`, a local isometry, so the negativity and its
+qubit normalisation are those of the qubit cut.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -184,36 +194,46 @@ class InversionResult:
 
 
 class _SubsystemEngine(SpectralPropagator):
-    """Eigenbasis of A's local Hamiltonian, for sweeping the local evolution of A."""
+    """Eigenbasis of A's local Hamiltonian, for sweeping the local evolution of
+    A over one grid of local times.
 
-    def __init__(self, kind: HamiltonianKind, n_a: int, omega: float):
-        super().__init__(build(kind, omega, range(n_a), n_a))
-        self.n_a = n_a
-        ops = spin.collective_ops(n_a)
-        self.tilde_ops = [self.to_eigenbasis(op) for op in ops.moment_operators]
+    The caller passes the Hamiltonian matrix and the nine moment operators
+    (in ``CollectiveSpinOps.moment_operators`` order) in one basis: the
+    protocol passes the dense ones, explore their sym(A) restrictions.
+    """
+
+    def __init__(self, hamiltonian: np.ndarray, moment_operators, n_spins: int, tp: np.ndarray):
+        super().__init__(hamiltonian)
+        self.n_spins = n_spins
+        self.tp = tp
+        self._tilde_t = np.array([self.to_eigenbasis(op).T for op in moment_operators])
+        self._phase = np.exp(-1j * np.outer(self.eigenvalues, tp))
+        self._phase_conj = self._phase.conj()
 
     def to_eigenbasis(self, rho: np.ndarray) -> np.ndarray:
         return self._vh @ rho @ self.eigenvectors
 
-    def xi2_sweep(self, rho_eig: np.ndarray, tp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Squeezing of A for every local time, via frequency decomposition.
+    def moment_products(self, rho_eig: np.ndarray) -> np.ndarray:
+        """The (9, d, d) stack rho_jk O~_kj of rho (in the eigenbasis) with each
+        moment operator, shared by the sweep and every refine evaluation."""
+        return rho_eig * self._tilde_t
+
+    def xi2_sweep(self, products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Squeezing of A at every time of the engine's grid, via frequency
+        decomposition.
 
         <O>(tau) = sum_jk rho_jk O~_kj exp(-i (w_j - w_k) tau), evaluated as
         two small matrix products per observable.
         """
-        a = np.exp(-1j * np.outer(self.eigenvalues, tp))
-        ac = a.conj()
-        vals = np.empty((9, tp.size))
-        for k, ot in enumerate(self.tilde_ops):
-            m = rho_eig * ot.T
-            vals[k] = np.einsum("jt,jt->t", a, m @ ac).real
-        return spin.xi2_from_moment_arrays(vals, self.n_a)
+        vals = np.empty((len(products), self.tp.size))
+        for k, m in enumerate(products):
+            vals[k] = np.einsum("jt,jt->t", self._phase, m @ self._phase_conj).real
+        return spin.xi2_from_moment_arrays(vals, self.n_spins)
 
-    def xi2_at(self, rho_eig: np.ndarray, tau: float) -> float:
+    def xi2_at(self, products: np.ndarray, tau: float) -> float:
         e = np.exp(-1j * self.eigenvalues * tau)
-        ph = np.outer(e, e.conj())
-        vals = np.array([np.sum(rho_eig * ot.T * ph).real for ot in self.tilde_ops])
-        xi2, _ = spin.xi2_from_moment_arrays(vals[:, None], self.n_a)
+        vals = (products * np.outer(e, e.conj())).sum(axis=(1, 2)).real
+        xi2, _ = spin.xi2_from_moment_arrays(vals[:, None], self.n_spins)
         return float(xi2[0])
 
     def density_at(self, rho_eig: np.ndarray, tau: float) -> np.ndarray:
@@ -221,23 +241,39 @@ class _SubsystemEngine(SpectralPropagator):
         return self.eigenvectors @ (np.outer(e, e.conj()) * rho_eig) @ self._vh
 
 
-def _evolve_all_down(kind, omega: float, n: int, t) -> np.ndarray:
-    """Amplitudes of the n-qubit all-down state evolved under
-    ``build(kind, omega, range(n), n)`` for time t: shape (2^n,), or (2^n, T)
-    for an array of T times.
+def _dense_engine(kind: HamiltonianKind, n_a: int, omega: float, tp: np.ndarray) -> _SubsystemEngine:
+    """The protocol's engine: A's Hamiltonian and moment operators on all 2^n_A states."""
+    return _SubsystemEngine(
+        build(kind, omega, range(n_a), n_a).matrix, spin.collective_ops(n_a).moment_operators, n_a, tp
+    )
 
-    The generator is collective, so it is projected to sym(n), evolved there
-    and embedded back with ``qcore.symmetric_isometry``.
+
+def _symmetric_generator(kind, omega: float, n: int, iso: np.ndarray) -> np.ndarray:
+    """``build(kind, omega, range(n), n)`` restricted to sym(n) by iso =
+    ``qcore.symmetric_isometry(n)``.
+
+    Raises ContractViolationError if the generator moves sym(n) out of itself.
     """
-    iso = qcore.symmetric_isometry(n)
     h_iso = build(kind, omega, range(n), n).matrix @ iso
     h_sym = iso.T @ h_iso
     leak = float(np.max(np.abs(h_iso - iso @ h_sym)))
     if leak > qcore.EIGEN_INPUT_TOL:
         raise ContractViolationError(f"generator leaves the symmetric subspace by {leak:.3e}")
+    return h_sym
+
+
+def _evolve_all_down(kind, omega: float, n: int, t) -> np.ndarray:
+    """Amplitudes of the n-qubit all-down state evolved under
+    ``build(kind, omega, range(n), n)`` for time t: shape (2^n,), or (2^n, T)
+    for an array of T times.
+
+    The generator is collective, so it is restricted to sym(n), evolved there
+    and embedded back with ``qcore.symmetric_isometry``.
+    """
+    iso = qcore.symmetric_isometry(n)
     start = np.zeros(n + 1, dtype=np.complex128)
     start[n] = 1.0  # all-down
-    return iso @ SpectralPropagator(h_sym).apply(start, t)
+    return iso @ SpectralPropagator(_symmetric_generator(kind, omega, n, iso)).apply(start, t)
 
 
 def _symmetric_part(rho: np.ndarray, iso: np.ndarray) -> np.ndarray:
@@ -255,16 +291,21 @@ def _symmetric_part(rho: np.ndarray, iso: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _probe_negativities(
-    eng: _SubsystemEngine, iso_a: np.ndarray, rho_sym: np.ndarray, taus
-) -> list[float]:
-    """Cut negativity after evolving A for each local time in taus, from the
+def _symmetric_unitary(eng: _SubsystemEngine, iso_a: np.ndarray, tau: float) -> np.ndarray:
+    """A's local propagator for time tau restricted to sym(A)."""
+    return iso_a.T @ eng.unitary(tau) @ iso_a
+
+
+def _probe_negativities(unitaries, rho_sym: np.ndarray) -> list[float]:
+    """Cut negativity after each restricted local propagator U_sym, from the
     Schmidt spectrum of U_sym rho_sym U_sym^dagger on sym(A)."""
-    negs = []
-    for tau in taus:
-        u = iso_a.T @ eng.unitary(tau) @ iso_a
-        negs.append(measures.schmidt_negativity_raw(u @ rho_sym @ u.conj().T))
-    return negs
+    return [measures.schmidt_negativity_raw(u @ rho_sym @ u.conj().T) for u in unitaries]
+
+
+def _step_count(steps) -> int:
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
+    return int(steps)
 
 
 def _positive_time(name: str, value) -> float:
@@ -326,8 +367,6 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
 
     n = cfg.n_a + cfg.n_b
     keep = tuple(range(cfg.n_a))
-    engines = {kind: _SubsystemEngine(kind, cfg.n_a, cfg.omega) for kind in kinds}
-
     # Grid stages, shared by every local kind. Entangle: psi(t) for all rows.
     prop = SpectralPropagator(build(cfg.h_ab_kind, cfg.omega, range(n), n))
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
@@ -339,6 +378,10 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
     moments = spin.pure_moments(states, spin.collective_ops(n).moment_operators)
     xi2_ab_arr, _ = spin.xi2_from_moment_arrays(moments, n)
 
+    # Per-kind engines, built after the 2^n-dimensional grid stages so that
+    # their (d_A, tp) phase matrices do not raise those stages' peak memory.
+    engines = {kind: _dense_engine(kind, cfg.n_a, cfg.omega, cfg.tp_grid) for kind in kinds}
+
     # Probe times for the cut-negativity constancy check: the sweep start,
     # evenly spaced interior points, and the refined minimum.
     n_fixed = NEGATIVITY_PROBES - 1
@@ -346,17 +389,22 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
         float(cfg.tp_grid[int(round(j * (cfg.tp_grid.size - 1) / max(1, n_fixed)))])
         for j in range(n_fixed)
     ]
+    fixed_unitaries = {
+        kind: [_symmetric_unitary(engines[kind], iso_a, tau) for tau in fixed_probes] for kind in kinds
+    }
 
     def row(i: int):
         per_kind = {}
         for kind in kinds:
             eng = engines[kind]
-            rho_eig = eng.to_eigenbasis(rho_a[i])
-            xi2_grid, _ = eng.xi2_sweep(rho_eig, cfg.tp_grid)
+            products = eng.moment_products(eng.to_eigenbasis(rho_a[i]))
+            xi2_grid, _ = eng.xi2_sweep(products)
             tau_min, xi2_min = _min_over_tp(
-                xi2_grid, cfg.tp_grid, lambda tau: eng.xi2_at(rho_eig, tau), REFINE_TOL
+                xi2_grid, cfg.tp_grid, lambda tau: eng.xi2_at(products, tau), REFINE_TOL
             )
-            negs = _probe_negativities(eng, iso_a, rho_sym[i], [*fixed_probes, tau_min])
+            negs = _probe_negativities(
+                [*fixed_unitaries[kind], _symmetric_unitary(eng, iso_a, tau_min)], rho_sym[i]
+            )
             drift = max(negs) - min(negs)
             per_kind[kind] = (xi2_min, tau_min, drift)
         return per_kind
@@ -595,23 +643,41 @@ def explore_measure_vs_squeezing(
     A is evolved under the chosen local Hamiltonian; at each time the
     squeezing parameter and the normalized negativity across the internal
     split (default: first half versus second half) are recorded.
+
+    The input must lie in A's symmetric subspace sym(A), as every reduced
+    state of the protocol does; weight outside it raises
+    ContractViolationError. The sweep runs on sym(A), and each negativity
+    comes from the partial transpose on sym(A_1) (x) sym(A_2), a local
+    isometric image of the qubit one with the same negativity.
     """
     t_max = _positive_time("t_max", t_max)
+    steps = _step_count(steps)
     n = initial_rho_a.n_qubits
     if split is None:
         split = half_partition(n)
     split.check_register(n)
     kind = _as_kind(h_a_kind)
-    eng = _SubsystemEngine(kind, n, omega)
-    tp = np.linspace(0.0, t_max, int(steps))
-    rho_eig = eng.to_eigenbasis(initial_rho_a.matrix)
-    xi2, _ = eng.xi2_sweep(rho_eig, tp)
-    norm = (2 ** min(len(split.qubits_a), len(split.qubits_b)) - 1) / 2.0
+    iso = qcore.symmetric_isometry(n)
+    rho_sym = _symmetric_part(initial_rho_a.matrix, iso)
+    tp = np.linspace(0.0, t_max, steps)
+    eng = _SubsystemEngine(
+        _symmetric_generator(kind, omega, n, iso),
+        [iso.T @ op @ iso for op in spin.collective_ops(n).moment_operators],
+        n,
+        tp,
+    )
+    rho_eig = eng.to_eigenbasis(rho_sym)
+    xi2, _ = eng.xi2_sweep(eng.moment_products(rho_eig))
+    # A symmetric state depends on the split only through its side sizes.
+    n_1, n_2 = len(split.qubits_a), len(split.qubits_b)
+    emb = qcore.symmetric_split_isometry(n_1, n_2)
+    d = emb.shape[0]
+    norm = measures._normalization(split)
     n_a = np.empty(tp.size)
     for i, tau in enumerate(tp):
-        rho_tau = eng.density_at(rho_eig, tau)
-        pt = qcore.partial_transpose_matrix(rho_tau, n, split.qubits_a)
-        n_a[i] = min(max(measures._negative_sum(qcore.hermitian_eigenvalues(pt)) / norm, 0.0), 1.0)
+        rho_12 = emb @ eng.density_at(rho_eig, tau) @ emb.T
+        pt = rho_12.reshape(n_1 + 1, n_2 + 1, n_1 + 1, n_2 + 1).transpose(2, 1, 0, 3).reshape(d, d)
+        n_a[i] = measures._clip01(measures._negative_sum(qcore.hermitian_eigenvalues(pt)) / norm)
     return ExplorationTrace(
         tp=tp,
         xi2_a=xi2,
@@ -619,7 +685,7 @@ def explore_measure_vs_squeezing(
         metadata={
             "h_a_kind": kind.value,
             "t_max": t_max,
-            "steps": int(steps),
+            "steps": steps,
             "split": {"a": list(split.qubits_a), "b": list(split.qubits_b)},
         },
     )
@@ -652,7 +718,7 @@ def appendix_b_study(
             raise DomainError(f"sizes must be even and at least 2, got {size}")
         if size > 8:
             raise ResourceCapError(f"sizes are capped at 8 qubits, got {size}")
-    t = np.linspace(0.0, _positive_time("t_max", t_max), int(steps))
+    t = np.linspace(0.0, _positive_time("t_max", t_max), _step_count(steps))
     out: dict[tuple[int, HamiltonianKind], AppendixBTrace] = {}
     for size in sizes:
         mops = spin.collective_ops(size).moment_operators

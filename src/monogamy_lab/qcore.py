@@ -11,6 +11,8 @@ Conventions used throughout the package:
 * ``symmetric_isometry(n)`` maps the (n+1)-dimensional permutation-symmetric
   (Dicke) subspace into the register. Collective generators acting on the
   all-down state never leave it, so callers evolve there and embed back.
+  ``symmetric_split_isometry(n_a, n_b)`` splits sym(n_a+n_b) into
+  sym(n_a) (x) sym(n_b), a local isometry that keeps cut negativities.
 """
 
 from __future__ import annotations
@@ -203,6 +205,26 @@ def symmetric_isometry(n_qubits: int) -> np.ndarray:
     iso = np.zeros((idx.size, n_qubits + 1))
     iso[idx, ones] = 1.0 / np.sqrt([math.comb(n_qubits, int(k)) for k in ones])
     return iso
+
+
+def symmetric_split_isometry(n_a: int, n_b: int) -> np.ndarray:
+    """Real ((n_a+1)(n_b+1), n_a+n_b+1) isometry from sym(n_a+n_b) into
+    sym(n_a) (x) sym(n_b), with row index k_a (n_b+1) + k_b.
+
+    Column k splits the Dicke state with k spins down as
+    sum_{k_a+k_b=k} sqrt(C(n_a,k_a) C(n_b,k_b) / C(n,k)) |k_a>|k_b>, so it
+    equals kron(symmetric_isometry(n_a), symmetric_isometry(n_b)).T @
+    symmetric_isometry(n_a + n_b).
+    """
+    if n_a < 1 or n_b < 1:
+        raise DomainError("both sides of the split need at least one qubit")
+    n = n_a + n_b
+    emb = np.zeros((n_a + 1, n_b + 1, n + 1))
+    for k_a in range(n_a + 1):
+        for k_b in range(n_b + 1):
+            k = k_a + k_b
+            emb[k_a, k_b, k] = math.sqrt(math.comb(n_a, k_a) * math.comb(n_b, k_b) / math.comb(n, k))
+    return emb.reshape(-1, n + 1)
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:

@@ -101,3 +101,44 @@ def squeezing_scan(state_or_rho, ops, n_angles=3600):
         fine = np.linspace(coarse[i] - step, coarse[i] + step, 1201)
         best = min(vals[i], min(var_at(a) for a in fine))
     return 4.0 * max(best, 0.0) / ops.n_spins
+
+
+def _xi2_from_spin_moments(mean, second, n_spins):
+    """Squeezing parameter for each row of a (T, 3) mean spin and (T, 3, 3)
+    second moments: the least covariance eigenvalue on the plane
+    perpendicular to the mean spin, or on all of space without a mean spin."""
+    gamma = second - mean[:, :, None] * mean[:, None, :]
+    lam = np.empty(mean.shape[0])
+    for i, (m, g) in enumerate(zip(mean, gamma)):
+        norm = np.linalg.norm(m)
+        if norm < 1e-9:
+            lam[i] = np.linalg.eigvalsh(g)[0]
+        else:
+            frame = np.linalg.svd(m[None, :] / norm)[2][1:]  # (2, 3) orthonormal, perpendicular to m
+            lam[i] = np.linalg.eigvalsh(frame @ g @ frame.T)[0]
+    return 4.0 * np.clip(lam, 0.0, None) / n_spins
+
+
+def explore_dense(rho, hamiltonian, spin_ops, tp, qubits_a):
+    """The qubit-space explore route: squeezing and normalized negativity
+    across qubits_a | rest of rho evolved under the Hamiltonian for each time
+    in tp. spin_ops holds the (Jx, Jy, Jz) matrices of the register."""
+    d = rho.shape[0]
+    n = d.bit_length() - 1
+    w, v = np.linalg.eigh(hamiltonian)
+    rho_eig = v.conj().T @ rho @ v
+    d_min = 2 ** min(len(qubits_a), n - len(qubits_a))
+    neg = np.empty(tp.size)
+    mean, second = np.empty((tp.size, 3)), np.empty((tp.size, 3, 3))
+    for i, tau in enumerate(tp):
+        e = np.exp(-1j * w * tau)
+        rho_t = v @ (np.outer(e, e.conj()) * rho_eig) @ v.conj().T
+        mean[i] = [np.trace(rho_t @ j).real for j in spin_ops]
+        second[i] = [[np.trace(rho_t @ (a @ b + b @ a)).real / 2 for b in spin_ops] for a in spin_ops]
+        axes = list(range(2 * n))
+        for q in qubits_a:
+            axes[q], axes[n + q] = axes[n + q], axes[q]
+        pt = rho_t.reshape((2,) * (2 * n)).transpose(axes).reshape(d, d)
+        ev = np.linalg.eigvalsh(pt)
+        neg[i] = min(max(-np.sum(ev[ev < -1e-10]) / ((d_min - 1) / 2.0), 0.0), 1.0)
+    return _xi2_from_spin_moments(mean, second, n), neg

@@ -17,12 +17,13 @@ from monogamy_lab.protocol import (
     REFINE_TOL,
     CalibrationCurve,
     ProtocolConfig,
-    _SubsystemEngine,
+    _dense_engine,
     _min_over_tp,
     _monotone_segments,
     _probe_negativities,
     _select_p_states,
     _symmetric_part,
+    _symmetric_unitary,
     appendix_b_study,
     calibration,
     default_t_grid,
@@ -36,9 +37,15 @@ from monogamy_lab.protocol import (
     state_at,
 )
 from monogamy_lab.qcore import DensityMatrix, Partition, SpectralPropagator, all_down_state
-from monogamy_lab.spin import collective_ops, pure_moments, squeezing_parameter, xi2_from_moment_arrays
+from monogamy_lab.spin import (
+    _spin_frame,
+    collective_ops,
+    pure_moments,
+    squeezing_parameter,
+    xi2_from_moment_arrays,
+)
 
-from oracle_utils import random_density
+from oracle_utils import explore_dense, random_density
 
 
 def ghz_config(t_steps=61, tp_steps=600, t_max=np.pi / 2):
@@ -116,17 +123,15 @@ def test_ghz_score_is_one_on_monotone_branch():
 
 
 def test_sweep_consistency_at_zero_local_time():
-    from monogamy_lab.protocol import _SubsystemEngine
-
     cfg = ghz_config(t_steps=7)
     eng_ops = collective_ops(2)
-    eng = _SubsystemEngine(HamiltonianKind.GHZ, 2, 1.0)
+    eng = _dense_engine(HamiltonianKind.GHZ, 2, 1.0, cfg.tp_grid)
     trace = run_protocol(cfg)
     for i, t in enumerate(trace.t):
         rho = reduced_a_at(cfg, t)
         direct = squeezing_parameter(rho, eng_ops).xi2
         # the sweep evaluated at local time zero is the bare subsystem value
-        at_zero = eng.xi2_at(eng.to_eigenbasis(rho.matrix), 0.0)
+        at_zero = eng.xi2_at(eng.moment_products(eng.to_eigenbasis(rho.matrix)), 0.0)
         assert abs(at_zero - direct) < 1e-10
         # and the sweep minimum cannot exceed it
         assert trace.min_xi2_a[i] <= direct + 1e-12
@@ -135,13 +140,10 @@ def test_sweep_consistency_at_zero_local_time():
 def test_min_never_exceeds_grid_samples():
     cfg = ghz_config(t_steps=12, tp_steps=47)
     trace = run_protocol(cfg)
-    from monogamy_lab.protocol import _SubsystemEngine
-
-    eng = _SubsystemEngine(HamiltonianKind.GHZ, 2, 1.0)
+    eng = _dense_engine(HamiltonianKind.GHZ, 2, 1.0, cfg.tp_grid)
     for i, t in enumerate(trace.t):
         rho = reduced_a_at(cfg, t).matrix
-        rho_eig = eng.to_eigenbasis(rho)
-        grid_vals, _ = eng.xi2_sweep(rho_eig, cfg.tp_grid)
+        grid_vals, _ = eng.xi2_sweep(eng.moment_products(eng.to_eigenbasis(rho)))
         assert trace.min_xi2_a[i] <= np.min(grid_vals) + 1e-12
 
 
@@ -276,7 +278,8 @@ def test_p_state_selection_synthetic():
 
 
 def test_explore_records_metadata_and_ranges(rng):
-    rho = DensityMatrix(2, random_density(4, rng, rank=2))
+    iso = qcore.symmetric_isometry(2)  # a rank-2 density supported on sym(2)
+    rho = DensityMatrix(2, iso @ random_density(3, rng, rank=2) @ iso.T)
     tr = explore_measure_vs_squeezing(rho, "tf", t_max=10.0, steps=101)
     assert tr.tp.size == 101
     assert np.all(tr.n_a >= 0) and np.all(tr.n_a <= 1)
@@ -305,6 +308,65 @@ def test_explore_block_dynamics_negativity_endpoints():
     assert tr.n_a[0] < 1e-10
     assert tr.n_a[32] < 1e-10  # local time pi/2
     assert np.max(tr.n_a) <= 1.0
+
+
+def _symmetric_density(n, rng):
+    """A random rank-2 density matrix of n qubits supported on sym(n)."""
+    iso = qcore.symmetric_isometry(n)
+    return DensityMatrix(n, iso @ random_density(n + 1, rng, rank=2) @ iso.T)
+
+
+def _assert_explore_matches_dense(rho, kind, split):
+    tr = explore_measure_vs_squeezing(rho, kind, t_max=10.0, steps=41, split=split)
+    n = rho.n_qubits
+    ops = collective_ops(n)
+    xi2, n_a = explore_dense(
+        rho.matrix, build(kind, 1.0, range(n), n).matrix, (ops.jx, ops.jy, ops.jz), tr.tp,
+        split.qubits_a if split else tuple(range(n // 2)),
+    )
+    assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-10
+    assert np.max(np.abs(tr.n_a - n_a)) <= 1e-10
+    assert np.max(n_a) > 0.01  # the negativity comparison is not vacuous
+
+
+@pytest.mark.parametrize("kind", ["oat", "tf", "tat", "ghz"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_symmetric_explore_matches_dense_route(n, kind, rng):
+    _assert_explore_matches_dense(_symmetric_density(n, rng), kind, None)
+
+
+@pytest.mark.parametrize(
+    "split", [Partition((1,), (0,)), Partition((0, 2), (1,)), Partition((3, 1), (0, 2, 4))]
+)
+def test_symmetric_explore_matches_dense_route_on_custom_splits(split, rng):
+    rho = _symmetric_density(split.n_qubits, rng)
+    for kind in ("oat", "tf"):
+        _assert_explore_matches_dense(rho, kind, split)
+
+
+def test_explore_rejects_weight_outside_symmetric_subspace(rng):
+    with pytest.raises(ContractViolationError):
+        explore_measure_vs_squeezing(DensityMatrix(2, random_density(4, rng)), "tf", steps=11)
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    sym = _symmetric_density(2, rng).matrix
+    mixed = (1 - 1e-9) * sym + 1e-9 * np.outer(singlet, singlet)
+    with pytest.raises(ContractViolationError):
+        explore_measure_vs_squeezing(DensityMatrix(2, mixed), "tf", steps=11)
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5, 3.0, "5", True, None])
+def test_step_counts_must_be_integers_of_at_least_one(steps, rng):
+    rho = _symmetric_density(2, rng)
+    with pytest.raises(DomainError):
+        explore_measure_vs_squeezing(rho, "tf", steps=steps)
+    with pytest.raises(DomainError):
+        appendix_b_study(sizes=(2,), steps=steps)
+
+
+def test_step_counts_accept_numpy_integers(rng):
+    tr = explore_measure_vs_squeezing(_symmetric_density(2, rng), "tf", steps=np.int64(3))
+    assert tr.tp.size == 3 and tr.metadata["steps"] == 3
+    assert appendix_b_study(sizes=(2,), h_a_kinds=("tf",), steps=np.int64(3))[(2, HamiltonianKind.TF)].t.size == 3
 
 
 def test_appendix_b_small_sizes_coincide():
@@ -390,18 +452,19 @@ def test_symmetric_probes_match_dense_route(n_a, n_b, steps):
     rho_a = qcore.reduced_state_matrix(psi, n, keep)
     iso_a = qcore.symmetric_isometry(n_a)
     rho_sym = _symmetric_part(rho_a, iso_a)
-    eng = _SubsystemEngine(HamiltonianKind.OAT, n_a, 1.0)
+    eng = _dense_engine(HamiltonianKind.OAT, n_a, 1.0, tp)
     for i in range(steps):
-        rho_eig = eng.to_eigenbasis(rho_a[i])
-        grid, _ = eng.xi2_sweep(rho_eig, tp)
-        tau_min, _ = _min_over_tp(grid, tp, lambda tau: eng.xi2_at(rho_eig, tau), REFINE_TOL)
+        products = eng.moment_products(eng.to_eigenbasis(rho_a[i]))
+        grid, _ = eng.xi2_sweep(products)
+        tau_min, _ = _min_over_tp(grid, tp, lambda tau: eng.xi2_at(products, tau), REFINE_TOL)
         taus = [float(tp[0]), float(tp[-1]), tau_min]  # the protocol's three probe times
         # The Schmidt route takes sqrt of each reduced eigenvalue mu, so a
         # rounding error of ~1e-15 in mu moves the negativity by up to about
         # 1e-15 / sqrt(mu): near-product rows (mu ~ 1e-11) are noisier than 1e-12.
         mu = np.linalg.eigvalsh(rho_sym[i])
         tol = 1e-12 + 1e-15 * float(np.sum(1.0 / np.sqrt(mu[mu >= 1e-11])))
-        for tau, got in zip(taus, _probe_negativities(eng, iso_a, rho_sym[i], taus)):
+        unitaries = [_symmetric_unitary(eng, iso_a, tau) for tau in taus]
+        for tau, got in zip(taus, _probe_negativities(unitaries, rho_sym[i])):
             local = qcore.apply_local_unitary(psi[i], eng.unitary(tau), n, keep)
             want = measures.schmidt_negativity_raw(qcore.reduced_state_matrix(local, n, keep))
             assert abs(got - want) <= tol, (i, tau)
@@ -435,3 +498,49 @@ def test_appendix_b_matches_dense_route():
             tr = res[(size, kind)]
             assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-10, (size, kind)
             assert np.max(np.abs(tr.s_l_a - s_l)) <= 1e-10, (size, kind)
+
+
+@pytest.mark.parametrize("n_a, n_b, t_steps", [(2, 2, 41), (4, 4, 81)])
+def test_row_invariant_hoists_are_bit_identical(n_a, n_b, t_steps, rng):
+    """The engine's hoisted sweep phases, its stacked moment products and
+    _spin_frame's component cross product give the bits of the expressions
+    they replace."""
+    n = n_a + n_b
+    t_grid = default_t_grid("oat", t_steps)
+    half = (t_steps - 1) // 2
+    assert abs(t_grid[half] - np.pi / 2) < 1e-15
+    rows = [1, 3, half, t_steps - 2]
+    psi = _dense_propagator(n, "oat").apply(all_down_state(n).amplitudes, t_grid[rows]).T
+    rho_a = qcore.reduced_state_matrix(psi, n, tuple(range(n_a)))
+    tp = default_tp_grid("tf", 2000)
+    mops = collective_ops(n_a).moment_operators
+    for kind in ("tf", "oat", "tat"):
+        eng = _dense_engine(kind, n_a, 1.0, tp)
+        tilde = [eng.to_eigenbasis(op) for op in mops]
+        a = np.exp(-1j * np.outer(eng.eigenvalues, tp))
+        ac = a.conj()
+        for rho in rho_a:
+            rho_eig = eng.to_eigenbasis(rho)
+            products = eng.moment_products(rho_eig)
+            vals = np.empty((9, tp.size))
+            for k, ot in enumerate(tilde):
+                vals[k] = np.einsum("jt,jt->t", a, (rho_eig * ot.T) @ ac).real
+            old, new = xi2_from_moment_arrays(vals, n_a), eng.xi2_sweep(products)
+            assert np.array_equal(old[0], new[0]) and np.array_equal(old[1], new[1])
+
+            i = int(np.argmin(new[0]))
+            taus = [*rng.uniform(0.0, 100.0, 40), *np.linspace(tp[max(i - 1, 0)], tp[min(i + 1, tp.size - 1)], 20)]
+            refine_moments = []
+            for tau in taus:
+                e = np.exp(-1j * eng.eigenvalues * tau)
+                ph = np.outer(e, e.conj())
+                point = np.array([np.sum(rho_eig * ot.T * ph).real for ot in tilde])
+                refine_moments.append(point)
+                assert eng.xi2_at(products, tau) == float(xi2_from_moment_arrays(point[:, None], n_a)[0][0])
+
+            # the protocol's states keep <Jy> = 0, so add generic moment values
+            for moments in (vals, np.array(refine_moments).T, rng.standard_normal((9, 50))):
+                mean, _, degenerate, v1, v2 = _spin_frame(moments)
+                norm = np.linalg.norm(mean, axis=1)
+                unit = mean / np.where(degenerate, 1.0, norm)[:, None]
+                assert np.array_equal(v2, np.cross(unit, v1))

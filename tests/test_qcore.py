@@ -387,3 +387,19 @@ def test_symmetric_isometry_is_the_dicke_basis():
             assert np.array_equal(iso[:, k] > 0, ones == k)
     with pytest.raises(DomainError):
         qcore.symmetric_isometry(0)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (5, 4)])
+def test_symmetric_split_isometry_matches_the_qubit_embedding(n_a, n_b):
+    n = n_a + n_b
+    emb = qcore.symmetric_split_isometry(n_a, n_b)
+    want = np.kron(qcore.symmetric_isometry(n_a), qcore.symmetric_isometry(n_b)).T @ qcore.symmetric_isometry(n)
+    assert emb.shape == ((n_a + 1) * (n_b + 1), n + 1)
+    assert np.max(np.abs(emb - want)) < 1e-14
+    assert np.max(np.abs(emb.T @ emb - np.eye(n + 1))) < 1e-14
+
+
+def test_symmetric_split_isometry_needs_two_nonempty_sides():
+    for n_a, n_b in ((0, 2), (2, 0), (-1, 3)):
+        with pytest.raises(DomainError):
+            qcore.symmetric_split_isometry(n_a, n_b)
