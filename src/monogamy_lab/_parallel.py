@@ -1,7 +1,9 @@
-"""The index map shared by the per-sample and per-row stages.
+"""An index map that no module of the package calls any more.
 
-Each index is computed independently and results come back in index order.
-The benchmark tracer (``perfbench/tracing.py``) counts its calls and items.
+The protocol rows and the dataset samples are plain loops. This module
+survives only because the benchmark tracer (``perfbench/tracing.py``) names
+``map_indexed`` as a trace target; it goes when that target is dropped
+(ROADMAP item 1).
 """
 
 from __future__ import annotations

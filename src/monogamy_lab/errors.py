@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+import numbers
 
 
 class MonogamyLabError(Exception):
@@ -35,3 +38,11 @@ class ExtrapolationError(MonogamyLabError, ValueError):
 
 class UndefinedScoreError(MonogamyLabError, ValueError):
     """A statistic is undefined for the given (degenerate) input."""
+
+
+def check_count(name: str, value) -> int:
+    """value as an int; DomainError unless it is an integer >= 1 (bools and
+    floats are refused, numpy integers accepted)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)

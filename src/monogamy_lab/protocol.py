@@ -19,9 +19,9 @@ The same symmetry puts the register state in sym(n): `state_at` and
 `appendix_b_study` evolve the all-down state there and embed the result.
 The protocol's own entangle stage stays dense, because on flat rows its
 argmin_tp is set by rounding noise that the benchmark's stored references
-pin. The sweep and refine stay dense for the same reason; what they share
-across rows (the sweep phases, the fixed probe propagators) is built once
-per local kind, and the moment products once per row and kind.
+pin. The sweep and refine stay dense for the same reason. They run per
+kind, each row: a local kind builds its engine and fixed probe propagators
+once, then fills its rows' min xi2_A, argmin_tp and drift arrays in a loop.
 
 `explore_measure_vs_squeezing` runs in sym(A): it restricts its input there
 (rejecting weight outside), sweeps with the restricted Hamiltonian and
@@ -34,13 +34,11 @@ qubit normalisation are those of the qubit cut.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import measures, qcore, spin
-from ._parallel import map_indexed
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -48,6 +46,7 @@ from .errors import (
     ExtrapolationError,
     ResourceCapError,
     UndefinedScoreError,
+    check_count,
 )
 from .analytic import ghz_s_l_from_min_xi2
 from .hamiltonians import HamiltonianKind, _as_kind, build
@@ -302,12 +301,6 @@ def _probe_negativities(unitaries, rho_sym: np.ndarray) -> list[float]:
     return [measures.schmidt_negativity_raw(u @ rho_sym @ u.conj().T) for u in unitaries]
 
 
-def _step_count(steps) -> int:
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-        raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
-    return int(steps)
-
-
 def _positive_time(name: str, value) -> float:
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
@@ -359,7 +352,8 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
 
     The stages that do not depend on the local kind (entangle, reduce, S_L
     and xi2_AB) run once over the whole t-grid and are shared across the
-    requested kinds; each row then sweeps, refines and probes per kind.
+    requested kinds. Each kind then sweeps, refines and probes every row in
+    turn with its own engine.
     """
     if ha_kinds is None:
         ha_kinds = [cfg.h_a_kind]
@@ -378,10 +372,6 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
     moments = spin.pure_moments(states, spin.collective_ops(n).moment_operators)
     xi2_ab_arr, _ = spin.xi2_from_moment_arrays(moments, n)
 
-    # Per-kind engines, built after the 2^n-dimensional grid stages so that
-    # their (d_A, tp) phase matrices do not raise those stages' peak memory.
-    engines = {kind: _dense_engine(kind, cfg.n_a, cfg.omega, cfg.tp_grid) for kind in kinds}
-
     # Probe times for the cut-negativity constancy check: the sweep start,
     # evenly spaced interior points, and the refined minimum.
     n_fixed = NEGATIVITY_PROBES - 1
@@ -389,40 +379,31 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
         float(cfg.tp_grid[int(round(j * (cfg.tp_grid.size - 1) / max(1, n_fixed)))])
         for j in range(n_fixed)
     ]
-    fixed_unitaries = {
-        kind: [_symmetric_unitary(engines[kind], iso_a, tau) for tau in fixed_probes] for kind in kinds
-    }
-
-    def row(i: int):
-        per_kind = {}
-        for kind in kinds:
-            eng = engines[kind]
+    n_rows = cfg.t_grid.size
+    traces: dict[HamiltonianKind, ProtocolTrace] = {}
+    for kind in kinds:
+        # Built after the 2^n-dimensional grid stages so that its (d_A, tp)
+        # phase matrices do not raise those stages' peak memory.
+        eng = _dense_engine(kind, cfg.n_a, cfg.omega, cfg.tp_grid)
+        fixed_unitaries = [_symmetric_unitary(eng, iso_a, tau) for tau in fixed_probes]
+        min_xi2, argmin_tp, drift = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+        for i in range(n_rows):
             products = eng.moment_products(eng.to_eigenbasis(rho_a[i]))
             xi2_grid, _ = eng.xi2_sweep(products)
-            tau_min, xi2_min = _min_over_tp(
+            argmin_tp[i], min_xi2[i] = _min_over_tp(
                 xi2_grid, cfg.tp_grid, lambda tau: eng.xi2_at(products, tau), REFINE_TOL
             )
             negs = _probe_negativities(
-                [*fixed_unitaries[kind], _symmetric_unitary(eng, iso_a, tau_min)], rho_sym[i]
+                [*fixed_unitaries, _symmetric_unitary(eng, iso_a, argmin_tp[i])], rho_sym[i]
             )
-            drift = max(negs) - min(negs)
-            per_kind[kind] = (xi2_min, tau_min, drift)
-        return per_kind
-
-    rows = map_indexed(row, cfg.t_grid.size)
-
-    traces: dict[HamiltonianKind, ProtocolTrace] = {}
-    for kind in kinds:
-        min_xi2 = np.array([r[kind][0] for r in rows])
-        argmin_tp = np.array([r[kind][1] for r in rows])
-        drift = np.array([r[kind][2] for r in rows])
+            drift[i] = max(negs) - min(negs)
         worst = float(np.max(drift))
         if worst > NEGATIVITY_DRIFT_TOL:
             raise ContractViolationError(
                 f"cut negativity drifted by {worst:.3e} along a local sweep"
             )
         flags = _nonmonotone_flags(min_xi2, s_l_arr, _flag_threshold(s_l_arr))
-        trace = ProtocolTrace(
+        traces[kind] = ProtocolTrace(
             config=replace(cfg, h_a_kind=kind),
             t=cfg.t_grid.copy(),
             s_l_ab=s_l_arr.copy(),
@@ -441,7 +422,6 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
                 "p_states": _select_p_states(s_l_arr, flags, cfg.t_grid),
             },
         )
-        traces[kind] = trace
     return traces
 
 
@@ -491,59 +471,34 @@ def reduced_a_at(cfg: ProtocolConfig, t: float) -> DensityMatrix:
 def _monotone_segments(x: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Maximal index runs over which x is monotone (flats join the current run)."""
     m = x.size
-    if m <= 1:
-        return ((0, m - 1),)
     sign = np.sign(np.diff(x))
     nonzero = np.flatnonzero(sign)
     if nonzero.size == 0:
         return ((0, m - 1),)
-    filled = sign.copy()
-    last = sign[nonzero[0]]  # leading flats adopt the first real direction
-    for i in range(filled.size):
-        if filled[i] == 0:
-            filled[i] = last
-        else:
-            last = filled[i]
-    segments = []
-    start = 0
-    for i in range(1, filled.size):
-        if filled[i] != filled[i - 1]:
-            segments.append((start, i))
-            start = i
-    segments.append((start, m - 1))
-    return tuple(segments)
+    # Each flat step takes the sign of the last real step before it; leading
+    # flats take the first real direction.
+    last = np.maximum(np.searchsorted(nonzero, np.arange(sign.size), side="right") - 1, 0)
+    cuts = (np.flatnonzero(np.diff(sign[nonzero[last]])) + 1).tolist()
+    return tuple(zip([0, *cuts], [*cuts, m - 1]))
 
 
-def _segment_interp(x: np.ndarray, y: np.ndarray, lo: int, hi: int, xq: float) -> float | None:
-    xs = x[lo : hi + 1]
-    ys = y[lo : hi + 1]
-    if xs[0] > xs[-1]:
-        xs, ys = xs[::-1], ys[::-1]
-    if xq < xs[0] or xq > xs[-1]:
-        return None
-    return float(np.interp(xq, xs, ys))
+def _candidates(curve: CalibrationCurve, xq: np.ndarray) -> np.ndarray:
+    """S_L read off each monotone run of the curve at each query x: shape
+    (runs, queries), NaN where a query lies outside a run's x range."""
+    out = np.full((len(curve.segments), xq.size), np.nan)
+    for r, (lo, hi) in enumerate(curve.segments):
+        xs, ys = curve.x[lo : hi + 1], curve.y[lo : hi + 1]
+        if xs[0] > xs[-1]:
+            xs, ys = xs[::-1], ys[::-1]
+        inside = (xq >= xs[0]) & (xq <= xs[-1])
+        out[r, inside] = np.interp(xq[inside], xs, ys)
+    return out
 
 
-def _candidates_at(curve: CalibrationCurve, xq: float) -> list[float]:
-    found = []
-    for lo, hi in curve.segments:
-        val = _segment_interp(curve.x, curve.y, lo, hi, xq)
-        if val is not None:
-            found.append(val)
-    return found
-
-
-def _merge_close(values: list[float], tol: float) -> list[float]:
-    if not values:
-        return []
-    values = sorted(values)
-    clusters = [[values[0]]]
-    for v in values[1:]:
-        if v - clusters[-1][-1] <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [float(np.mean(c)) for c in clusters]
+def _merge_close(values: np.ndarray, tol: float) -> list[float]:
+    """Mean of each cluster of sorted values whose neighbours lie within tol."""
+    values = np.sort(values)
+    return [float(np.mean(c)) for c in np.split(values, np.flatnonzero(np.diff(values) > tol) + 1)]
 
 
 def calibration(trace: ProtocolTrace) -> CalibrationCurve:
@@ -569,13 +524,8 @@ def _flag_threshold(s_l: np.ndarray) -> float:
 def _nonmonotone_flags(x: np.ndarray, y: np.ndarray, threshold: float) -> np.ndarray:
     """Flag rows whose min xi2_A maps to materially different S_L values
     on other monotone runs (the broken one-to-one window)."""
-    curve = CalibrationCurve(x=x, y=y)
-    flags = np.zeros(x.size, dtype=bool)
-    for i in range(x.size):
-        cands = _candidates_at(curve, float(x[i]))
-        if cands and (max(cands) - min(cands)) > threshold:
-            flags[i] = True
-    return flags
+    cands = _candidates(CalibrationCurve(x=x, y=y), x)
+    return np.nanmax(cands, axis=0) - np.nanmin(cands, axis=0) > threshold
 
 
 def invert(curve: CalibrationCurve, measured_min_xi2: float) -> InversionResult:
@@ -593,22 +543,16 @@ def invert(curve: CalibrationCurve, measured_min_xi2: float) -> InversionResult:
     xq = min(max(measured_min_xi2, xmin), xmax)
     if curve.ghz_exact:
         return InversionResult((float(ghz_s_l_from_min_xi2(xq)),), False)
-    cands = _merge_close(_candidates_at(curve, xq), curve.merge_tol)
+    found = _candidates(curve, np.array([xq]))[:, 0]
+    cands = _merge_close(found[~np.isnan(found)], curve.merge_tol)
     return InversionResult(tuple(cands), len(cands) > 1)
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(a.size)
-    sa = a[order]
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and sa[j + 1] == sa[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of a, ties sharing the mean of the ranks they span."""
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    below = np.cumsum(counts) - counts  # entries strictly less than each distinct value
+    return (below + 0.5 * (counts - 1) + 1.0)[inverse]
 
 
 def monotonicity_score(curve: CalibrationCurve) -> float:
@@ -651,7 +595,7 @@ def explore_measure_vs_squeezing(
     isometric image of the qubit one with the same negativity.
     """
     t_max = _positive_time("t_max", t_max)
-    steps = _step_count(steps)
+    steps = check_count("steps", steps)
     n = initial_rho_a.n_qubits
     if split is None:
         split = half_partition(n)
@@ -709,7 +653,7 @@ def appendix_b_study(
     parameter are recorded along the trajectory. Repeated sizes and kinds
     run once, in first-seen order.
     """
-    sizes = list(dict.fromkeys(sizes))
+    sizes = list(dict.fromkeys(check_count("sizes", size) for size in sizes))
     kinds = list(dict.fromkeys(_as_kind(k) for k in h_a_kinds))
     if not sizes or not kinds:
         raise DomainError("need at least one size and one local kind")
@@ -718,7 +662,7 @@ def appendix_b_study(
             raise DomainError(f"sizes must be even and at least 2, got {size}")
         if size > 8:
             raise ResourceCapError(f"sizes are capped at 8 qubits, got {size}")
-    t = np.linspace(0.0, _positive_time("t_max", t_max), _step_count(steps))
+    t = np.linspace(0.0, _positive_time("t_max", t_max), check_count("steps", steps))
     out: dict[tuple[int, HamiltonianKind], AppendixBTrace] = {}
     for size in sizes:
         mops = spin.collective_ops(size).moment_operators

@@ -241,14 +241,6 @@ def _as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
 
 
-def _register_size(matrix: np.ndarray) -> int:
-    d = matrix.shape[0]
-    n = d.bit_length() - 1
-    if matrix.shape != (d, d) or 2**n != d:
-        raise DimensionMismatchError(f"matrix of shape {matrix.shape} is not a qubit register")
-    return n
-
-
 def partial_trace_matrix(matrix: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every qubit not in ``keep``; output basis follows keep's order."""
     other = tuple(i for i in range(n_qubits) if i not in keep)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures, qcore
-from ._parallel import map_indexed
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .qcore import Partition, PureState, Spectrum
 
 _NONZERO_EIGENVALUE = 1e-12
@@ -111,16 +110,12 @@ FIG2_PARTITION = Partition((0, 1), (2,))
 
 def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     """Concurrence pairs (C_AB, C_A1A2) for Haar-random three-qubit states."""
-    if n_samples < 1:
-        raise DomainError("need at least one sample")
-    children = _child_seeds(seed, n_samples)
-
-    def one(i: int) -> tuple[float, float]:
-        state = haar_random_pure(3, children[i])
-        rho_a = qcore.reduced_state_matrix(state, 3, FIG2_PARTITION.qubits_a)
-        return schmidt_concurrence(state, FIG2_PARTITION), measures.concurrence(rho_a)
-
-    x, y = np.array(map_indexed(one, n_samples)).T
+    n_samples = check_count("n_samples", n_samples)
+    x, y = np.empty(n_samples), np.empty(n_samples)
+    for i, child in enumerate(_child_seeds(seed, n_samples)):
+        state = haar_random_pure(3, child)
+        x[i] = schmidt_concurrence(state, FIG2_PARTITION)
+        y[i] = measures.concurrence(qcore.reduced_state_matrix(state, 3, FIG2_PARTITION.qubits_a))
     return Dataset(
         x,
         y,
@@ -149,11 +144,9 @@ def fig3_dataset(n_samples: int, seed: int) -> Dataset:
     zeros), so the two-, three-, and four-nonzero populations are evenly
     represented.
     """
-    if n_samples < 1:
-        raise DomainError("need at least one sample")
+    n_samples = check_count("n_samples", n_samples)
     children = _child_seeds(seed, n_samples)
-
-    rows = map_indexed(lambda i: _draw_spectrum(children[i], (2, 1, 0)[i % 3]), n_samples)
+    rows = [_draw_spectrum(child, (2, 1, 0)[i % 3]) for i, child in enumerate(children)]
     spectra = np.vstack([*rows, MARKER_SPECTRA])
     cls = _CLASS_BY_NONZERO[np.count_nonzero(spectra > _NONZERO_EIGENVALUE, axis=1)]
     cls[n_samples:] = SampleClass.MARKER

@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from monogamy_lab.protocol import (
     REFINE_TOL,
     CalibrationCurve,
     ProtocolConfig,
+    _average_ranks,
     _dense_engine,
     _min_over_tp,
     _monotone_segments,
@@ -45,7 +47,7 @@ from monogamy_lab.spin import (
     xi2_from_moment_arrays,
 )
 
-from oracle_utils import explore_dense, random_density
+from oracle_utils import explore_dense, oat_closed_form, random_density
 
 
 def ghz_config(t_steps=61, tp_steps=600, t_max=np.pi / 2):
@@ -205,7 +207,20 @@ def test_grid_stages_match_per_row_route(n_a, n_b):
         assert np.max(np.abs(columns[:, i] - prop.apply(psi0, float(t)))) < 1e-14
 
 
-def test_protocol_thread_invariance():
+@pytest.mark.parametrize("n_a, n_b", [(1, 3), (2, 2), (3, 5), (4, 4)])
+def test_register_columns_match_oat_closed_form(n_a, n_b):
+    cfg = ProtocolConfig(
+        n_a, n_b, "oat", "tf",
+        t_grid=default_t_grid("oat", 41),
+        tp_grid=np.linspace(0, 10.0, 50),
+    )
+    trace = run_protocol(cfg)
+    xi2, s_l = oat_closed_form(n_a, n_b, trace.t)
+    assert np.max(np.abs(trace.xi2_ab - xi2)) <= 1e-12
+    assert np.max(np.abs(trace.s_l_ab - s_l)) <= 1e-12
+
+
+def test_protocol_repeat_runs_are_identical():
     cfg = ProtocolConfig(
         2, 2, "oat", "tf",
         t_grid=np.linspace(0, np.pi, 13),
@@ -217,6 +232,26 @@ def test_protocol_thread_invariance():
     assert np.array_equal(one.argmin_tp, two.argmin_tp)
 
 
+def test_protocol_traces_do_not_depend_on_the_kind_set():
+    # 13 rows put one on the flat row t = pi/2, where argmin_tp is rounding noise
+    cfg = ProtocolConfig(
+        2, 2, "oat", "tf",
+        t_grid=np.linspace(0, np.pi, 13),
+        tp_grid=np.linspace(0, 20.0, 200),
+    )
+    kinds = [HamiltonianKind.TF, HamiltonianKind.OAT, HamiltonianKind.TAT]
+    multi = run_protocol_multi(cfg, kinds)
+    reverse = run_protocol_multi(cfg, kinds[::-1])
+    assert list(multi) == kinds and list(reverse) == kinds[::-1]
+    arrays = ("t", "s_l_ab", "xi2_ab", "min_xi2_a", "argmin_tp", "nonmonotone", "negativity_drift")
+    for kind in kinds:
+        for other in (run_protocol(replace(cfg, h_a_kind=kind)), reverse[kind]):
+            for name in arrays:
+                assert np.array_equal(getattr(multi[kind], name), getattr(other, name)), (kind, name)
+            assert multi[kind].metadata == other.metadata
+            assert other.config.h_a_kind is kind
+
+
 # ---------------------------------------------------------------------------
 # calibration machinery on synthetic data
 
@@ -226,6 +261,20 @@ def test_monotone_segments_synthetic():
     assert _monotone_segments(np.array([0.0, 1.0, 0.5])) == ((0, 1), (1, 2))
     assert _monotone_segments(np.array([2.0, 2.0, 2.0])) == ((0, 2),)
     assert _monotone_segments(np.array([0.0, 0.0, 1.0, 2.0, 1.0])) == ((0, 3), (3, 4))
+    assert _monotone_segments(np.array([])) == ((0, -1),)
+    assert _monotone_segments(np.array([0.3])) == ((0, 0),)
+    # leading flats take the first real direction, later flats the last one
+    assert _monotone_segments(np.array([1.0, 1.0, 2.0, 1.0])) == ((0, 2), (2, 3))
+    assert _monotone_segments(np.array([0.0, 1.0, 0.0, 0.0])) == ((0, 1), (1, 3))
+    assert _monotone_segments(np.array([0.0, 1.0, 1.0, 0.0])) == ((0, 2), (2, 3))
+    assert _monotone_segments(np.array([2.0, 1.0, 1.0, 1.0, 3.0])) == ((0, 3), (3, 4))
+
+
+def test_average_ranks_on_ties(rng):
+    for a in (np.array([3.0, 1.0, 3.0, 2.0, 3.0]), rng.integers(0, 6, 200).astype(float)):
+        less = np.sum(a[None, :] < a[:, None], axis=1)
+        equal = np.sum(a[None, :] == a[:, None], axis=1)
+        assert np.array_equal(_average_ranks(a), 1.0 + less + (equal - 1) / 2.0)
 
 
 def test_calibration_curve_computes_its_segments():
@@ -243,8 +292,21 @@ def test_invert_ambiguous_on_folded_curve():
     res = invert(curve, 0.4)
     assert res.ambiguous
     assert len(res.candidates) == 2
+    # x = 0.2 ends the second run and lies inside the first
+    assert invert(curve, 0.2).candidates == (pytest.approx(0.08, abs=1e-15), 0.7)
+    # both runs answer 0.4 at their shared endpoint: one value
+    assert invert(curve, 1.0) == invert(curve, 1.0 + 1e-10)
+    assert invert(curve, 1.0).candidates == (0.4,) and not invert(curve, 1.0).ambiguous
     with pytest.raises(ExtrapolationError):
         invert(curve, -0.1)
+    # three runs answer within merge_tol of each other: their mean, unambiguous
+    zigzag = CalibrationCurve(x=np.array([0.0, 1.0, 0.0, 1.0]), y=0.5 + 1e-4 * np.arange(4))
+    assert len(zigzag.segments) == 3
+    res = invert(zigzag, 0.5)
+    assert res.candidates == (pytest.approx(0.5 + 1.5e-4, abs=1e-15),) and not res.ambiguous
+    # two answers 2 merge_tol apart stay distinct
+    res = invert(CalibrationCurve(x=np.array([0.0, 1.0, 0.0]), y=np.array([0.5, 0.5, 0.502])), 0.0)
+    assert res.candidates == (0.5, 0.502) and res.ambiguous
 
 
 def test_monotonicity_score_synthetic():
@@ -367,6 +429,8 @@ def test_step_counts_accept_numpy_integers(rng):
     tr = explore_measure_vs_squeezing(_symmetric_density(2, rng), "tf", steps=np.int64(3))
     assert tr.tp.size == 3 and tr.metadata["steps"] == 3
     assert appendix_b_study(sizes=(2,), h_a_kinds=("tf",), steps=np.int64(3))[(2, HamiltonianKind.TF)].t.size == 3
+    res = appendix_b_study(sizes=(np.int64(2),), h_a_kinds=("tf",), steps=3)
+    assert list(res) == [(2, HamiltonianKind.TF)] and type(res[(2, HamiltonianKind.TF)].size) is int
 
 
 def test_appendix_b_small_sizes_coincide():
@@ -402,7 +466,7 @@ def test_appendix_b_tf_optimality_trend():
 
 
 def test_appendix_b_validation():
-    for size in (3, 0, -2, 9):
+    for size in (3, 0, -2, 9, 2.0, 2.5, True, "2", None):
         with pytest.raises(DomainError):
             appendix_b_study(sizes=(size,))
     for sizes in ((10,), (2, 10)):
@@ -418,6 +482,16 @@ def test_appendix_b_validation():
     res = appendix_b_study(sizes=(4, 2, 4), h_a_kinds=("tf", "oat", HamiltonianKind.TF), steps=11)
     tf, oat = HamiltonianKind.TF, HamiltonianKind.OAT
     assert list(res) == [(4, tf), (4, oat), (2, tf), (2, oat)]
+
+
+def test_appendix_b_oat_matches_closed_form():
+    sizes = (2, 4, 6, 8)
+    res = appendix_b_study(sizes=sizes, h_a_kinds=("oat",), steps=401)
+    for size in sizes:
+        tr = res[(size, HamiltonianKind.OAT)]
+        xi2, s_l = oat_closed_form(size // 2, size // 2, tr.t)
+        assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-12, size
+        assert np.max(np.abs(tr.s_l_a - s_l)) <= 1e-12, size
 
 
 # ---------------------------------------------------------------------------

@@ -157,3 +157,21 @@ def test_fig3_rows_are_the_random_spectrum_draws():
     children = np.random.SeedSequence(8).spawn(30)
     drawn = [random_spectrum(c, zeros=(2, 1, 0)[i % 3]).values for i, c in enumerate(children)]
     assert ds.spectra[:30].tolist() == [list(v) for v in drawn]
+
+
+# ---------------------------------------------------------------------------
+# sample counts
+
+
+@pytest.mark.parametrize("n_samples", [0, -1, 2.5, 3.0, True, "5", None])
+def test_sample_counts_must_be_integers_of_at_least_one(n_samples):
+    for dataset in (fig2_dataset, fig3_dataset):
+        with pytest.raises(DomainError):
+            dataset(n_samples, 0)
+
+
+def test_sample_counts_accept_numpy_integers():
+    for dataset in (fig2_dataset, fig3_dataset):
+        a, b = dataset(np.int64(3), 0), dataset(3, 0)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert a.metadata == b.metadata
