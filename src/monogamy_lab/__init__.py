@@ -38,13 +38,14 @@ from .measures import (
     max_concurrence,
     max_negativity,
     negativity_2pn_from_spectrum,
+    negativity_from_coefficients,
     negativity_normalized,
     negativity_normalized_pure,
     negativity_raw,
     negativity_raw_pure,
     tsallis_entropy,
 )
-from .spin import CollectiveSpinOps, SqueezingResult, collective_ops, squeezing_parameter
+from .spin import CollectiveSpinOps, SqueezingResult, collective_ops, squeezing_parameter, symmetric_ops
 from .hamiltonians import Hamiltonian, HamiltonianKind, SymmetryReport, build as build_hamiltonian, symmetry_report
 from .analytic import (
     GhzAnalytics,

@@ -295,7 +295,8 @@ def _cmd_protocol(args) -> int:
     _write_manifest(out, "protocol", config, {out: count}, started,
                     extra={"monotonicity_scores": scores,
                            "p_states": trace.metadata["p_states"],
-                           "max_negativity_drift": trace.metadata["max_negativity_drift"]})
+                           "max_negativity_drift": max(
+                               tr.metadata["max_negativity_drift"] for tr in traces.values())})
     return EXIT_OK
 
 

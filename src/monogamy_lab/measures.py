@@ -61,10 +61,12 @@ def linear_entropy(rho: DensityMatrix | np.ndarray) -> float:
     return _clip01(n / (n - 1) * (1.0 - purity(m)))
 
 
-def _negative_sum(eigenvalues: np.ndarray) -> float:
-    w = eigenvalues.copy()
-    w[(w < 0) & (w >= -_CLIP)] = 0.0
-    return float(-np.sum(w[w < 0]))
+def _negative_sum(eigenvalues: np.ndarray):
+    """Sum of |negative eigenvalues| along the last axis, dropping eigensolver
+    noise above -_CLIP: a float for one spectrum, an array for a stack."""
+    w = np.asarray(eigenvalues)
+    neg = -np.sum(np.where(w < -_CLIP, w, 0.0), axis=-1)
+    return float(neg) if neg.ndim == 0 else neg
 
 
 def negativity_raw(rho: DensityMatrix, p: Partition, side: str = "a") -> float:
@@ -102,12 +104,30 @@ def schmidt_negativity_raw(reduced_rho: np.ndarray) -> float:
     return float(max(0.0, (s * s - np.sum(w)) / 2.0))
 
 
+def negativity_from_coefficients(coefficients):
+    """Cut negativity of pure states from their coefficient matrices.
+
+    A pure state sum_ij c_ij |i>|j> whose matrix c has singular values s
+    (its Schmidt coefficients) has a partial transpose with eigenvalues
+    {s_i^2} and {+-s_i s_j, i<j}, so its negativity is
+    ((sum_i s_i)^2 - sum_i s_i^2)/2. The singular values come from one SVD,
+    so rounding stays at the 1e-16 level even on near-product states, where
+    the square root of a reduced eigenvalue would amplify it. Takes one
+    (d_A, d_B) matrix (returns a float) or a (..., d_A, d_B) stack.
+    """
+    s = np.linalg.svd(coefficients, compute_uv=False)
+    total = np.sum(s, axis=-1)
+    neg = np.maximum(0.5 * (total * total - np.sum(s * s, axis=-1)), 0.0)
+    return float(neg) if neg.ndim == 0 else neg
+
+
 def negativity_raw_pure(state: PureState, p: Partition) -> float:
-    """Negativity of a pure state across a cut, via its Schmidt spectrum."""
-    p.check_register(state.n_qubits)
-    keep = p.qubits_a if len(p.qubits_a) <= len(p.qubits_b) else p.qubits_b
-    rho_k = qcore.reduced_state_matrix(state, state.n_qubits, keep)
-    return schmidt_negativity_raw(rho_k)
+    """Negativity of a pure state across a cut, from the singular values of
+    its amplitudes arranged as a (2^|A|, 2^|B|) matrix."""
+    n = state.n_qubits
+    p.check_register(n)
+    t = state.amplitudes.reshape((2,) * n).transpose([*p.qubits_a, *p.qubits_b])
+    return negativity_from_coefficients(t.reshape(2 ** len(p.qubits_a), -1))
 
 
 def negativity_normalized_pure(state: PureState, p: Partition) -> float:

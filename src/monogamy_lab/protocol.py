@@ -9,26 +9,38 @@ inverted into an entanglement estimate.
 Local evolution cannot move entanglement across the A|B cut, and every run
 verifies this: the cut negativity is probed at NEGATIVITY_PROBES local times
 along each sweep and must stay constant to 1e-9. The start state and every
-generator are symmetric under permutations of the qubits, so rho_A lives in
-the (n_A+1)-dimensional symmetric subspace sym(A). The probes restrict the
-rho_A stack to sym(A) once, failing loudly on any weight outside it, and
-evolve the restricted matrix with the restricted local propagator; the
-negativity then follows from its Schmidt spectrum.
+generator are symmetric under permutations of the qubits, so the register
+state psi(t) lives in the (n+1)-dimensional symmetric subspace sym(n). The
+protocol projects psi(t) there once, failing loudly on any weight outside,
+and splits it into coefficient matrices C(t) on sym(A) (x) sym(B), of shape
+(T, n_A+1, n_B+1). Each local kind's probes evolve the whole C stack with
+A's propagator restricted to sym(A) and take the negativity from the
+singular values of U_A C, one batched SVD per kind
+(`measures.negativity_from_coefficients`). xi2_AB takes its moments from
+the same sym(n) amplitudes, with the spin-j operators of
+`spin.symmetric_ops`.
 
-The same symmetry puts the register state in sym(n): `state_at` and
-`appendix_b_study` evolve the all-down state there and embed the result.
-The protocol's own entangle stage stays dense, because on flat rows its
-argmin_tp is set by rounding noise that the benchmark's stored references
-pin. The sweep and refine stay dense for the same reason. They run per
-kind, each row: a local kind builds its engine and fixed probe propagators
-once, then fills its rows' min xi2_A, argmin_tp and drift arrays in a loop.
+Which stages use LAPACK and which stay on the package's Jacobi solver
+(`qcore.hermitian_eigen`) follows from what the benchmark's stored
+references pin. On rows where xi2_A is flat over the local time, the
+reported argmin_tp is set by rounding noise from every stage upstream of it:
+the entangler's 2^n eigensolve, the dense reduce, A's engine, the sweep and
+the refine, and the 3x3 covariance solves at degenerate mean spin. Those
+stay on Jacobi and dense, bit for bit. The spectra that feed no stored
+argmin use LAPACK: the probes (one batched SVD per kind) and explore's
+internal negativities (one stacked `np.linalg.eigvalsh`). They, and xi2_AB
+from its sym(n) moments, differ from the dense Jacobi route by about 1e-15
+at most. The sweep and refine run per kind, each row: a local kind builds
+its engine once, then fills its rows' min xi2_A and argmin_tp in a loop.
 
-`explore_measure_vs_squeezing` runs in sym(A): it restricts its input there
-(rejecting weight outside), sweeps with the restricted Hamiltonian and
-moment operators, and takes each internal negativity from the partial
-transpose on sym(A_1) (x) sym(A_2) given by
-`qcore.symmetric_split_isometry`, a local isometry, so the negativity and its
-qubit normalisation are those of the qubit cut.
+`state_at` and `appendix_b_study` evolve the all-down state in sym(n) and
+embed the result. `explore_measure_vs_squeezing` runs in sym(A): it
+restricts its input there (rejecting weight outside), sweeps with the
+restricted Hamiltonian and the sym(A) moment operators, and takes the
+internal negativities from the partial transposes on sym(A_1) (x) sym(A_2)
+given by `qcore.symmetric_split_isometry`, a local isometry, so the
+negativity and its qubit normalisation are those of the qubit cut. All
+steps' partial transposes form one (steps, d, d) stack.
 """
 
 from __future__ import annotations
@@ -168,7 +180,8 @@ class CalibrationCurve:
 
     ``segments`` holds the maximal index runs over which x is monotone,
     computed from x. ``merge_tol`` is the S_L distance below which inversion
-    candidates are treated as one value.
+    candidates are treated as one value. x and y must be non-empty 1-D
+    arrays of one length; anything else raises ConfigError.
     """
 
     x: np.ndarray
@@ -179,7 +192,16 @@ class CalibrationCurve:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", _monotone_segments(self.x))
+        x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
+        if x.ndim != 1 or y.ndim != 1:
+            raise ConfigError(f"calibration x and y must be 1-D, got shapes {x.shape} and {y.shape}")
+        if x.size != y.size:
+            raise ConfigError(f"calibration x has {x.size} points but y has {y.size}")
+        if x.size == 0:
+            raise ConfigError("empty calibration curve")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "segments", _monotone_segments(x))
 
 
 @dataclass(frozen=True)
@@ -235,9 +257,16 @@ class _SubsystemEngine(SpectralPropagator):
         xi2, _ = spin.xi2_from_moment_arrays(vals[:, None], self.n_spins)
         return float(xi2[0])
 
-    def density_at(self, rho_eig: np.ndarray, tau: float) -> np.ndarray:
-        e = np.exp(-1j * self.eigenvalues * tau)
-        return self.eigenvectors @ (np.outer(e, e.conj()) * rho_eig) @ self._vh
+    def densities(self, rho_eig: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """U(tau) rho U(tau)^dagger at each of the T times taus: shape (T, d, d)."""
+        a = self.eigenvectors * np.exp(-1j * np.outer(taus, self.eigenvalues))[:, None, :]
+        return a @ rho_eig @ a.conj().swapaxes(-1, -2)
+
+    def restricted_unitaries(self, iso: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """iso.T U(tau) iso for each time in the array taus, with U(tau) =
+        exp(-i H tau) and iso a real isometry: shape (*taus.shape, k, k)."""
+        w = iso.T @ self.eigenvectors
+        return (w * np.exp(-1j * np.multiply.outer(taus, self.eigenvalues))[..., None, :]) @ w.conj().T
 
 
 def _dense_engine(kind: HamiltonianKind, n_a: int, omega: float, tp: np.ndarray) -> _SubsystemEngine:
@@ -275,30 +304,30 @@ def _evolve_all_down(kind, omega: float, n: int, t) -> np.ndarray:
     return iso @ SpectralPropagator(_symmetric_generator(kind, omega, n, iso)).apply(start, t)
 
 
-def _symmetric_part(rho: np.ndarray, iso: np.ndarray) -> np.ndarray:
-    """A (..., d, d) stack of density matrices restricted by the isometry iso.
-
-    Raises ContractViolationError when a restricted trace differs from 1 by
-    more than TRACE_TOL, i.e. when a matrix has weight outside the subspace.
-    """
-    sym = iso.T @ rho @ iso
-    worst = float(np.max(np.abs(np.trace(sym, axis1=-2, axis2=-1).real - 1.0)))
+def _check_weight_inside(weight: np.ndarray) -> None:
+    """Raise ContractViolationError when a weight inside a subspace (a
+    restricted trace or squared norm) differs from 1 by more than TRACE_TOL."""
+    worst = float(np.max(np.abs(weight - 1.0)))
     if worst > qcore.TRACE_TOL:
         raise ContractViolationError(
-            f"restricted trace deviates from 1 by {worst:.3e}: weight outside the symmetric subspace"
+            f"restricted weight deviates from 1 by {worst:.3e}: weight outside the symmetric subspace"
         )
+
+
+def _symmetric_part(rho: np.ndarray, iso: np.ndarray) -> np.ndarray:
+    """A (..., d, d) stack of density matrices restricted by the isometry iso;
+    weight outside the subspace raises ContractViolationError."""
+    sym = iso.T @ rho @ iso
+    _check_weight_inside(np.trace(sym, axis1=-2, axis2=-1).real)
     return sym
 
 
-def _symmetric_unitary(eng: _SubsystemEngine, iso_a: np.ndarray, tau: float) -> np.ndarray:
-    """A's local propagator for time tau restricted to sym(A)."""
-    return iso_a.T @ eng.unitary(tau) @ iso_a
-
-
-def _probe_negativities(unitaries, rho_sym: np.ndarray) -> list[float]:
-    """Cut negativity after each restricted local propagator U_sym, from the
-    Schmidt spectrum of U_sym rho_sym U_sym^dagger on sym(A)."""
-    return [measures.schmidt_negativity_raw(u @ rho_sym @ u.conj().T) for u in unitaries]
+def _symmetric_amplitudes(psi: np.ndarray, iso: np.ndarray) -> np.ndarray:
+    """A (..., d) stack of pure states restricted by the isometry iso, shape
+    (..., k); weight outside the subspace raises ContractViolationError."""
+    sym = psi @ iso
+    _check_weight_inside(np.sum(np.abs(sym) ** 2, axis=-1))
+    return sym
 
 
 def _positive_time(name: str, value) -> float:
@@ -360,17 +389,22 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
     kinds = list(dict.fromkeys(_as_kind(k) for k in ha_kinds))  # first-seen order
 
     n = cfg.n_a + cfg.n_b
-    keep = tuple(range(cfg.n_a))
+    n_rows = cfg.t_grid.size
     # Grid stages, shared by every local kind. Entangle: psi(t) for all rows.
     prop = SpectralPropagator(build(cfg.h_ab_kind, cfg.omega, range(n), n))
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
     psi = np.ascontiguousarray(states.T)  # (T, d)
-    rho_a = qcore.reduced_state_matrix(psi, n, keep)
-    iso_a = qcore.symmetric_isometry(cfg.n_a)
-    rho_sym = _symmetric_part(rho_a, iso_a)  # (T, n_A+1, n_A+1), for the probes
+    rho_a = qcore.reduced_state_matrix(psi, n, tuple(range(cfg.n_a)))
     s_l_arr = np.array([measures.linear_entropy(r) for r in rho_a])
-    moments = spin.pure_moments(states, spin.collective_ops(n).moment_operators)
+    # psi(t) in sym(n), where xi2_AB takes its moments, and its coefficient
+    # matrices C(t) on sym(A) (x) sym(B), which the probes evolve.
+    psi_sym = _symmetric_amplitudes(psi, qcore.symmetric_isometry(n))  # (T, n+1)
+    moments = spin.pure_moments(psi_sym.T, spin.symmetric_ops(n).moment_operators)
     xi2_ab_arr, _ = spin.xi2_from_moment_arrays(moments, n)
+    coeffs = (psi_sym @ qcore.symmetric_split_isometry(cfg.n_a, cfg.n_b).T).reshape(
+        n_rows, cfg.n_a + 1, cfg.n_b + 1
+    )
+    iso_a = qcore.symmetric_isometry(cfg.n_a)
 
     # Probe times for the cut-negativity constancy check: the sweep start,
     # evenly spaced interior points, and the refined minimum.
@@ -379,24 +413,24 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
         float(cfg.tp_grid[int(round(j * (cfg.tp_grid.size - 1) / max(1, n_fixed)))])
         for j in range(n_fixed)
     ]
-    n_rows = cfg.t_grid.size
     traces: dict[HamiltonianKind, ProtocolTrace] = {}
     for kind in kinds:
         # Built after the 2^n-dimensional grid stages so that its (d_A, tp)
         # phase matrices do not raise those stages' peak memory.
         eng = _dense_engine(kind, cfg.n_a, cfg.omega, cfg.tp_grid)
-        fixed_unitaries = [_symmetric_unitary(eng, iso_a, tau) for tau in fixed_probes]
-        min_xi2, argmin_tp, drift = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+        min_xi2, argmin_tp = np.empty(n_rows), np.empty(n_rows)
         for i in range(n_rows):
             products = eng.moment_products(eng.to_eigenbasis(rho_a[i]))
             xi2_grid, _ = eng.xi2_sweep(products)
             argmin_tp[i], min_xi2[i] = _min_over_tp(
                 xi2_grid, cfg.tp_grid, lambda tau: eng.xi2_at(products, tau), REFINE_TOL
             )
-            negs = _probe_negativities(
-                [*fixed_unitaries, _symmetric_unitary(eng, iso_a, argmin_tp[i])], rho_sym[i]
-            )
-            drift[i] = max(negs) - min(negs)
+        # Probe times (NEGATIVITY_PROBES, T): the fixed ones, then each row's
+        # refined minimum. The probes evolve C(t) with A's propagator
+        # restricted to sym(A) and read the negativity off its singular values.
+        taus = np.array([*(np.full(n_rows, tau) for tau in fixed_probes), argmin_tp])
+        negs = measures.negativity_from_coefficients(eng.restricted_unitaries(iso_a, taus) @ coeffs)
+        drift = np.max(negs, axis=0) - np.min(negs, axis=0)
         worst = float(np.max(drift))
         if worst > NEGATIVITY_DRIFT_TOL:
             raise ContractViolationError(
@@ -605,10 +639,7 @@ def explore_measure_vs_squeezing(
     rho_sym = _symmetric_part(initial_rho_a.matrix, iso)
     tp = np.linspace(0.0, t_max, steps)
     eng = _SubsystemEngine(
-        _symmetric_generator(kind, omega, n, iso),
-        [iso.T @ op @ iso for op in spin.collective_ops(n).moment_operators],
-        n,
-        tp,
+        _symmetric_generator(kind, omega, n, iso), spin.symmetric_ops(n).moment_operators, n, tp
     )
     rho_eig = eng.to_eigenbasis(rho_sym)
     xi2, _ = eng.xi2_sweep(eng.moment_products(rho_eig))
@@ -616,12 +647,10 @@ def explore_measure_vs_squeezing(
     n_1, n_2 = len(split.qubits_a), len(split.qubits_b)
     emb = qcore.symmetric_split_isometry(n_1, n_2)
     d = emb.shape[0]
-    norm = measures._normalization(split)
-    n_a = np.empty(tp.size)
-    for i, tau in enumerate(tp):
-        rho_12 = emb @ eng.density_at(rho_eig, tau) @ emb.T
-        pt = rho_12.reshape(n_1 + 1, n_2 + 1, n_1 + 1, n_2 + 1).transpose(2, 1, 0, 3).reshape(d, d)
-        n_a[i] = measures._clip01(measures._negative_sum(qcore.hermitian_eigenvalues(pt)) / norm)
+    rho_12 = emb @ eng.densities(rho_eig, tp) @ emb.T  # (steps, d, d)
+    pt = rho_12.reshape(-1, n_1 + 1, n_2 + 1, n_1 + 1, n_2 + 1).transpose(0, 3, 2, 1, 4).reshape(-1, d, d)
+    neg = measures._negative_sum(np.linalg.eigvalsh(pt))
+    n_a = measures._clip01(neg / measures._normalization(split))
     return ExplorationTrace(
         tp=tp,
         xi2_a=xi2,

@@ -72,6 +72,29 @@ def collective_ops(n_spins: int) -> CollectiveSpinOps:
     return CollectiveSpinOps(tuple(range(n_spins)), jx, jy, jz)
 
 
+def symmetric_ops(n_spins: int) -> CollectiveSpinOps:
+    """Collective spin operators of n spin-1/2 particles on their symmetric
+    subspace sym(n): the spin-j matrices, j = n/2, in the basis of
+    ``qcore.symmetric_isometry(n)`` (column k has k spins down, m = j - k).
+
+    They are iso.T @ J @ iso for the dense J of ``collective_ops(n)``. J maps
+    sym(n) into itself, so the moment operators are the restrictions of the
+    dense ones too, and a state's moments can be taken from its n+1
+    amplitudes in sym(n).
+    """
+    if n_spins < 1:
+        raise DomainError("need at least one spin")
+    k = np.arange(n_spins)
+    # <k+1|J-|k> = sqrt((k+1)(n-k)): J- flips one more spin down.
+    j_minus = np.diag(np.sqrt((k + 1.0) * (n_spins - k)), -1).astype(np.complex128)
+    j_plus = j_minus.T
+    jz = np.diag(0.5 * n_spins - np.arange(n_spins + 1)).astype(np.complex128)
+    jx, jy = 0.5 * (j_plus + j_minus), -0.5j * (j_plus - j_minus)
+    for j in (jx, jy, jz):
+        j.setflags(write=False)
+    return CollectiveSpinOps(tuple(range(n_spins)), jx, jy, jz)
+
+
 @dataclass(frozen=True, eq=False)
 class SqueezingResult:
     xi2: float

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from monogamy_lab import analytic
+from monogamy_lab import analytic, protocol
 from monogamy_lab.cli import main
+from monogamy_lab.hamiltonians import HamiltonianKind
 
 
 def read_csv(path):
@@ -89,6 +90,25 @@ def test_protocol_ghz_rows_satisfy_inversion_relation(tmp_path):
     manifest = json.loads((tmp_path / "ghz.csv.manifest.json").read_text())
     assert set(manifest["monotonicity_scores"]) == {"ghz", "oat", "tat", "tf"}
     assert manifest["max_negativity_drift"] < 1e-9
+
+
+def test_protocol_manifest_drift_is_the_worst_over_every_kind(tmp_path, monkeypatch):
+    run = protocol.run_protocol_multi
+
+    def run_with_a_drifting_kind(cfg, kinds):
+        traces = run(cfg, kinds)
+        traces[HamiltonianKind.OAT].metadata["max_negativity_drift"] = 5e-10  # below the gate
+        return traces
+
+    monkeypatch.setattr(protocol, "run_protocol_multi", run_with_a_drifting_kind)
+    out = tmp_path / "p.csv"
+    code = main([
+        "protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", "tf",
+        "--t-steps", "11", "--tp-steps", "100", "--out", str(out),
+    ])
+    assert code == 0
+    manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+    assert manifest["max_negativity_drift"] == 5e-10
 
 
 def test_protocol_oat_ghz_point_for_each_local_kind(tmp_path):

@@ -155,6 +155,26 @@ def test_pure_route_matches_matrix_route(rng):
             assert abs(matrix_route - pure_route) < 1e-9
 
 
+def test_negativity_from_coefficients_on_stacks_and_near_product_states(rng):
+    # Schmidt coefficients sqrt(1-eps), sqrt(eps) hidden by local unitaries:
+    # the negativity sqrt(eps (1-eps)) comes out to rounding, with no sqrt of a
+    # ~1e-12 reduced eigenvalue in the way.
+    for eps in (1e-12, 1e-6, 0.3):
+        schmidt = np.zeros((4, 3))
+        schmidt[0, 0], schmidt[1, 1] = math.sqrt(1 - eps), math.sqrt(eps)
+        c = random_unitary(4, rng) @ schmidt @ random_unitary(3, rng)
+        got = measures.negativity_from_coefficients(c)
+        assert isinstance(got, float)
+        assert abs(got - math.sqrt(eps * (1 - eps))) <= 1e-15
+    # a (2, 3) stack of 2+2-qubit states against the partial-transpose route
+    states = np.array([random_state(16, rng) for _ in range(6)]).reshape(2, 3, 16)
+    stacked = measures.negativity_from_coefficients(states.reshape(2, 3, 4, 4))
+    assert stacked.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        rho = dm_from_pure(PureState(4, states[idx]))
+        assert abs(stacked[idx] - negativity_raw(rho, Partition((0, 1), (2, 3)))) < 1e-12
+
+
 def test_pure_2p1_closed_form(rng):
     p = Partition((0, 1), (2,))
     for _ in range(30):

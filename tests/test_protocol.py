@@ -22,10 +22,9 @@ from monogamy_lab.protocol import (
     _dense_engine,
     _min_over_tp,
     _monotone_segments,
-    _probe_negativities,
     _select_p_states,
+    _symmetric_amplitudes,
     _symmetric_part,
-    _symmetric_unitary,
     appendix_b_study,
     calibration,
     default_t_grid,
@@ -285,6 +284,29 @@ def test_calibration_curve_computes_its_segments():
         CalibrationCurve(x=x, y=x, segments=((0, 0),))
 
 
+def test_calibration_curve_rejects_y_longer_than_x():
+    # x=[0, 1, 0.5] with one y too many once answered invert(., 0.75) with (0.75, 1.5)
+    with pytest.raises(ConfigError):
+        CalibrationCurve(x=np.array([0.0, 1.0, 0.5]), y=np.array([0.0, 1.0, 2.0, 3.0]))
+
+
+def test_calibration_curve_rejects_y_shorter_than_x():
+    with pytest.raises(ConfigError):
+        CalibrationCurve(x=np.array([0.0, 1.0, 0.5]), y=np.array([0.0, 1.0]))
+
+
+def test_calibration_curve_rejects_an_empty_curve():
+    with pytest.raises(ConfigError):
+        CalibrationCurve(x=np.array([]), y=np.array([]))
+
+
+def test_calibration_curve_rejects_arrays_that_are_not_1d():
+    with pytest.raises(ConfigError):
+        CalibrationCurve(x=np.zeros((2, 2)), y=np.zeros((2, 2)))
+    with pytest.raises(ConfigError):
+        CalibrationCurve(x=np.float64(0.5), y=np.float64(0.5))
+
+
 def test_invert_ambiguous_on_folded_curve():
     x = np.array([0.0, 0.5, 1.0, 0.6, 0.2])
     y = np.array([0.0, 0.2, 0.4, 0.55, 0.7])
@@ -524,24 +546,40 @@ def test_symmetric_probes_match_dense_route(n_a, n_b, steps):
     tp = default_tp_grid("oat", 400)
     psi = _dense_propagator(n, "oat").apply(all_down_state(n).amplitudes, t_grid).T
     rho_a = qcore.reduced_state_matrix(psi, n, keep)
+    # The protocol's probe route: C(t) on sym(A) (x) sym(B), evolved by A's
+    # propagator restricted to sym(A), negativity from singular values.
+    psi_sym = _symmetric_amplitudes(psi, qcore.symmetric_isometry(n))
+    coeffs = (psi_sym @ qcore.symmetric_split_isometry(n_a, n_b).T).reshape(steps, n_a + 1, n_b + 1)
     iso_a = qcore.symmetric_isometry(n_a)
-    rho_sym = _symmetric_part(rho_a, iso_a)
     eng = _dense_engine(HamiltonianKind.OAT, n_a, 1.0, tp)
+    taus = np.empty((3, steps))  # the protocol's three probe times per row
     for i in range(steps):
         products = eng.moment_products(eng.to_eigenbasis(rho_a[i]))
         grid, _ = eng.xi2_sweep(products)
         tau_min, _ = _min_over_tp(grid, tp, lambda tau: eng.xi2_at(products, tau), REFINE_TOL)
-        taus = [float(tp[0]), float(tp[-1]), tau_min]  # the protocol's three probe times
-        # The Schmidt route takes sqrt of each reduced eigenvalue mu, so a
-        # rounding error of ~1e-15 in mu moves the negativity by up to about
+        taus[:, i] = [tp[0], tp[-1], tau_min]
+    negs = measures.negativity_from_coefficients(eng.restricted_unitaries(iso_a, taus) @ coeffs)
+    for i in range(steps):
+        # The dense Schmidt route takes sqrt of each reduced eigenvalue mu, so
+        # a rounding error of ~1e-15 in mu moves its negativity by up to about
         # 1e-15 / sqrt(mu): near-product rows (mu ~ 1e-11) are noisier than 1e-12.
-        mu = np.linalg.eigvalsh(rho_sym[i])
+        mu = np.linalg.eigvalsh(coeffs[i] @ coeffs[i].conj().T)
         tol = 1e-12 + 1e-15 * float(np.sum(1.0 / np.sqrt(mu[mu >= 1e-11])))
-        unitaries = [_symmetric_unitary(eng, iso_a, tau) for tau in taus]
-        for tau, got in zip(taus, _probe_negativities(unitaries, rho_sym[i])):
+        for tau, got in zip(taus[:, i], negs[:, i]):
             local = qcore.apply_local_unitary(psi[i], eng.unitary(tau), n, keep)
             want = measures.schmidt_negativity_raw(qcore.reduced_state_matrix(local, n, keep))
             assert abs(got - want) <= tol, (i, tau)
+
+
+def test_probe_drift_is_at_rounding_level_at_eight_qubits():
+    """Every probe of every row agrees to 1e-13 at 4+4: the singular values
+    of U_A C do not amplify rounding as the square roots of reduced
+    eigenvalues did (4.8e-12 on this grid)."""
+    cfg = ProtocolConfig(4, 4, "oat", "tf", t_grid=default_t_grid("oat", 81), tp_grid=default_tp_grid("tf"))
+    traces = run_protocol_multi(cfg, ["tf", "oat", "tat"])
+    for trace in traces.values():
+        assert trace.metadata["max_negativity_drift"] == float(np.max(trace.negativity_drift))
+        assert trace.metadata["max_negativity_drift"] <= 1e-13, trace.config.h_a_kind
 
 
 def test_weight_outside_symmetric_subspace_fails_loudly():
@@ -554,6 +592,10 @@ def test_weight_outside_symmetric_subspace_fails_loudly():
     for rho in (singlet_rho, (1 - 1e-9) * sym_rho + 1e-9 * singlet_rho):
         with pytest.raises(ContractViolationError):
             _symmetric_part(np.stack([sym_rho, rho]), iso)
+    assert np.allclose(_symmetric_amplitudes(down[None], iso)[0], [0, 0, 0, 1.0])
+    for psi in (singlet, np.sqrt(1 - 1e-9) * down + np.sqrt(1e-9) * singlet):
+        with pytest.raises(ContractViolationError):
+            _symmetric_amplitudes(np.stack([down, psi]), iso)
 
 
 def test_appendix_b_matches_dense_route():

@@ -109,7 +109,7 @@ def test_fig2_product_state_point(rng):
     assert abs(analytic.cmax_boundary(0.0) - 1.0) < 1e-15
 
 
-def test_fig2_deterministic_and_thread_invariant():
+def test_fig2_deterministic():
     a = fig2_dataset(60, seed=4)
     b = fig2_dataset(60, seed=4)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
@@ -145,7 +145,7 @@ def test_fig3_threshold_property():
     assert np.all(ds.y[ds.x > th + 1e-9] <= 1e-12)
 
 
-def test_fig3_deterministic_and_thread_invariant():
+def test_fig3_deterministic():
     a = fig3_dataset(90, seed=6)
     b = fig3_dataset(90, seed=6)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)

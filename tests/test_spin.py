@@ -8,10 +8,33 @@ from monogamy_lab.spin import (
     collective_ops,
     collective_spin_matrices,
     squeezing_parameter,
+    symmetric_ops,
     xi2_from_moment_arrays,
 )
 
 from oracle_utils import random_density, random_state, squeezing_scan
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symmetric_ops_are_the_restricted_dense_ops(n):
+    iso = qcore.symmetric_isometry(n)
+    sym, dense = symmetric_ops(n), collective_ops(n)
+    assert sym.n_spins == n and sym.dim == n + 1
+    for a, b in zip(sym.moment_operators, dense.moment_operators):
+        assert np.max(np.abs(a - iso.T @ b @ iso)) <= 1e-13
+
+
+def test_symmetric_ops_give_the_dense_squeezing(rng):
+    for n in (2, 3, 6):
+        iso = qcore.symmetric_isometry(n)
+        for _ in range(5):
+            psi_sym = random_state(n + 1, rng)
+            sym = squeezing_parameter(psi_sym, symmetric_ops(n))
+            dense = squeezing_parameter(PureState(n, iso @ psi_sym), collective_ops(n))
+            assert abs(sym.xi2 - dense.xi2) <= 1e-12
+            assert np.max(np.abs(sym.mean_spin - dense.mean_spin)) <= 1e-12
+    with pytest.raises(DomainError):
+        symmetric_ops(0)
 
 
 def test_single_spin_ops_are_half_paulis():
