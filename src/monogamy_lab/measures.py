@@ -4,7 +4,8 @@ Spectrum-level bounds (`max_concurrence`, `max_negativity`,
 `negativity_2pn_from_spectrum`) quantify the most entanglement any state
 with a given reduced spectrum can carry; each takes one spectrum (and
 returns a float) or a stack of shape (..., 4). The remaining functions
-evaluate concrete states.
+evaluate concrete states; `concurrence` likewise takes one 4x4 matrix or a
+(..., 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -137,29 +138,39 @@ def negativity_normalized_pure(state: PureState, p: Partition) -> float:
 _SPIN_FLIP = np.kron(qcore.PAULI_Y, qcore.PAULI_Y).real.astype(np.complex128)
 
 
-def concurrence(rho: DensityMatrix | np.ndarray) -> float:
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a positive-semidefinite matrix, or of each member of a
+    (..., d, d) stack, with eigenvalues in [-_CLIP, 0) taken as zero. A
+    more negative eigenvalue raises DomainError naming the first member."""
+    w, v = qcore.hermitian_eigen(m)
+    w = np.where((w < 0) & (w >= -_CLIP), 0.0, w)
+    negative = w[..., -1] < 0
+    if np.any(negative):
+        where = f" (stack member {qcore._first_index(negative)})" if m.ndim > 2 else ""
+        raise DomainError(f"concurrence input must be positive semidefinite{where}")
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def concurrence(rho: DensityMatrix | np.ndarray):
     """Two-qubit concurrence max(0, mu1 - mu2 - mu3 - mu4).
 
     The mu_j are the descending square roots of the eigenvalues of
     rho * (S rho^conj S) with S the two-qubit spin-flip sigma_y x sigma_y,
     evaluated through the Hermitian form sqrt(rho) S rho^conj S sqrt(rho).
+    Takes one 4x4 matrix (returns a float) or a (..., 4, 4) stack (returns
+    an array of shape (...)); a stack makes two eigensolver calls in all.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise DomainError(f"concurrence is defined for two qubits, got shape {m.shape}")
-    w, v = qcore.hermitian_eigen(m)
-    w = np.where((w < 0) & (w >= -_CLIP), 0.0, w)
-    if w[-1] < 0:
-        raise DomainError("concurrence input must be positive semidefinite")
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-    herm = sqrt_rho @ flipped @ sqrt_rho
+    sqrt_rho = _psd_sqrt(m)
+    herm = sqrt_rho @ (_SPIN_FLIP @ m.conj() @ _SPIN_FLIP) @ sqrt_rho
     mu2 = np.clip(qcore.hermitian_eigenvalues(herm), 0.0, None)
     # the product matrix is bounded by 1 for trace-one inputs, so anything
     # below 1e-13 is eigensolver noise; sqrt would blow it up to O(1e-7)
     mu2[mu2 < 1e-13] = 0.0
     mu = np.sqrt(mu2)
-    return _clip01(mu[0] - mu[1] - mu[2] - mu[3])
+    return _clip01(mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
 
 
 def _spectrum4(spec) -> np.ndarray:

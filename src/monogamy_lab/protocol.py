@@ -26,7 +26,9 @@ references pin. On rows where xi2_A is flat over the local time, the
 reported argmin_tp is set by rounding noise from every stage upstream of it:
 the entangler's 2^n eigensolve, the dense reduce, A's engine, the sweep and
 the refine, and the 3x3 covariance solves at degenerate mean spin. Those
-stay on Jacobi and dense, bit for bit. The spectra that feed no stored
+stay on Jacobi and dense, bit for bit; the degenerate solves of one
+`spin.xi2_from_moment_arrays` call are one stacked Jacobi call, with each
+point's bits. The spectra that feed no stored
 argmin use LAPACK: the probes (one batched SVD per kind) and explore's
 internal negativities (one stacked `np.linalg.eigvalsh`). They, and xi2_AB
 from its sym(n) moments, differ from the dense Jacobi route by about 1e-15
@@ -34,7 +36,9 @@ at most. The sweep and refine run per kind, each row: a local kind builds
 its engine once, then fills its rows' min xi2_A and argmin_tp in a loop.
 
 `state_at` and `appendix_b_study` evolve the all-down state in sym(n) and
-embed the result. `explore_measure_vs_squeezing` runs in sym(A): it
+embed the result; `appendix_b_study` takes its xi2 moments from the sym(n)
+amplitudes with `spin.symmetric_ops` and only its reduce from the embedded
+states. `explore_measure_vs_squeezing` runs in sym(A): it
 restricts its input there (rejecting weight outside), sweeps with the
 restricted Hamiltonian and the sym(A) moment operators, and takes the
 internal negativities from the partial transposes on sym(A_1) (x) sym(A_2)
@@ -290,18 +294,17 @@ def _symmetric_generator(kind, omega: float, n: int, iso: np.ndarray) -> np.ndar
     return h_sym
 
 
-def _evolve_all_down(kind, omega: float, n: int, t) -> np.ndarray:
-    """Amplitudes of the n-qubit all-down state evolved under
-    ``build(kind, omega, range(n), n)`` for time t: shape (2^n,), or (2^n, T)
-    for an array of T times.
+def _evolve_all_down(kind, omega: float, n: int, t, iso: np.ndarray) -> np.ndarray:
+    """The n-qubit all-down state evolved under ``build(kind, omega, range(n),
+    n)`` for time t, as its sym(n) amplitudes: shape (n+1,), or (n+1, T) for
+    an array of T times. ``iso @`` the result embeds it in the register.
 
-    The generator is collective, so it is restricted to sym(n), evolved there
-    and embedded back with ``qcore.symmetric_isometry``.
+    The generator is collective, so it is restricted to sym(n) with
+    ``iso = qcore.symmetric_isometry(n)`` and the state evolves there.
     """
-    iso = qcore.symmetric_isometry(n)
     start = np.zeros(n + 1, dtype=np.complex128)
     start[n] = 1.0  # all-down
-    return iso @ SpectralPropagator(_symmetric_generator(kind, omega, n, iso)).apply(start, t)
+    return SpectralPropagator(_symmetric_generator(kind, omega, n, iso)).apply(start, t)
 
 
 def _check_weight_inside(weight: np.ndarray) -> None:
@@ -488,7 +491,8 @@ def state_at(cfg: ProtocolConfig, t: float) -> qcore.PureState:
     if not math.isfinite(t):
         raise DomainError(f"entangling time must be finite, got {t}")
     n = cfg.n_a + cfg.n_b
-    return qcore.PureState(n, _evolve_all_down(cfg.h_ab_kind, cfg.omega, n, t))
+    iso = qcore.symmetric_isometry(n)
+    return qcore.PureState(n, iso @ _evolve_all_down(cfg.h_ab_kind, cfg.omega, n, t, iso))
 
 
 def reduced_a_at(cfg: ProtocolConfig, t: float) -> DensityMatrix:
@@ -694,12 +698,13 @@ def appendix_b_study(
     t = np.linspace(0.0, _positive_time("t_max", t_max), check_count("steps", steps))
     out: dict[tuple[int, HamiltonianKind], AppendixBTrace] = {}
     for size in sizes:
-        mops = spin.collective_ops(size).moment_operators
+        iso = qcore.symmetric_isometry(size)
+        mops = spin.symmetric_ops(size).moment_operators
         half = tuple(range(size // 2))
         for kind in kinds:
-            states = _evolve_all_down(kind, omega, size, t)  # (d, T)
-            xi2, _ = spin.xi2_from_moment_arrays(spin.pure_moments(states, mops), size)
-            rho = qcore.reduced_state_matrix(states.T, size, half)
+            amps = _evolve_all_down(kind, omega, size, t, iso)  # (size+1, T)
+            xi2, _ = spin.xi2_from_moment_arrays(spin.pure_moments(amps, mops), size)
+            rho = qcore.reduced_state_matrix((iso @ amps).T, size, half)
             s_l = np.array([measures.linear_entropy(r) for r in rho])
             out[(size, kind)] = AppendixBTrace(size, kind, t, s_l, xi2)
     return out

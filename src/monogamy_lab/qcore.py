@@ -13,6 +13,13 @@ Conventions used throughout the package:
   all-down state never leave it, so callers evolve there and embed back.
   ``symmetric_split_isometry(n_a, n_b)`` splits sym(n_a+n_b) into
   sym(n_a) (x) sym(n_b), a local isometry that keeps cut negativities.
+* ``hermitian_eigen`` and ``hermitian_eigenvalues`` take one matrix or a
+  (..., d, d) stack and follow numpy's eigh shapes, in descending order.
+  Non-finite input raises DomainError before any solve. A stack is one call
+  to the package's Jacobi solver (``_jacobi``), which gives each member the
+  bits it gets alone: each member keeps its own tolerance, from its own
+  norm, and its own ``math.atan2`` rotation angles, because a stack-wide
+  norm or ``np.arctan2`` round differently in the last bit.
 """
 
 from __future__ import annotations
@@ -292,22 +299,38 @@ def partial_transpose(rho: DensityMatrix, p: Partition, side: str = "a") -> np.n
 
 
 def _hermitian_input(matrix) -> np.ndarray:
-    """The matrix as a complex array, checked non-empty, square and Hermitian."""
+    """The matrix, or (..., d, d) stack, as a complex array, checked
+    non-empty, square, finite and Hermitian."""
     m = _as_matrix(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > EIGEN_INPUT_TOL:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise DimensionMismatchError(f"expected a non-empty square matrix or stack of them, got shape {m.shape}")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        where = f" (stack member {_first_index(~finite)})" if m.ndim > 2 else ""
+        raise DomainError(f"matrix has a non-finite entry{where}")
+    if not np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= EIGEN_INPUT_TOL:
         raise ContractViolationError("matrix is not Hermitian within 1e-10")
     return m
 
 
+def _first_index(mask: np.ndarray):
+    """Index of the first True entry of a boolean array: an int for a 1-D
+    mask, a tuple otherwise."""
+    i = np.unravel_index(int(np.flatnonzero(mask)[0]), mask.shape)
+    return int(i[0]) if mask.ndim == 1 else tuple(int(j) for j in i)
+
+
 def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix."""
+    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian
+    matrix, or of each member of a (..., d, d) stack: shapes (..., d) and
+    (..., d, d), eigenvectors as columns, as numpy's eigh but descending.
+    A stack is one solver call; each member gets the bits it gets alone."""
     return jacobi_eigh(_hermitian_input(matrix), compute_vectors=True)
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Descending eigenvalues only (same solver, no eigenvector accumulation)."""
+    """Descending eigenvalues only (same solver, no eigenvector accumulation),
+    shape (..., d) for a (..., d, d) stack."""
     w, _ = jacobi_eigh(_hermitian_input(matrix), compute_vectors=False)
     return w
 

@@ -2,7 +2,9 @@
 
 Sampling is deterministic given an integer seed. Dataset generation derives
 one child seed per sample index (numpy SeedSequence spawning), so sample i
-depends only on the seed and i.
+depends only on the seed and i. The draws run per sample; the arithmetic
+after them runs over the whole stack of samples (fig2's reduces and
+concurrences, fig3's measures), with the per-sample bits.
 """
 
 from __future__ import annotations
@@ -87,6 +89,19 @@ _CLASS_BY_NONZERO = np.array(
 )
 
 
+def _schmidt_concurrences(amplitudes: np.ndarray, n_qubits: int, partition: Partition) -> np.ndarray:
+    """`schmidt_concurrence` of each state in a (..., 2^n) stack of amplitude
+    vectors: one reduce to the smaller side and one eigensolver call."""
+    keep = (
+        partition.qubits_a
+        if len(partition.qubits_a) <= len(partition.qubits_b)
+        else partition.qubits_b
+    )
+    rho = qcore.reduced_state_matrix(amplitudes, n_qubits, keep)
+    l1 = np.clip(qcore.hermitian_eigenvalues(rho)[..., 0], 0.0, 1.0)
+    return 2.0 * np.sqrt(l1 * (1.0 - l1))
+
+
 def schmidt_concurrence(state: PureState, partition: Partition) -> float:
     """A|B concurrence of a pure state via its effective two-level description.
 
@@ -94,28 +109,23 @@ def schmidt_concurrence(state: PureState, partition: Partition) -> float:
     it equals the two-qubit pure-state concurrence whenever the reduced state
     has rank two.
     """
-    keep = (
-        partition.qubits_a
-        if len(partition.qubits_a) <= len(partition.qubits_b)
-        else partition.qubits_b
-    )
-    rho = qcore.reduced_state_matrix(state, state.n_qubits, keep)
-    l1 = float(qcore.hermitian_eigenvalues(rho)[0])
-    l1 = min(max(l1, 0.0), 1.0)
-    return 2.0 * np.sqrt(l1 * (1.0 - l1))
+    return float(_schmidt_concurrences(state.amplitudes, state.n_qubits, partition))
 
 
 FIG2_PARTITION = Partition((0, 1), (2,))
 
 
 def fig2_dataset(n_samples: int, seed: int) -> Dataset:
-    """Concurrence pairs (C_AB, C_A1A2) for Haar-random three-qubit states."""
+    """Concurrence pairs (C_AB, C_A1A2) for Haar-random three-qubit states.
+
+    Sample i is drawn from the i-th child seed, as `haar_random_pure` draws
+    it; the reduces and both concurrences then run once over the (N, 8)
+    stack of amplitudes, with the per-sample results bit for bit.
+    """
     n_samples = check_count("n_samples", n_samples)
-    x, y = np.empty(n_samples), np.empty(n_samples)
-    for i, child in enumerate(_child_seeds(seed, n_samples)):
-        state = haar_random_pure(3, child)
-        x[i] = schmidt_concurrence(state, FIG2_PARTITION)
-        y[i] = measures.concurrence(qcore.reduced_state_matrix(state, 3, FIG2_PARTITION.qubits_a))
+    psi = np.array([haar_random_pure(3, child).amplitudes for child in _child_seeds(seed, n_samples)])
+    x = _schmidt_concurrences(psi, 3, FIG2_PARTITION)
+    y = measures.concurrence(qcore.reduced_state_matrix(psi, 3, FIG2_PARTITION.qubits_a))
     return Dataset(
         x,
         y,

@@ -183,8 +183,9 @@ def xi2_from_moment_arrays(moments: np.ndarray, n_spins: int) -> tuple[np.ndarra
     g12 = np.einsum("ti,tij,tj->t", v1, gamma, v2)
     lam = 0.5 * (g11 + g22) - 0.5 * np.hypot(g11 - g22, 2.0 * g12)
 
-    for i in np.flatnonzero(degenerate):
-        w = qcore.hermitian_eigenvalues(gamma[i])
-        lam[i] = w[-1]
+    if degenerate.any():
+        # no mean spin: the least covariance eigenvalue over all of space,
+        # one eigensolver call for every such point
+        lam[degenerate] = qcore.hermitian_eigenvalues(gamma[degenerate])[:, -1]
 
     return 4.0 * np.clip(lam, 0.0, None) / n_spins, degenerate

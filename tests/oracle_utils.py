@@ -1,12 +1,16 @@
 """Independent reference implementations used only to check the package.
 
 Everything here goes through numpy's LAPACK-backed linear algebra, not the
-package's own eigensolver, so the two routes stay independent.
+package's own eigensolver, so the two routes stay independent. The one
+exception is `jacobi_eigh_one`: the package's earlier one-matrix Jacobi
+solver, kept as the bit-for-bit reference of the stacked one.
 """
 
 import math
 
 import numpy as np
+
+from monogamy_lab.errors import ContractViolationError
 
 
 def random_state(dim, rng):
@@ -169,3 +173,66 @@ def oat_closed_form(n_a, n_b, t, omega=1.0):
     dephase = np.cos(omega * t[:, None, None] * (k[:, None] - k[None, :])) ** (2 * n_b)
     d = 2.0**n_a
     return xi2, d / (d - 1) * (1.0 - np.einsum("i,j,tij->t", p, p, dephase))
+
+
+_JACOBI_MAX_SWEEPS = 64
+_JACOBI_REL_TOL = 1e-14
+
+
+def _jacobi_kernel(a, v, compute_v, tol):
+    n = a.shape[0]
+    for sweep in range(_JACOBI_MAX_SWEEPS):
+        off2 = float(np.sum(np.abs(np.triu(a, 1)) ** 2))
+        if math.sqrt(2.0 * off2) <= tol:
+            return sweep
+        thresh = tol / (2.0 * n)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                b = abs(apq)
+                if b <= thresh:
+                    continue
+                phi = 0.5 * math.atan2(2.0 * b, a[p, p].real - a[q, q].real)
+                c = math.cos(phi)
+                s = math.sin(phi)
+                u = apq / b
+                su = s * u
+                suc = s * u.conjugate()
+                colp = a[:, p].copy()
+                colq = a[:, q].copy()
+                a[:, p] = c * colp + suc * colq
+                a[:, q] = -su * colp + c * colq
+                rowp = a[p, :].copy()
+                rowq = a[q, :].copy()
+                a[p, :] = c * rowp + su * rowq
+                a[q, :] = -suc * rowp + c * rowq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                if compute_v:
+                    colp = v[:, p].copy()
+                    colq = v[:, q].copy()
+                    v[:, p] = c * colp + suc * colq
+                    v[:, q] = -su * colp + c * colq
+    return -1
+
+
+def jacobi_eigh_one(matrix, compute_vectors=True):
+    """Descending eigenvalues and eigenvector columns of one Hermitian matrix
+    by cyclic Jacobi rotations, one matrix per call: the package's solver
+    before it took stacks."""
+    a = np.array(matrix, dtype=np.complex128, order="C", copy=True)
+    n = a.shape[0]
+    v = np.eye(n, dtype=np.complex128) if compute_vectors else np.empty((1, 1), dtype=np.complex128)
+    tol = _JACOBI_REL_TOL * max(1e-300, float(np.linalg.norm(a)))
+
+    if _jacobi_kernel(a, v, compute_vectors, tol) < 0:
+        raise ContractViolationError("Jacobi eigensolver failed to converge")
+
+    w = np.real(np.diag(a)).copy()
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    if compute_vectors:
+        return w, np.ascontiguousarray(v[:, order])
+    return w, None

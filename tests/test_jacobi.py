@@ -1,0 +1,129 @@
+"""The stacked Jacobi eigensolver against the one-matrix kernel it replaced,
+compared byte for byte (``tobytes``, so signed zeros count)."""
+
+import numpy as np
+import pytest
+
+from monogamy_lab import _jacobi, qcore
+from monogamy_lab.hamiltonians import build
+
+from oracle_utils import jacobi_eigh_one, random_unitary
+
+
+def _assert_members_match_one_by_one(stack):
+    w, v = qcore.hermitian_eigen(stack)
+    w_only = qcore.hermitian_eigenvalues(stack)
+    assert w.shape == w_only.shape == stack.shape[:-1] and v.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:-2]):
+        w_ref, v_ref = jacobi_eigh_one(stack[idx])
+        assert w[idx].tobytes() == w_only[idx].tobytes() == w_ref.tobytes()
+        assert v[idx].tobytes() == v_ref.tobytes()
+
+
+def _mixed_stack(rng, d, k):
+    """k Hermitian d x d members, in turn general complex, diagonal, zero,
+    degenerate-spectrum and real symmetric, so that members converge after
+    different numbers of sweeps."""
+    out = np.empty((k, d, d), dtype=complex)
+    for i in range(k):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        kind = i % 5
+        if kind == 0:
+            out[i] = g + g.conj().T
+        elif kind == 1:
+            out[i] = np.diag(rng.standard_normal(d))
+        elif kind == 2:
+            out[i] = 0.0
+        elif kind == 3:
+            u = random_unitary(d, rng)
+            w = np.repeat(rng.standard_normal((d + 1) // 2), 2)[:d]
+            out[i] = (u * w) @ u.conj().T
+        else:
+            out[i] = g.real + g.real.T
+    return out
+
+
+@pytest.mark.parametrize("kind", ["oat", "tat", "tf", "ghz"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_entanglers_match_the_one_matrix_kernel(kind, n):
+    h = build(kind, 1.0, range(n), n).matrix
+    _assert_members_match_one_by_one(h)
+    _assert_members_match_one_by_one(h[None])
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_mixed_stacks_match_the_one_matrix_kernel_for_every_leading_shape(rng, d):
+    stack = _mixed_stack(rng, d, 12)
+    _assert_members_match_one_by_one(stack)
+    _assert_members_match_one_by_one(stack.reshape(3, 4, d, d))
+    for member in stack[:5]:
+        _assert_members_match_one_by_one(member)
+
+
+def _at_the_tolerance(rng, d, above):
+    """A diagonal matrix plus one real off-diagonal pair x whose off-diagonal
+    norm sqrt(2 x^2) is the largest value at most (above=False) or the
+    smallest value above (above=True) the solver's tolerance 1e-14 ||m||.
+    Whether the matrix takes a rotation then turns on the last bit of its
+    own tolerance; x is too small to move ||m||."""
+    m = np.diag(rng.uniform(1.0, 2.0, d)).astype(complex)
+    tol = 1e-14 * np.linalg.norm(m)
+
+    def off(x):
+        return np.sqrt(2.0 * (x * x))
+
+    x = tol / np.sqrt(2.0)
+    while off(x) > tol:
+        x = np.nextafter(x, 0.0)
+    while off(np.nextafter(x, 1.0)) <= tol:
+        x = np.nextafter(x, 1.0)
+    if above:
+        x = np.nextafter(x, 1.0)
+    m[0, 1] = m[1, 0] = x
+    assert np.linalg.norm(m) * 1e-14 == tol
+    return m
+
+
+def test_each_member_converges_against_its_own_tolerance(rng):
+    # At d = 6 about one norm in five rounds differently when taken over
+    # the stack (np.linalg.norm with axis=(1, 2)) instead of member by member.
+    stack = np.array([_at_the_tolerance(rng, 6, above) for _ in range(30) for above in (False, True)])
+    _, v = qcore.hermitian_eigen(stack)
+    rotated = [np.count_nonzero(vi) > 6 for vi in v]  # else a permutation of the identity
+    assert rotated == [False, True] * 30
+    _assert_members_match_one_by_one(stack)
+
+
+def test_stacks_rotate_partial_sets_and_shrink_as_members_converge(rng, monkeypatch):
+    events = []
+    off_norms, rotate = _jacobi._off_norms, _jacobi._rotate
+
+    def record_sweep(a):
+        events.append(("sweep", a.shape[-1]))
+        return off_norms(a)
+
+    def record_rotation(a, *args):
+        events.append(("rotate", a.shape[-1] if a.ndim == 3 else 1))
+        return rotate(a, *args)
+
+    monkeypatch.setattr(_jacobi, "_off_norms", record_sweep)
+    monkeypatch.setattr(_jacobi, "_rotate", record_rotation)
+    qcore.hermitian_eigen(_mixed_stack(rng, 6, 40))
+    sizes = [k for what, k in events if what == "sweep"]
+    assert sizes[0] == 40 and len(set(sizes)) >= 3  # members leave after different sweeps
+    working, partial = None, 0
+    for what, k in events:
+        if what == "sweep":
+            working = k
+        elif k < working:
+            partial += 1
+    assert partial > 0
+
+
+def test_eigenvectors_are_contiguous_columns(rng):
+    stack = _mixed_stack(rng, 4, 10)
+    w, v = qcore.hermitian_eigen(stack)
+    assert v.flags.c_contiguous
+    recon = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    assert np.max(np.abs(recon - stack)) < 1e-12
+    assert np.all(np.diff(w, axis=-1) <= 0)

@@ -215,6 +215,41 @@ def test_concurrence_pure_states_equal_det_formula(rng):
 def test_concurrence_wrong_dimension(rng):
     with pytest.raises(DomainError):
         concurrence(random_density(8, rng))
+    with pytest.raises(DomainError):
+        concurrence(np.stack([random_density(8, rng)] * 2))
+
+
+def test_concurrence_of_a_stack_is_bitwise_the_matrix_results(rng):
+    rhos = np.array([random_density(4, rng, rank=1 + i % 4) for i in range(24)])
+    stacked = concurrence(rhos)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (24,)
+    each = [concurrence(r) for r in rhos]
+    assert all(type(c) is float for c in each)
+    assert stacked.tobytes() == np.array(each).tobytes()
+    assert concurrence(rhos.reshape(4, 6, 4, 4)).tobytes() == stacked.tobytes()
+    assert concurrence(rhos.reshape(4, 6, 4, 4)).shape == (4, 6)
+
+
+def test_concurrence_names_the_first_member_that_is_not_psd(rng):
+    rhos = np.array([random_density(4, rng) for _ in range(12)])
+    not_psd = np.diag([0.7, 0.5, -0.2, 0.0]).astype(complex)
+    rhos[7] = rhos[10] = not_psd
+    with pytest.raises(DomainError, match=r"semidefinite \(stack member 7\)"):
+        concurrence(rhos)
+    with pytest.raises(DomainError, match=r"stack member \(1, 1\)"):
+        concurrence(rhos.reshape(2, 6, 4, 4))
+    with pytest.raises(DomainError, match="semidefinite$"):
+        concurrence(not_psd)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_concurrence_rejects_non_finite_input(rng, bad):
+    rhos = np.array([random_density(4, rng) for _ in range(5)])
+    rhos[2, 0, 0] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        concurrence(rhos[2])
+    with pytest.raises(DomainError, match=r"stack member 2\)"):
+        concurrence(rhos)
 
 
 # ---------------------------------------------------------------------------

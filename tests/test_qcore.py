@@ -274,6 +274,33 @@ def test_hermitian_eigen_rejects_non_hermitian():
         hermitian_eigen(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigensolver_rejects_non_finite_input(bad):
+    m = np.diag([bad, 1.0, 2.0, 3.0])
+    stack = np.stack([np.diag([4.0, 1.0, 2.0, 3.0])] * 6)
+    stack[4, 1, 2] = stack[4, 2, 1] = bad
+    for fn in (hermitian_eigen, hermitian_eigenvalues):
+        with pytest.raises(DomainError, match="non-finite"):
+            fn(m)
+        with pytest.raises(DomainError, match=r"stack member 4\)"):
+            fn(stack)
+        with pytest.raises(DomainError, match=r"stack member \(1, 1\)"):
+            fn(stack.reshape(2, 3, 4, 4))
+    with pytest.raises(DomainError):
+        hermitian_eigenvalues(np.full((4, 4), np.nan))
+
+
+def test_hermitian_eigen_checks_stacks():
+    with pytest.raises(ContractViolationError):
+        hermitian_eigen(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eigen(np.ones((3, 2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eigen(np.ones(4))
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eigen(np.zeros((0, 2, 2)))
+
+
 def test_spectrum_of_clips_noise():
     rho = dm_from_pure(bell_state())
     s = spectrum_of(partial_trace(rho, Partition((0,), (1,)), "a"))

@@ -109,6 +109,27 @@ def test_fig2_product_state_point(rng):
     assert abs(analytic.cmax_boundary(0.0) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("seed, n", [(7, 1), (7, 120), (0, 60)])
+def test_fig2_is_bytewise_the_per_sample_route(seed, n):
+    data = fig2_dataset(n, seed)
+    x, y = [], []
+    for child in np.random.SeedSequence(seed).spawn(n):
+        state = haar_random_pure(3, child)
+        x.append(schmidt_concurrence(state, FIG2_PARTITION))
+        y.append(measures.concurrence(qcore.reduced_state_matrix(state, 3, FIG2_PARTITION.qubits_a)))
+    assert data.x.tobytes() == np.array(x).tobytes()
+    assert data.y.tobytes() == np.array(y).tobytes()
+
+
+def test_fig2_makes_one_eigensolver_call_per_stack(monkeypatch):
+    calls = []
+    eigen, eigenvalues = qcore.hermitian_eigen, qcore.hermitian_eigenvalues
+    monkeypatch.setattr(qcore, "hermitian_eigen", lambda m: calls.append(np.shape(m)) or eigen(m))
+    monkeypatch.setattr(qcore, "hermitian_eigenvalues", lambda m: calls.append(np.shape(m)) or eigenvalues(m))
+    fig2_dataset(50, seed=2)
+    assert sorted(calls) == [(50, 2, 2), (50, 4, 4), (50, 4, 4)]
+
+
 def test_fig2_deterministic():
     a = fig2_dataset(60, seed=4)
     b = fig2_dataset(60, seed=4)

@@ -5,6 +5,7 @@ from monogamy_lab import qcore
 from monogamy_lab.errors import DimensionMismatchError, DomainError
 from monogamy_lab.qcore import DensityMatrix, PureState, all_down_state
 from monogamy_lab.spin import (
+    _spin_frame,
     collective_ops,
     collective_spin_matrices,
     squeezing_parameter,
@@ -12,7 +13,7 @@ from monogamy_lab.spin import (
     xi2_from_moment_arrays,
 )
 
-from oracle_utils import random_density, random_state, squeezing_scan
+from oracle_utils import jacobi_eigh_one, random_density, random_state, squeezing_scan
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -184,6 +185,30 @@ def test_batch_matches_scalar(rng):
         res = squeezing_parameter(PureState(3, psi), ops)
         assert abs(xi2[i] - res.xi2) < 1e-12
         assert degen[i] == res.degenerate_mean_spin
+
+
+def test_degenerate_points_solve_as_one_stack_with_the_per_point_bits(rng, monkeypatch):
+    # Half the points have no mean spin; the second moments come from random
+    # covariances, real symmetric and positive.
+    t = 40
+    g = rng.standard_normal((t, 3, 3))
+    cov = g @ g.swapaxes(1, 2)
+    mean = rng.standard_normal((t, 3))
+    mean[::2] = 0.0
+    second = cov + mean[:, :, None] * mean[:, None, :]
+    moments = np.vstack([mean.T, second[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]].T])
+
+    calls = []
+    eigenvalues = qcore.hermitian_eigenvalues
+    monkeypatch.setattr(qcore, "hermitian_eigenvalues", lambda m: calls.append(np.shape(m)) or eigenvalues(m))
+    xi2, degenerate = xi2_from_moment_arrays(moments, 3)
+    assert calls == [(t // 2, 3, 3)]
+    assert degenerate.tolist() == [True, False] * (t // 2)
+
+    # The loop this replaced: one one-matrix solve per degenerate point.
+    _, gamma, _, _, _ = _spin_frame(moments)
+    lam = np.array([jacobi_eigh_one(gamma[i], compute_vectors=False)[0][-1] for i in range(0, t, 2)])
+    assert xi2[degenerate].tobytes() == (4.0 * np.clip(lam, 0.0, None) / 3).tobytes()
 
 
 def test_dimension_mismatch():
