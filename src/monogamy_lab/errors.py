@@ -25,7 +25,8 @@ class ContractViolationError(MonogamyLabError, ValueError):
 
 
 class ResourceCapError(MonogamyLabError, RuntimeError):
-    """A request exceeds the dense-simulation size cap."""
+    """A request exceeds a size cap: the dense register caps, the
+    symmetric-subspace cap, or the eigensolver's matrix-size cap."""
 
 
 class ConfigError(MonogamyLabError, ValueError):

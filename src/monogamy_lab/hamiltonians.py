@@ -1,8 +1,11 @@
 """Builders for the twisting and GHZ-generator Hamiltonians.
 
-All builders place the interaction on a qubit subset of a register, acting
-as identity elsewhere. Couplings are in units with hbar = 1; times are in
-units of 1/omega.
+`build` places the interaction on a qubit subset of a register, acting as
+identity elsewhere, as a dense 2^n matrix. `_build_symmetric` forms the
+same generators on the whole register's symmetric subspace sym(n), from
+spin-j matrices, for callers that evolve there; both share one kind
+dispatch. Couplings are in units with hbar = 1; times are in units of
+1/omega.
 """
 
 from __future__ import annotations
@@ -46,6 +49,21 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
+def _kind_matrix(kind: HamiltonianKind, omega: float, omega_z, spin_ops, flip):
+    """The generator of one kind, and its omega_z (None unless TF), from
+    ``spin_ops()`` -> (Jx, Jy, Jz) and ``flip()`` -> the flip of every spin,
+    in whichever basis those two callables build them."""
+    if kind is HamiltonianKind.GHZ:
+        return omega * flip(), None
+    jx, jy, jz = spin_ops()
+    if kind is HamiltonianKind.OAT:
+        return omega * (jx @ jx), None
+    if kind is HamiltonianKind.TF:
+        wz = omega if omega_z is None else omega_z
+        return omega * (jx @ jx) + wz * jz, wz
+    return omega * (jx @ jy + jy @ jx), None  # TAT
+
+
 def build(kind, omega: float = 1.0, subset=None, n_total: int | None = None, omega_z: float | None = None) -> Hamiltonian:
     """Construct a Hamiltonian of the given kind on a subset of a register.
 
@@ -65,23 +83,35 @@ def build(kind, omega: float = 1.0, subset=None, n_total: int | None = None, ome
     if len(set(subset)) != len(subset) or min(subset) < 0 or max(subset) >= n_total:
         raise DomainError(f"subset {subset} invalid for a {n_total}-qubit register")
 
-    if kind is HamiltonianKind.GHZ:
-        m = omega * qcore.pauli_product(qcore.PAULI_X, subset, n_total)
-        wz = None
-    else:
-        jx, jy, jz = spin.collective_spin_matrices(subset, n_total)
-        if kind is HamiltonianKind.OAT:
-            m = omega * (jx @ jx)
-            wz = None
-        elif kind is HamiltonianKind.TF:
-            wz = omega if omega_z is None else omega_z
-            m = omega * (jx @ jx) + wz * jz
-        else:  # TAT
-            m = omega * (jx @ jy + jy @ jx)
-            wz = None
+    m, wz = _kind_matrix(
+        kind,
+        omega,
+        omega_z,
+        lambda: spin.collective_spin_matrices(subset, n_total),
+        lambda: qcore.pauli_product(qcore.PAULI_X, subset, n_total),
+    )
     m = np.ascontiguousarray(m)
     m.setflags(write=False)
     return Hamiltonian(kind, float(omega), wz, subset, int(n_total), m)
+
+
+def _build_symmetric(kind, omega: float, n: int) -> np.ndarray:
+    """``build(kind, omega, range(n), n).matrix`` restricted to sym(n), formed
+    there directly: an (n+1, n+1) matrix in the basis of
+    ``qcore.symmetric_isometry(n)`` (column k has k spins down).
+
+    The collective kinds use the spin-j matrices of ``spin.symmetric_ops(n)``;
+    the product of sigma_x flips every spin, so GHZ maps k to n - k.
+    """
+    ops = spin.symmetric_ops(n)
+    m, _ = _kind_matrix(
+        _as_kind(kind),
+        omega,
+        None,
+        lambda: (ops.jx, ops.jy, ops.jz),
+        lambda: np.eye(n + 1, dtype=np.complex128)[::-1],
+    )
+    return m
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,12 @@ def _clipped_spectrum(rho) -> np.ndarray:
     return w
 
 
-def purity(rho: DensityMatrix | np.ndarray) -> float:
+def purity(rho: DensityMatrix | np.ndarray):
+    """Tr rho^2 of a density matrix (a float), or of each member of a
+    (..., d, d) stack (an array of shape (...))."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return float(np.sum(np.abs(m) ** 2))
+    p = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    return float(p) if p.ndim == 0 else p
 
 
 def tsallis_entropy(rho: DensityMatrix | np.ndarray, q: int) -> float:
@@ -53,13 +56,19 @@ def tsallis_entropy(rho: DensityMatrix | np.ndarray, q: int) -> float:
     return float((1.0 - np.sum(w**q)) / (q - 1))
 
 
+def linear_entropy_from_purity(purity, dim: int):
+    """Linear entropy of a state of dimension dim from its purity: the purity
+    deficit rescaled by dim/(dim-1) so the maximum is 1, clipped to [0, 1].
+    A float for one purity, an array for an array of them."""
+    if dim < 2:
+        raise DomainError("linear entropy needs dimension >= 2")
+    return _clip01(dim / (dim - 1) * (1.0 - purity))
+
+
 def linear_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """Purity deficit rescaled by dim/(dim-1) so the maximum is 1."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    n = m.shape[0]
-    if n < 2:
-        raise DomainError("linear entropy needs dimension >= 2")
-    return _clip01(n / (n - 1) * (1.0 - purity(m)))
+    return linear_entropy_from_purity(purity(m), m.shape[0])
 
 
 def _negative_sum(eigenvalues: np.ndarray):

@@ -13,7 +13,8 @@ generator are symmetric under permutations of the qubits, so the register
 state psi(t) lives in the (n+1)-dimensional symmetric subspace sym(n). The
 protocol projects psi(t) there once, failing loudly on any weight outside,
 and splits it into coefficient matrices C(t) on sym(A) (x) sym(B), of shape
-(T, n_A+1, n_B+1). Each local kind's probes evolve the whole C stack with
+(T, n_A+1, n_B+1). S_L,AB is the linear entropy of rho_A = C C^dagger,
+from its purity. Each local kind's probes evolve the whole C stack with
 A's propagator restricted to sym(A) and take the negativity from the
 singular values of U_A C, one batched SVD per kind
 (`measures.negativity_from_coefficients`). xi2_AB takes its moments from
@@ -35,12 +36,17 @@ from its sym(n) moments, differ from the dense Jacobi route by about 1e-15
 at most. The sweep and refine run per kind, each row: a local kind builds
 its engine once, then fills its rows' min xi2_A and argmin_tp in a loop.
 
-`state_at` and `appendix_b_study` evolve the all-down state in sym(n) and
-embed the result; `appendix_b_study` takes its xi2 moments from the sym(n)
-amplitudes with `spin.symmetric_ops` and only its reduce from the embedded
-states. `explore_measure_vs_squeezing` runs in sym(A): it
-restricts its input there (rejecting weight outside), sweeps with the
-restricted Hamiltonian and the sym(A) moment operators, and takes the
+`state_at`, `appendix_b_study` and `explore_measure_vs_squeezing` take
+their generators on the symmetric subspace from
+`hamiltonians._build_symmetric`, formed there from spin-j matrices; no 2^n
+generator is built on their paths. `state_at` evolves the all-down state in
+sym(n) and embeds the result. `appendix_b_study` builds no 2^n array at
+all: it takes its xi2 moments from the sym(n) amplitudes with
+`spin.symmetric_ops` and its S_L from the half/half coefficient matrices,
+as the protocol does, so its sizes are capped by MAX_SYMMETRIC_QUBITS
+rather than by the dense caps. `explore_measure_vs_squeezing` runs in
+sym(A): it restricts its input there (rejecting weight outside), sweeps
+with A's generator on sym(A) and the sym(A) moment operators, and takes the
 internal negativities from the partial transposes on sym(A_1) (x) sym(A_2)
 given by `qcore.symmetric_split_isometry`, a local isometry, so the
 negativity and its qubit normalisation are those of the qubit cut. All
@@ -65,11 +71,15 @@ from .errors import (
     check_count,
 )
 from .analytic import ghz_s_l_from_min_xi2
-from .hamiltonians import HamiltonianKind, _as_kind, build
+from .hamiltonians import HamiltonianKind, _as_kind, _build_symmetric, build
 from .qcore import DensityMatrix, Partition, SpectralPropagator, all_down_state, half_partition
 
 MAX_TOTAL_QUBITS = 10
 MAX_SUBSYSTEM_QUBITS = 5
+# Size cap of the routes that hold no 2^n array, only sym(n) (appendix-b).
+# Set from a time budget: appendix-b's 3 default kinds x 2001 steps take
+# about 1.2 s at this size on a 2-core VM (0.4 s at 32, 3.1 s at 96).
+MAX_SYMMETRIC_QUBITS = 64
 NEGATIVITY_DRIFT_TOL = 1e-9
 # Width of the local-time bracket at which golden-section refinement stops.
 REFINE_TOL = 1e-6
@@ -113,8 +123,8 @@ class ProtocolConfig:
     def __post_init__(self):
         object.__setattr__(self, "h_ab_kind", _as_kind(self.h_ab_kind))
         object.__setattr__(self, "h_a_kind", _as_kind(self.h_a_kind))
-        if self.n_a < 1 or self.n_b < 1:
-            raise ConfigError("both subsystems need at least one qubit")
+        object.__setattr__(self, "n_a", check_count("n_a", self.n_a))
+        object.__setattr__(self, "n_b", check_count("n_b", self.n_b))
         if self.n_a + self.n_b > MAX_TOTAL_QUBITS:
             raise ResourceCapError(
                 f"{self.n_a + self.n_b} qubits exceed the cap of {MAX_TOTAL_QUBITS}"
@@ -127,6 +137,8 @@ class ProtocolConfig:
             grid = np.asarray(getattr(self, name), dtype=float)
             if grid.size == 0:
                 raise ConfigError(f"{name} is empty")
+            if not np.all(np.isfinite(grid)):
+                raise ConfigError(f"{name} must be finite")
             if grid.size > 1 and not np.all(np.diff(grid) > 0):
                 raise ConfigError(f"{name} must be strictly increasing")
             grid.setflags(write=False)
@@ -184,8 +196,8 @@ class CalibrationCurve:
 
     ``segments`` holds the maximal index runs over which x is monotone,
     computed from x. ``merge_tol`` is the S_L distance below which inversion
-    candidates are treated as one value. x and y must be non-empty 1-D
-    arrays of one length; anything else raises ConfigError.
+    candidates are treated as one value. x and y must be non-empty, finite
+    1-D arrays of one length; anything else raises ConfigError.
     """
 
     x: np.ndarray
@@ -203,6 +215,9 @@ class CalibrationCurve:
             raise ConfigError(f"calibration x has {x.size} points but y has {y.size}")
         if x.size == 0:
             raise ConfigError("empty calibration curve")
+        for name, values in (("x", x), ("y", y)):
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"calibration {name} has a non-finite value")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "segments", _monotone_segments(x))
@@ -280,31 +295,18 @@ def _dense_engine(kind: HamiltonianKind, n_a: int, omega: float, tp: np.ndarray)
     )
 
 
-def _symmetric_generator(kind, omega: float, n: int, iso: np.ndarray) -> np.ndarray:
-    """``build(kind, omega, range(n), n)`` restricted to sym(n) by iso =
-    ``qcore.symmetric_isometry(n)``.
-
-    Raises ContractViolationError if the generator moves sym(n) out of itself.
-    """
-    h_iso = build(kind, omega, range(n), n).matrix @ iso
-    h_sym = iso.T @ h_iso
-    leak = float(np.max(np.abs(h_iso - iso @ h_sym)))
-    if leak > qcore.EIGEN_INPUT_TOL:
-        raise ContractViolationError(f"generator leaves the symmetric subspace by {leak:.3e}")
-    return h_sym
-
-
-def _evolve_all_down(kind, omega: float, n: int, t, iso: np.ndarray) -> np.ndarray:
+def _evolve_all_down(kind, omega: float, n: int, t) -> np.ndarray:
     """The n-qubit all-down state evolved under ``build(kind, omega, range(n),
     n)`` for time t, as its sym(n) amplitudes: shape (n+1,), or (n+1, T) for
-    an array of T times. ``iso @`` the result embeds it in the register.
+    an array of T times. ``qcore.symmetric_isometry(n) @`` the result embeds
+    it in the register.
 
-    The generator is collective, so it is restricted to sym(n) with
-    ``iso = qcore.symmetric_isometry(n)`` and the state evolves there.
+    The generator is collective, so the state evolves in sym(n) under the
+    generator formed there, ``hamiltonians._build_symmetric``.
     """
     start = np.zeros(n + 1, dtype=np.complex128)
     start[n] = 1.0  # all-down
-    return SpectralPropagator(_symmetric_generator(kind, omega, n, iso)).apply(start, t)
+    return SpectralPropagator(_build_symmetric(kind, omega, n)).apply(start, t)
 
 
 def _check_weight_inside(weight: np.ndarray) -> None:
@@ -331,6 +333,21 @@ def _symmetric_amplitudes(psi: np.ndarray, iso: np.ndarray) -> np.ndarray:
     sym = psi @ iso
     _check_weight_inside(np.sum(np.abs(sym) ** 2, axis=-1))
     return sym
+
+
+def _split_coefficients(psi_sym: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
+    """Coefficient matrices on sym(n_a) (x) sym(n_b) of a (T, n_a+n_b+1)
+    stack of sym(n_a+n_b) amplitudes: shape (T, n_a+1, n_b+1)."""
+    return (psi_sym @ qcore.symmetric_split_isometry(n_a, n_b).T).reshape(-1, n_a + 1, n_b + 1)
+
+
+def _cut_linear_entropy(coeffs: np.ndarray, n_a: int) -> np.ndarray:
+    """Linear entropy of the n_a-qubit side of the pure states with a
+    (T, n_a+1, n_b+1) stack of coefficient matrices C, from the purity of
+    rho_A = C C^dagger. The isometry into the register keeps the purity, and
+    the rescaling uses A's qubit dimension 2^n_a."""
+    rho_a = coeffs @ coeffs.conj().swapaxes(-1, -2)
+    return measures.linear_entropy_from_purity(measures.purity(rho_a), 2**n_a)
 
 
 def _positive_time(name: str, value) -> float:
@@ -398,15 +415,14 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
     psi = np.ascontiguousarray(states.T)  # (T, d)
     rho_a = qcore.reduced_state_matrix(psi, n, tuple(range(cfg.n_a)))
-    s_l_arr = np.array([measures.linear_entropy(r) for r in rho_a])
     # psi(t) in sym(n), where xi2_AB takes its moments, and its coefficient
-    # matrices C(t) on sym(A) (x) sym(B), which the probes evolve.
+    # matrices C(t) on sym(A) (x) sym(B), which give S_L and which the probes
+    # evolve.
     psi_sym = _symmetric_amplitudes(psi, qcore.symmetric_isometry(n))  # (T, n+1)
     moments = spin.pure_moments(psi_sym.T, spin.symmetric_ops(n).moment_operators)
     xi2_ab_arr, _ = spin.xi2_from_moment_arrays(moments, n)
-    coeffs = (psi_sym @ qcore.symmetric_split_isometry(cfg.n_a, cfg.n_b).T).reshape(
-        n_rows, cfg.n_a + 1, cfg.n_b + 1
-    )
+    coeffs = _split_coefficients(psi_sym, cfg.n_a, cfg.n_b)
+    s_l_arr = _cut_linear_entropy(coeffs, cfg.n_a)
     iso_a = qcore.symmetric_isometry(cfg.n_a)
 
     # Probe times for the cut-negativity constancy check: the sweep start,
@@ -491,8 +507,7 @@ def state_at(cfg: ProtocolConfig, t: float) -> qcore.PureState:
     if not math.isfinite(t):
         raise DomainError(f"entangling time must be finite, got {t}")
     n = cfg.n_a + cfg.n_b
-    iso = qcore.symmetric_isometry(n)
-    return qcore.PureState(n, iso @ _evolve_all_down(cfg.h_ab_kind, cfg.omega, n, t, iso))
+    return qcore.PureState(n, qcore.symmetric_isometry(n) @ _evolve_all_down(cfg.h_ab_kind, cfg.omega, n, t))
 
 
 def reduced_a_at(cfg: ProtocolConfig, t: float) -> DensityMatrix:
@@ -642,9 +657,7 @@ def explore_measure_vs_squeezing(
     iso = qcore.symmetric_isometry(n)
     rho_sym = _symmetric_part(initial_rho_a.matrix, iso)
     tp = np.linspace(0.0, t_max, steps)
-    eng = _SubsystemEngine(
-        _symmetric_generator(kind, omega, n, iso), spin.symmetric_ops(n).moment_operators, n, tp
-    )
+    eng = _SubsystemEngine(_build_symmetric(kind, omega, n), spin.symmetric_ops(n).moment_operators, n, tp)
     rho_eig = eng.to_eigenbasis(rho_sym)
     xi2, _ = eng.xi2_sweep(eng.moment_products(rho_eig))
     # A symmetric state depends on the split only through its side sizes.
@@ -693,18 +706,16 @@ def appendix_b_study(
     for size in sizes:
         if size % 2 != 0 or size < 2:
             raise DomainError(f"sizes must be even and at least 2, got {size}")
-        if size > 8:
-            raise ResourceCapError(f"sizes are capped at 8 qubits, got {size}")
+        if size > MAX_SYMMETRIC_QUBITS:
+            raise ResourceCapError(f"sizes are capped at {MAX_SYMMETRIC_QUBITS} qubits, got {size}")
     t = np.linspace(0.0, _positive_time("t_max", t_max), check_count("steps", steps))
     out: dict[tuple[int, HamiltonianKind], AppendixBTrace] = {}
     for size in sizes:
-        iso = qcore.symmetric_isometry(size)
         mops = spin.symmetric_ops(size).moment_operators
-        half = tuple(range(size // 2))
+        half = size // 2
         for kind in kinds:
-            amps = _evolve_all_down(kind, omega, size, t, iso)  # (size+1, T)
+            amps = _evolve_all_down(kind, omega, size, t)  # (size+1, T)
             xi2, _ = spin.xi2_from_moment_arrays(spin.pure_moments(amps, mops), size)
-            rho = qcore.reduced_state_matrix((iso @ amps).T, size, half)
-            s_l = np.array([measures.linear_entropy(r) for r in rho])
+            s_l = _cut_linear_entropy(_split_coefficients(amps.T, half, half), half)
             out[(size, kind)] = AppendixBTrace(size, kind, t, s_l, xi2)
     return out

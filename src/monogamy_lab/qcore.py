@@ -9,10 +9,13 @@ Conventions used throughout the package:
 * All arrays are complex128; values are frozen after construction and safe
   to share across threads.
 * ``symmetric_isometry(n)`` maps the (n+1)-dimensional permutation-symmetric
-  (Dicke) subspace into the register. Collective generators acting on the
-  all-down state never leave it, so callers evolve there and embed back.
-  ``symmetric_split_isometry(n_a, n_b)`` splits sym(n_a+n_b) into
-  sym(n_a) (x) sym(n_b), a local isometry that keeps cut negativities.
+  (Dicke) subspace into the register; it is a 2^n array, so only the
+  register-sized routes use it. Collective generators acting on the
+  all-down state never leave sym(n), so callers form the generators there
+  from spin-j matrices, evolve there, and embed back only when they need a
+  register state. ``symmetric_split_isometry(n_a, n_b)`` splits
+  sym(n_a+n_b) into sym(n_a) (x) sym(n_b), a local isometry that keeps cut
+  negativities and purities, with no 2^n array.
 * ``hermitian_eigen`` and ``hermitian_eigenvalues`` take one matrix or a
   (..., d, d) stack and follow numpy's eigh shapes, in descending order.
   Non-finite input raises DomainError before any solve. A stack is one call

@@ -129,7 +129,8 @@ def test_protocol_resource_cap(tmp_path):
     for command in ("protocol", "explore"):
         code = main([command, "--na", "6", "--nb", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 3
-    assert main(["appendix-b", "--sizes", "10", "--out", str(tmp_path / "appb")]) == 3
+    over_cap = str(protocol.MAX_SYMMETRIC_QUBITS + 2)  # the first even size above the cap
+    assert main(["appendix-b", "--sizes", over_cap, "--out", str(tmp_path / "appb")]) == 3
     assert main(["appendix-b", "--sizes", "3", "--out", str(tmp_path / "appb")]) == 2
     assert main(["appendix-b", "--sizes", ",", "--out", str(tmp_path / "appb")]) == 2
     assert main(["appendix-b", "--ha-kinds", ",", "--out", str(tmp_path / "appb")]) == 2
@@ -184,6 +185,13 @@ def test_invert_parse_errors(tmp_path, capsys):
     short.write_text("t,s_l_ab,xi2_ab,min_xi2_a,argmin_tp,nonmonotone_flag\n0,0.1\n")
     assert main(["invert", "--curve", str(short), "--xi2", "0.5"]) == 2
     assert "line 2" in capsys.readouterr().err
+    for text in ("min_xi2_a,s_l_ab\n0.2,0.1\n0.8,inf\n", "min_xi2_a,s_l_ab\n0.2,0.1\nnan,0.5\n"):
+        curve = tmp_path / "nonfinite.csv"
+        curve.write_text(text)
+        assert main(["invert", "--curve", str(curve), "--xi2", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "error: calibration" in captured.err and "non-finite" in captured.err
+        assert captured.out == ""
 
 
 def test_invert_extrapolation_error(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from monogamy_lab import qcore
 from monogamy_lab.errors import DomainError
-from monogamy_lab.hamiltonians import HamiltonianKind, build, symmetry_report
+from monogamy_lab.hamiltonians import HamiltonianKind, _build_symmetric, build, symmetry_report
 from monogamy_lab.spin import collective_spin_matrices
 
 
@@ -64,6 +64,34 @@ def test_build_validation():
         build("oat", 1.0, (0, 5), 3)
     with pytest.raises(DomainError):
         build("nope", 1.0, (0,), 1)
+
+
+def test_build_keeps_the_bits_of_the_direct_expressions():
+    n = 3
+    jx, jy, jz = collective_spin_matrices(tuple(range(n)), n)
+    expected = {
+        "oat": 0.7 * (jx @ jx),
+        "tf": 0.7 * (jx @ jx) + 0.7 * jz,
+        "tat": 0.7 * (jx @ jy + jy @ jx),
+        "ghz": 0.7 * qcore.pauli_product(qcore.PAULI_X, tuple(range(n)), n),
+    }
+    for kind, m in expected.items():
+        assert build(kind, 0.7, range(n), n).matrix.tobytes() == m.tobytes(), kind
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.7])
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("kind", list(HamiltonianKind))
+def test_symmetric_builder_is_the_dense_generator_on_sym_n(kind, n, omega):
+    """The sym(n) builder equals the dense generator restricted by the
+    Dicke isometry, and the dense generator maps sym(n) into itself (no
+    leak), so evolving in sym(n) is exact."""
+    iso = qcore.symmetric_isometry(n)
+    dense = build(kind, omega, range(n), n).matrix
+    h_sym = _build_symmetric(kind, omega, n)
+    assert h_sym.shape == (n + 1, n + 1)
+    assert np.max(np.abs(iso.T @ dense @ iso - h_sym)) <= 1e-13
+    assert np.max(np.abs(dense @ iso - iso @ h_sym)) <= 1e-13
 
 
 def test_total_spin_conserved_by_twisting():

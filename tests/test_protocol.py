@@ -15,6 +15,7 @@ from monogamy_lab.errors import (
 )
 from monogamy_lab.hamiltonians import HamiltonianKind, build
 from monogamy_lab.protocol import (
+    MAX_SYMMETRIC_QUBITS,
     REFINE_TOL,
     CalibrationCurve,
     ProtocolConfig,
@@ -74,6 +75,17 @@ def test_config_validation():
     for n_a, n_b in ((6, 2), (2, 6)):
         with pytest.raises(ResourceCapError):
             ProtocolConfig(n_a, n_b, "oat", "tf", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    grid = np.array([0.0, 1.0])
+    for n_a, n_b in ((1.5, 2), (2, 1.5), (True, 2), (2, True), (0, 2), (2, -1), ("2", 2), (None, 2)):
+        with pytest.raises(DomainError):
+            ProtocolConfig(n_a, n_b, "oat", "tf", grid, grid)
+    cfg = ProtocolConfig(np.int64(2), 2, "oat", "tf", grid, grid)
+    assert type(cfg.n_a) is int and cfg.n_a == 2
+    for bad in (np.inf, -np.inf, np.nan):
+        for name in ("t_grid", "tp_grid"):
+            grids = {"t_grid": grid, "tp_grid": grid, name: np.array([0.0, 1.0, bad])}
+            with pytest.raises(ConfigError, match="finite"):
+                ProtocolConfig(2, 2, "oat", "tf", **grids)
     cfg = ghz_config()
     assert cfg.h_ab_kind is HamiltonianKind.GHZ
 
@@ -491,7 +503,8 @@ def test_appendix_b_validation():
     for size in (3, 0, -2, 9, 2.0, 2.5, True, "2", None):
         with pytest.raises(DomainError):
             appendix_b_study(sizes=(size,))
-    for sizes in ((10,), (2, 10)):
+    over_cap = MAX_SYMMETRIC_QUBITS + 2  # the first even size above the cap
+    for sizes in ((over_cap,), (2, over_cap)):
         with pytest.raises(ResourceCapError):
             appendix_b_study(sizes=sizes)
     for sizes, kinds in (((), ("tf",)), ((2,), ())):
@@ -507,13 +520,17 @@ def test_appendix_b_validation():
 
 
 def test_appendix_b_oat_matches_closed_form():
-    sizes = (2, 4, 6, 8)
-    res = appendix_b_study(sizes=sizes, h_a_kinds=("oat",), steps=401)
-    for size in sizes:
+    """Sizes 20 and 40 run beyond any dense oracle (a stray 2^40 array would
+    ask for terabytes). There the eigensolver's tolerance, 1e-14 ||H|| with
+    ||H|| ~ N^2/4, times t up to 100 gives a bound of 1e-11 (measured:
+    9.3e-13 at 20, 3.1e-12 at 40); the dense-checkable sizes keep 1e-12."""
+    bounds = {2: 1e-12, 4: 1e-12, 6: 1e-12, 8: 1e-12, 20: 1e-11, 40: 1e-11}
+    res = appendix_b_study(sizes=tuple(bounds), h_a_kinds=("oat",), steps=401)
+    for size, bound in bounds.items():
         tr = res[(size, HamiltonianKind.OAT)]
         xi2, s_l = oat_closed_form(size // 2, size // 2, tr.t)
-        assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-12, size
-        assert np.max(np.abs(tr.s_l_a - s_l)) <= 1e-12, size
+        assert np.max(np.abs(tr.xi2_a - xi2)) <= bound, size
+        assert np.max(np.abs(tr.s_l_a - s_l)) <= bound, size
 
 
 # ---------------------------------------------------------------------------
