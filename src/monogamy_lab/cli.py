@@ -265,18 +265,19 @@ def _cmd_fig3(args) -> int:
 
 def _cmd_protocol(args) -> int:
     started = time.perf_counter()
-    cfg = protocol.ProtocolConfig(
-        n_a=args.na,
-        n_b=args.nb,
-        h_ab_kind=args.hab,
-        h_a_kind=args.ha,
-        t_grid=protocol.default_t_grid(args.hab, args.t_steps),
-        tp_grid=protocol.default_tp_grid(args.ha, args.tp_steps),
-    )
-    traces = protocol.run_protocol_multi(
-        cfg, [cfg.h_a_kind, HamiltonianKind.OAT, HamiltonianKind.TAT, HamiltonianKind.TF]
-    )
-    trace = traces[cfg.h_a_kind]
+    # Every kind sweeps its own default local-time grid, so a kind's score
+    # does not depend on --ha; kinds that share a grid share one run.
+    groups: dict[bytes, tuple[np.ndarray, list[HamiltonianKind]]] = {}
+    for kind in dict.fromkeys(map(HamiltonianKind, (args.ha, "oat", "tat", "tf"))):
+        tp_grid = protocol.default_tp_grid(kind, args.tp_steps)
+        groups.setdefault(tp_grid.tobytes(), (tp_grid, []))[1].append(kind)
+    t_grid = protocol.default_t_grid(args.hab, args.t_steps)
+    traces = {}
+    for tp_grid, kinds in groups.values():
+        cfg = protocol.ProtocolConfig(n_a=args.na, n_b=args.nb, h_ab_kind=args.hab, h_a_kind=kinds[0],
+                                      t_grid=t_grid, tp_grid=tp_grid)
+        traces.update(protocol.run_protocol_multi(cfg, kinds))
+    trace = traces[HamiltonianKind(args.ha)]
 
     out = Path(args.out)
     count = _write_csv(out, {

@@ -4,8 +4,8 @@
 identity elsewhere, as a dense 2^n matrix. `_build_symmetric` forms the
 same generators on the whole register's symmetric subspace sym(n), from
 spin-j matrices, for callers that evolve there; both share one kind
-dispatch. Couplings are in units with hbar = 1; times are in units of
-1/omega.
+dispatch. Every generator has unit coupling (hbar = 1): a coupling g
+would only rescale time, so times are in units of 1/g.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ def _as_kind(kind) -> HamiltonianKind:
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     kind: HamiltonianKind
-    omega: float
-    omega_z: float | None
     subset: tuple[int, ...]
     n_total: int
     matrix: np.ndarray
@@ -49,28 +47,26 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
-def _kind_matrix(kind: HamiltonianKind, omega: float, omega_z, spin_ops, flip):
-    """The generator of one kind, and its omega_z (None unless TF), from
-    ``spin_ops()`` -> (Jx, Jy, Jz) and ``flip()`` -> the flip of every spin,
-    in whichever basis those two callables build them."""
+def _kind_matrix(kind: HamiltonianKind, spin_ops, flip) -> np.ndarray:
+    """The generator of one kind from ``spin_ops()`` -> (Jx, Jy, Jz) and
+    ``flip()`` -> the flip of every spin, in whichever basis those two
+    callables build them."""
     if kind is HamiltonianKind.GHZ:
-        return omega * flip(), None
+        return flip()
     jx, jy, jz = spin_ops()
     if kind is HamiltonianKind.OAT:
-        return omega * (jx @ jx), None
+        return jx @ jx
     if kind is HamiltonianKind.TF:
-        wz = omega if omega_z is None else omega_z
-        return omega * (jx @ jx) + wz * jz, wz
-    return omega * (jx @ jy + jy @ jx), None  # TAT
+        return jx @ jx + jz
+    return jx @ jy + jy @ jx  # TAT
 
 
-def build(kind, omega: float = 1.0, subset=None, n_total: int | None = None, omega_z: float | None = None) -> Hamiltonian:
+def build(kind, subset=None, n_total: int | None = None) -> Hamiltonian:
     """Construct a Hamiltonian of the given kind on a subset of a register.
 
-    kinds: 'oat' -> omega Jx^2; 'tf' -> omega Jx^2 + omega_z Jz (omega_z
-    defaults to omega); 'tat' -> omega (Jx Jy + Jy Jx); 'ghz' -> omega times
-    the product of sigma_x over the subset. Collective operators are summed
-    over the subset only.
+    kinds: 'oat' -> Jx^2; 'tf' -> Jx^2 + Jz; 'tat' -> Jx Jy + Jy Jx; 'ghz'
+    -> the product of sigma_x over the subset. Collective operators are
+    summed over the subset only.
     """
     kind = _as_kind(kind)
     if n_total is None:
@@ -83,35 +79,30 @@ def build(kind, omega: float = 1.0, subset=None, n_total: int | None = None, ome
     if len(set(subset)) != len(subset) or min(subset) < 0 or max(subset) >= n_total:
         raise DomainError(f"subset {subset} invalid for a {n_total}-qubit register")
 
-    m, wz = _kind_matrix(
+    m = _kind_matrix(
         kind,
-        omega,
-        omega_z,
         lambda: spin.collective_spin_matrices(subset, n_total),
         lambda: qcore.pauli_product(qcore.PAULI_X, subset, n_total),
     )
     m = np.ascontiguousarray(m)
     m.setflags(write=False)
-    return Hamiltonian(kind, float(omega), wz, subset, int(n_total), m)
+    return Hamiltonian(kind, subset, int(n_total), m)
 
 
-def _build_symmetric(kind, omega: float, n: int) -> np.ndarray:
-    """``build(kind, omega, range(n), n).matrix`` restricted to sym(n), formed
-    there directly: an (n+1, n+1) matrix in the basis of
+def _build_symmetric(kind, n: int) -> np.ndarray:
+    """``build(kind, range(n), n).matrix`` restricted to sym(n), formed there
+    directly: an (n+1, n+1) matrix in the basis of
     ``qcore.symmetric_isometry(n)`` (column k has k spins down).
 
     The collective kinds use the spin-j matrices of ``spin.symmetric_ops(n)``;
     the product of sigma_x flips every spin, so GHZ maps k to n - k.
     """
     ops = spin.symmetric_ops(n)
-    m, _ = _kind_matrix(
+    return _kind_matrix(
         _as_kind(kind),
-        omega,
-        None,
         lambda: (ops.jx, ops.jy, ops.jz),
-        lambda: np.eye(n + 1, dtype=np.complex128)[::-1],
+        lambda: np.eye(n + 1, dtype=np.complex128)[::-1].copy(),
     )
-    return m
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ Stage one entangles subsystems A and B by evolving the all-spins-down state
 under a register-wide Hamiltonian. Stage two evolves A alone and minimizes
 the squeezing parameter of A over the local evolution time; the minimum is
 calibrated against the A|B linear entropy so a squeezing measurement can be
-inverted into an entanglement estimate.
+inverted into an entanglement estimate. Both stages' generators have unit
+coupling (`hamiltonians`), so the entangling time t and the local time t'
+are in units of the inverse coupling. A trace holds its config; its
+metadata holds only what the run found: the worst negativity drift and the
+p-state rows.
 
 Local evolution cannot move entanglement across the A|B cut, and every run
 verifies this: the cut negativity is probed at NEGATIVITY_PROBES local times
@@ -101,13 +105,13 @@ def default_t_grid(h_ab_kind, steps: int = 401) -> np.ndarray:
     """Entangling-time grid covering one period of the register dynamics."""
     kind = _as_kind(h_ab_kind)
     hi = math.pi / 2 if kind is HamiltonianKind.GHZ else math.pi
-    return np.linspace(0.0, hi, steps)
+    return np.linspace(0.0, hi, check_count("steps", steps))
 
 
 def default_tp_grid(h_a_kind, steps: int = 2000) -> np.ndarray:
     kind = _as_kind(h_a_kind)
     hi = math.pi if kind is HamiltonianKind.GHZ else 100.0
-    return np.linspace(0.0, hi, steps)
+    return np.linspace(0.0, hi, check_count("steps", steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +122,6 @@ class ProtocolConfig:
     h_a_kind: HamiltonianKind
     t_grid: np.ndarray
     tp_grid: np.ndarray
-    omega: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "h_ab_kind", _as_kind(self.h_ab_kind))
@@ -135,6 +138,8 @@ class ProtocolConfig:
             )
         for name in ("t_grid", "tp_grid"):
             grid = np.asarray(getattr(self, name), dtype=float)
+            if grid.ndim != 1:
+                raise ConfigError(f"{name} must be 1-D, got shape {grid.shape}")
             if grid.size == 0:
                 raise ConfigError(f"{name} is empty")
             if not np.all(np.isfinite(grid)):
@@ -197,7 +202,8 @@ class CalibrationCurve:
     ``segments`` holds the maximal index runs over which x is monotone,
     computed from x. ``merge_tol`` is the S_L distance below which inversion
     candidates are treated as one value. x and y must be non-empty, finite
-    1-D arrays of one length; anything else raises ConfigError.
+    1-D arrays of one length, and merge_tol must be >= 0; anything else
+    raises ConfigError.
     """
 
     x: np.ndarray
@@ -205,7 +211,6 @@ class CalibrationCurve:
     segments: tuple[tuple[int, int], ...] = field(init=False)
     merge_tol: float = MERGE_TOL
     ghz_exact: bool = False
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
@@ -218,6 +223,8 @@ class CalibrationCurve:
         for name, values in (("x", x), ("y", y)):
             if not np.all(np.isfinite(values)):
                 raise ConfigError(f"calibration {name} has a non-finite value")
+        if not self.merge_tol >= 0.0:  # NaN fails too
+            raise ConfigError(f"merge_tol must be >= 0, got {self.merge_tol}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "segments", _monotone_segments(x))
@@ -288,17 +295,15 @@ class _SubsystemEngine(SpectralPropagator):
         return (w * np.exp(-1j * np.multiply.outer(taus, self.eigenvalues))[..., None, :]) @ w.conj().T
 
 
-def _dense_engine(kind: HamiltonianKind, n_a: int, omega: float, tp: np.ndarray) -> _SubsystemEngine:
+def _dense_engine(kind: HamiltonianKind, n_a: int, tp: np.ndarray) -> _SubsystemEngine:
     """The protocol's engine: A's Hamiltonian and moment operators on all 2^n_A states."""
-    return _SubsystemEngine(
-        build(kind, omega, range(n_a), n_a).matrix, spin.collective_ops(n_a).moment_operators, n_a, tp
-    )
+    return _SubsystemEngine(build(kind, range(n_a), n_a).matrix, spin.collective_ops(n_a).moment_operators, n_a, tp)
 
 
-def _evolve_all_down(kind, omega: float, n: int, t) -> np.ndarray:
-    """The n-qubit all-down state evolved under ``build(kind, omega, range(n),
-    n)`` for time t, as its sym(n) amplitudes: shape (n+1,), or (n+1, T) for
-    an array of T times. ``qcore.symmetric_isometry(n) @`` the result embeds
+def _evolve_all_down(kind, n: int, t) -> np.ndarray:
+    """The n-qubit all-down state evolved under ``build(kind, range(n), n)``
+    for time t, as its sym(n) amplitudes: shape (n+1,), or (n+1, T) for an
+    array of T times. ``qcore.symmetric_isometry(n) @`` the result embeds
     it in the register.
 
     The generator is collective, so the state evolves in sym(n) under the
@@ -306,7 +311,7 @@ def _evolve_all_down(kind, omega: float, n: int, t) -> np.ndarray:
     """
     start = np.zeros(n + 1, dtype=np.complex128)
     start[n] = 1.0  # all-down
-    return SpectralPropagator(_build_symmetric(kind, omega, n)).apply(start, t)
+    return SpectralPropagator(_build_symmetric(kind, n)).apply(start, t)
 
 
 def _check_weight_inside(weight: np.ndarray) -> None:
@@ -411,7 +416,7 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
     n = cfg.n_a + cfg.n_b
     n_rows = cfg.t_grid.size
     # Grid stages, shared by every local kind. Entangle: psi(t) for all rows.
-    prop = SpectralPropagator(build(cfg.h_ab_kind, cfg.omega, range(n), n))
+    prop = SpectralPropagator(build(cfg.h_ab_kind, range(n), n))
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
     psi = np.ascontiguousarray(states.T)  # (T, d)
     rho_a = qcore.reduced_state_matrix(psi, n, tuple(range(cfg.n_a)))
@@ -436,7 +441,7 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
     for kind in kinds:
         # Built after the 2^n-dimensional grid stages so that its (d_A, tp)
         # phase matrices do not raise those stages' peak memory.
-        eng = _dense_engine(kind, cfg.n_a, cfg.omega, cfg.tp_grid)
+        eng = _dense_engine(kind, cfg.n_a, cfg.tp_grid)
         min_xi2, argmin_tp = np.empty(n_rows), np.empty(n_rows)
         for i in range(n_rows):
             products = eng.moment_products(eng.to_eigenbasis(rho_a[i]))
@@ -466,11 +471,6 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
             nonmonotone=flags,
             negativity_drift=drift,
             metadata={
-                "h_ab_kind": cfg.h_ab_kind.value,
-                "h_a_kind": kind.value,
-                "n_a": cfg.n_a,
-                "n_b": cfg.n_b,
-                "omega": cfg.omega,
                 "max_negativity_drift": worst,
                 "p_states": _select_p_states(s_l_arr, flags, cfg.t_grid),
             },
@@ -507,7 +507,7 @@ def state_at(cfg: ProtocolConfig, t: float) -> qcore.PureState:
     if not math.isfinite(t):
         raise DomainError(f"entangling time must be finite, got {t}")
     n = cfg.n_a + cfg.n_b
-    return qcore.PureState(n, qcore.symmetric_isometry(n) @ _evolve_all_down(cfg.h_ab_kind, cfg.omega, n, t))
+    return qcore.PureState(n, qcore.symmetric_isometry(n) @ _evolve_all_down(cfg.h_ab_kind, n, t))
 
 
 def reduced_a_at(cfg: ProtocolConfig, t: float) -> DensityMatrix:
@@ -564,7 +564,7 @@ def calibration(trace: ProtocolTrace) -> CalibrationCurve:
         trace.config.h_ab_kind is HamiltonianKind.GHZ
         and trace.config.h_a_kind is HamiltonianKind.GHZ
     )
-    return CalibrationCurve(x=x, y=y, ghz_exact=ghz_exact, metadata=dict(trace.metadata))
+    return CalibrationCurve(x=x, y=y, ghz_exact=ghz_exact)
 
 
 def _flag_threshold(s_l: np.ndarray) -> float:
@@ -609,7 +609,12 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
 
 def monotonicity_score(curve: CalibrationCurve) -> float:
-    """Spearman rank correlation between min xi2_A and S_L,AB over the trace."""
+    """Spearman rank correlation between min xi2_A and S_L,AB over the trace.
+
+    Exact ties share the mean of their ranks. Rows that are equal by
+    symmetry (such as t and pi - t under the OAT entangler) tie or not by a
+    last-bit rounding, and that alone can move the score by about 1e-3.
+    """
     if curve.x.size < 3:
         raise UndefinedScoreError("need at least three points")
     rx = _average_ranks(curve.x)
@@ -633,7 +638,6 @@ def explore_measure_vs_squeezing(
     t_max: float = 100.0,
     steps: int = 2001,
     split: Partition | None = None,
-    omega: float = 1.0,
 ) -> ExplorationTrace:
     """Trajectory of (squeezing, internal negativity) for subsystem A.
 
@@ -657,7 +661,7 @@ def explore_measure_vs_squeezing(
     iso = qcore.symmetric_isometry(n)
     rho_sym = _symmetric_part(initial_rho_a.matrix, iso)
     tp = np.linspace(0.0, t_max, steps)
-    eng = _SubsystemEngine(_build_symmetric(kind, omega, n), spin.symmetric_ops(n).moment_operators, n, tp)
+    eng = _SubsystemEngine(_build_symmetric(kind, n), spin.symmetric_ops(n).moment_operators, n, tp)
     rho_eig = eng.to_eigenbasis(rho_sym)
     xi2, _ = eng.xi2_sweep(eng.moment_products(rho_eig))
     # A symmetric state depends on the split only through its side sizes.
@@ -690,7 +694,6 @@ def appendix_b_study(
     h_a_kinds=(HamiltonianKind.OAT, HamiltonianKind.TAT, HamiltonianKind.TF),
     t_max: float = 100.0,
     steps: int = 2001,
-    omega: float = 1.0,
 ) -> dict[tuple[int, HamiltonianKind], AppendixBTrace]:
     """Squeezing versus internal entanglement for pure all-down subsystems.
 
@@ -714,7 +717,7 @@ def appendix_b_study(
         mops = spin.symmetric_ops(size).moment_operators
         half = size // 2
         for kind in kinds:
-            amps = _evolve_all_down(kind, omega, size, t)  # (size+1, T)
+            amps = _evolve_all_down(kind, size, t)  # (size+1, T)
             xi2, _ = spin.xi2_from_moment_arrays(spin.pure_moments(amps, mops), size)
             s_l = _cut_linear_entropy(_split_coefficients(amps.T, half, half), half)
             out[(size, kind)] = AppendixBTrace(size, kind, t, s_l, xi2)

@@ -365,7 +365,7 @@ class SpectralPropagator:
 
 
 def evolve(state: PureState, hamiltonian, t: float) -> PureState:
-    """Evolve a pure state under a Hermitian generator for time t (units 1/Omega)."""
+    """Evolve a pure state under a Hermitian generator for time t (hbar = 1)."""
     m = _as_matrix(getattr(hamiltonian, "matrix", hamiltonian))
     if m.shape[0] != state.dim:
         raise DimensionMismatchError(

@@ -150,27 +150,27 @@ def explore_dense(rho, hamiltonian, spin_ops, tp, qubits_a):
     return _xi2_from_spin_moments(mean, second, n), neg
 
 
-def oat_closed_form(n_a, n_b, t, omega=1.0):
+def oat_closed_form(n_a, n_b, t):
     """Register squeezing xi2_AB and A|B linear entropy S_L,AB of the all-down
-    state of n_a + n_b qubits after one-axis twisting (omega Jx^2) for times t,
+    state of n_a + n_b qubits after one-axis twisting (Jx^2) for times t,
     in closed form (Kitagawa & Ueda, PRA 47, 5138 (1993); Ma et al., Phys. Rep.
     509, 89 (2011)).
 
-    With N = n_a + n_b and mu = 2 omega t, A = 1 - cos^(N-2) mu and
+    With N = n_a + n_b and mu = 2t, A = 1 - cos^(N-2) mu and
     B = 4 sin(mu/2) cos^(N-2)(mu/2) give xi2 = 1 + (N-1)/4 (A - sqrt(A^2+B^2)).
     Each A configuration with k flipped spins has weight p_k = C(n_a,k)/2^n_a,
-    and B dephases the pair (k, k') by cos^n_b(omega t (k-k')), so the purity
-    is sum p_k p_k' cos^(2 n_b)(omega t (k-k')).
+    and B dephases the pair (k, k') by cos^n_b(t (k-k')), so the purity is
+    sum p_k p_k' cos^(2 n_b)(t (k-k')).
     """
     t = np.asarray(t, dtype=float)
     n = n_a + n_b
-    mu = 2.0 * omega * t
+    mu = 2.0 * t
     a = 1.0 - np.cos(mu) ** (n - 2)
     b = 4.0 * np.sin(mu / 2) * np.cos(mu / 2) ** (n - 2)
     xi2 = 1.0 + (n - 1) / 4.0 * (a - np.sqrt(a * a + b * b))
     k = np.arange(n_a + 1)
     p = np.array([math.comb(n_a, j) for j in k]) / 2.0**n_a
-    dephase = np.cos(omega * t[:, None, None] * (k[:, None] - k[None, :])) ** (2 * n_b)
+    dephase = np.cos(t[:, None, None] * (k[:, None] - k[None, :])) ** (2 * n_b)
     d = 2.0**n_a
     return xi2, d / (d - 1) * (1.0 - np.einsum("i,j,tij->t", p, p, dephase))
 

@@ -111,6 +111,23 @@ def test_protocol_manifest_drift_is_the_worst_over_every_kind(tmp_path, monkeypa
     assert manifest["max_negativity_drift"] == 5e-10
 
 
+def test_protocol_manifest_scores_do_not_depend_on_ha(tmp_path):
+    # each kind sweeps its own default tp grid: under --ha ghz, oat and tat
+    # were once scored on ghz's [0, pi] grid instead of their [0, 100]
+    scores = {}
+    for ha in ("tf", "ghz"):
+        out = tmp_path / f"{ha}.csv"
+        code = main([
+            "protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", ha,
+            "--t-steps", "21", "--tp-steps", "100", "--out", str(out),
+        ])
+        assert code == 0
+        scores[ha] = json.loads((tmp_path / f"{ha}.csv.manifest.json").read_text())["monotonicity_scores"]
+    assert set(scores["ghz"]) == {"ghz", *scores["tf"]}
+    for kind, score in scores["tf"].items():
+        assert scores["ghz"][kind] == score, kind
+
+
 def test_protocol_oat_ghz_point_for_each_local_kind(tmp_path):
     for ha in ("oat", "tat", "tf"):
         out = tmp_path / f"oat_{ha}.csv"

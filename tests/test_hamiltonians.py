@@ -8,13 +8,13 @@ from monogamy_lab.spin import collective_spin_matrices
 
 
 def test_ghz_single_qubit_is_pauli_x():
-    h = build("ghz", 1.3, (0,), 1)
-    assert np.allclose(h.matrix, 1.3 * qcore.PAULI_X)
+    h = build("ghz", (0,), 1)
+    assert np.allclose(h.matrix, qcore.PAULI_X)
 
 
 def test_ghz_squares_to_identity():
     for n in (1, 2, 3, 4):
-        h = build("ghz", 1.0, range(n), n)
+        h = build("ghz", range(n), n)
         assert np.allclose(h.matrix @ h.matrix, np.eye(2**n), atol=1e-12)
 
 
@@ -25,29 +25,26 @@ def test_tat_matches_pauli_construction():
     sy = [qcore.embed_single_qubit_op(qcore.PAULI_Y, i, n) for i in range(n)]
     jx = 0.5 * sum(sx)
     jy = 0.5 * sum(sy)
-    expected = 0.7 * (jx @ jy + jy @ jx)
-    h = build("tat", 0.7, range(n), n)
+    expected = jx @ jy + jy @ jx
+    h = build("tat", range(n), n)
     assert np.allclose(h.matrix, expected, atol=1e-12)
 
 
 def test_oat_and_tf_forms():
     jx, _, jz = collective_spin_matrices((0, 1, 2), 3)
-    assert np.allclose(build("oat", 2.0, range(3), 3).matrix, 2.0 * jx @ jx)
-    assert np.allclose(build("tf", 2.0, range(3), 3).matrix, 2.0 * jx @ jx + 2.0 * jz)
-    assert np.allclose(
-        build("tf", 2.0, range(3), 3, omega_z=0.5).matrix, 2.0 * jx @ jx + 0.5 * jz
-    )
+    assert np.allclose(build("oat", range(3), 3).matrix, jx @ jx)
+    assert np.allclose(build("tf", range(3), 3).matrix, jx @ jx + jz)
 
 
 def test_builders_are_hermitian():
     for kind in ("oat", "tf", "tat", "ghz"):
-        h = build(kind, 1.0, range(3), 3)
+        h = build(kind, range(3), 3)
         assert np.max(np.abs(h.matrix - h.matrix.conj().T)) < 1e-12
 
 
 def test_identity_outside_subset():
     # acting on qubits {1, 3} of four: commutes with any operator on 0 and 2
-    h = build("tf", 1.0, (1, 3), 4)
+    h = build("tf", (1, 3), 4)
     for outside in (0, 2):
         for pauli in (qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z):
             op = qcore.embed_single_qubit_op(pauli, outside, 4)
@@ -59,36 +56,35 @@ def test_identity_outside_subset():
 
 def test_build_validation():
     with pytest.raises(DomainError):
-        build("oat", 1.0, (), 3)
+        build("oat", (), 3)
     with pytest.raises(DomainError):
-        build("oat", 1.0, (0, 5), 3)
+        build("oat", (0, 5), 3)
     with pytest.raises(DomainError):
-        build("nope", 1.0, (0,), 1)
+        build("nope", (0,), 1)
 
 
 def test_build_keeps_the_bits_of_the_direct_expressions():
     n = 3
     jx, jy, jz = collective_spin_matrices(tuple(range(n)), n)
     expected = {
-        "oat": 0.7 * (jx @ jx),
-        "tf": 0.7 * (jx @ jx) + 0.7 * jz,
-        "tat": 0.7 * (jx @ jy + jy @ jx),
-        "ghz": 0.7 * qcore.pauli_product(qcore.PAULI_X, tuple(range(n)), n),
+        "oat": jx @ jx,
+        "tf": jx @ jx + jz,
+        "tat": jx @ jy + jy @ jx,
+        "ghz": qcore.pauli_product(qcore.PAULI_X, tuple(range(n)), n),
     }
     for kind, m in expected.items():
-        assert build(kind, 0.7, range(n), n).matrix.tobytes() == m.tobytes(), kind
+        assert build(kind, range(n), n).matrix.tobytes() == m.tobytes(), kind
 
 
-@pytest.mark.parametrize("omega", [1.0, 0.7])
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("kind", list(HamiltonianKind))
-def test_symmetric_builder_is_the_dense_generator_on_sym_n(kind, n, omega):
+def test_symmetric_builder_is_the_dense_generator_on_sym_n(kind, n):
     """The sym(n) builder equals the dense generator restricted by the
     Dicke isometry, and the dense generator maps sym(n) into itself (no
     leak), so evolving in sym(n) is exact."""
     iso = qcore.symmetric_isometry(n)
-    dense = build(kind, omega, range(n), n).matrix
-    h_sym = _build_symmetric(kind, omega, n)
+    dense = build(kind, range(n), n).matrix
+    h_sym = _build_symmetric(kind, n)
     assert h_sym.shape == (n + 1, n + 1)
     assert np.max(np.abs(iso.T @ dense @ iso - h_sym)) <= 1e-13
     assert np.max(np.abs(dense @ iso - iso @ h_sym)) <= 1e-13
@@ -98,9 +94,9 @@ def test_total_spin_conserved_by_twisting():
     jx, jy, jz = collective_spin_matrices((0, 1, 2, 3), 4)
     j2 = jx @ jx + jy @ jy + jz @ jz
     for kind in ("oat", "tat"):
-        h = build(kind, 1.0, range(4), 4)
+        h = build(kind, range(4), 4)
         assert np.max(np.abs(h.matrix @ j2 - j2 @ h.matrix)) < 1e-10
-    h = build("tf", 1.0, range(4), 4)
+    h = build("tf", range(4), 4)
     assert np.max(np.abs(h.matrix @ j2 - j2 @ h.matrix)) < 1e-10  # Jz commutes with J^2 too
 
 
@@ -109,12 +105,12 @@ def test_total_spin_conserved_by_twisting():
 
 
 def test_oat_symmetries():
-    rep = symmetry_report(build("oat", 1.0, range(4), 4))
+    rep = symmetry_report(build("oat", range(4), 4))
     assert rep.spin_flip and rep.x_rotation and rep.z_parity
 
 
 def test_tat_symmetries():
-    rep = symmetry_report(build("tat", 1.0, range(4), 4))
+    rep = symmetry_report(build("tat", range(4), 4))
     assert rep.spin_flip
     assert not rep.x_rotation
     assert rep.z_parity
@@ -124,17 +120,17 @@ def test_tf_symmetries():
     # the transverse field breaks the spin flip and the x-rotation family;
     # the pi rotation about z (Jx -> -Jx, Jy -> -Jy) survives because it
     # leaves both Jx^2 and Jz unchanged
-    rep = symmetry_report(build("tf", 1.0, range(4), 4))
+    rep = symmetry_report(build("tf", range(4), 4))
     assert not rep.spin_flip
     assert not rep.x_rotation
     assert rep.z_parity
 
 
 def test_symmetries_on_embedded_subset():
-    rep = symmetry_report(build("oat", 1.0, (0, 2), 3))
+    rep = symmetry_report(build("oat", (0, 2), 3))
     assert rep.spin_flip and rep.x_rotation and rep.z_parity
 
 
 def test_kind_coercion():
-    assert build(HamiltonianKind.OAT, 1.0, (0,), 1).kind is HamiltonianKind.OAT
-    assert build("TAT", 1.0, (0, 1), 2).kind is HamiltonianKind.TAT
+    assert build(HamiltonianKind.OAT, (0,), 1).kind is HamiltonianKind.OAT
+    assert build("TAT", (0, 1), 2).kind is HamiltonianKind.TAT

@@ -94,7 +94,7 @@ def test_linear_entropy_ghz_evolved_value():
     # reduced state of the flip-generator trajectory at phi = pi/8
     from monogamy_lab.hamiltonians import build
 
-    h = build("ghz", 1.0, range(4), 4)
+    h = build("ghz", range(4), 4)
     psi = qcore.evolve(qcore.basis_state(4, 0), h, np.pi / 8)
     rho_a = qcore.reduced_state_matrix(psi, 4, (0, 1))
     assert abs(linear_entropy(rho_a) - 1.0 / 3.0) < 1e-12

@@ -86,6 +86,13 @@ def test_config_validation():
             grids = {"t_grid": grid, "tp_grid": grid, name: np.array([0.0, 1.0, bad])}
             with pytest.raises(ConfigError, match="finite"):
                 ProtocolConfig(2, 2, "oat", "tf", **grids)
+    # a 2-D t_grid once failed in run_protocol with "operands could not be
+    # broadcast"; a 2-D tp_grid and a 0-D grid failed later inside numpy
+    for bad in (np.array([[0.0, 1.0], [2.0, 3.0]]), np.float64(0.5)):
+        for name in ("t_grid", "tp_grid"):
+            grids = {"t_grid": grid, "tp_grid": grid, name: bad}
+            with pytest.raises(ConfigError, match="1-D"):
+                ProtocolConfig(2, 2, "oat", "tf", **grids)
     cfg = ghz_config()
     assert cfg.h_ab_kind is HamiltonianKind.GHZ
 
@@ -97,6 +104,15 @@ def test_default_grids():
     assert abs(t[-1] - np.pi) < 1e-15
     tp = default_tp_grid("tf", 100)
     assert abs(tp[-1] - 100.0) < 1e-12
+    assert default_tp_grid("ghz", np.int64(3)).size == 3
+
+
+@pytest.mark.parametrize("grid", [default_t_grid, default_tp_grid])
+@pytest.mark.parametrize("steps", [2.5, -1, 0, True, "3"])
+def test_default_grids_reject_a_bad_step_count(grid, steps):
+    # 2.5 and -1 once raised numpy's TypeError and ValueError; 0 gave an empty grid
+    with pytest.raises(DomainError, match="steps"):
+        grid("oat", steps)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +154,7 @@ def test_ghz_score_is_one_on_monotone_branch():
 def test_sweep_consistency_at_zero_local_time():
     cfg = ghz_config(t_steps=7)
     eng_ops = collective_ops(2)
-    eng = _dense_engine(HamiltonianKind.GHZ, 2, 1.0, cfg.tp_grid)
+    eng = _dense_engine(HamiltonianKind.GHZ, 2, cfg.tp_grid)
     trace = run_protocol(cfg)
     for i, t in enumerate(trace.t):
         rho = reduced_a_at(cfg, t)
@@ -153,7 +169,7 @@ def test_sweep_consistency_at_zero_local_time():
 def test_min_never_exceeds_grid_samples():
     cfg = ghz_config(t_steps=12, tp_steps=47)
     trace = run_protocol(cfg)
-    eng = _dense_engine(HamiltonianKind.GHZ, 2, 1.0, cfg.tp_grid)
+    eng = _dense_engine(HamiltonianKind.GHZ, 2, cfg.tp_grid)
     for i, t in enumerate(trace.t):
         rho = reduced_a_at(cfg, t).matrix
         grid_vals, _ = eng.xi2_sweep(eng.moment_products(eng.to_eigenbasis(rho)))
@@ -166,7 +182,7 @@ def test_min_never_exceeds_grid_samples():
 
 def test_oat_half_period_reaches_ghz_point():
     n = 4
-    h = build("oat", 1.0, range(n), n)
+    h = build("oat", range(n), n)
     psi = qcore.evolve(all_down_state(n), h, np.pi / 2)
     a0, a15 = psi.amplitudes[0], psi.amplitudes[-1]
     ghz_fidelity = (abs(a0) + abs(a15)) ** 2 / 2
@@ -210,7 +226,7 @@ def test_grid_stages_match_per_row_route(n_a, n_b):
         assert abs(trace.xi2_ab[i] - squeezing_parameter(state_at(cfg, t), ops).xi2) < 1e-12
 
     n = n_a + n_b
-    prop = SpectralPropagator(build("oat", 1.0, range(n), n))
+    prop = SpectralPropagator(build("oat", range(n), n))
     psi0 = all_down_state(n).amplitudes
     columns = prop.apply(psi0, cfg.t_grid)
     assert columns.shape == (2**n, cfg.t_grid.size)
@@ -310,6 +326,16 @@ def test_calibration_curve_rejects_y_shorter_than_x():
 def test_calibration_curve_rejects_an_empty_curve():
     with pytest.raises(ConfigError):
         CalibrationCurve(x=np.array([]), y=np.array([]))
+
+
+@pytest.mark.parametrize("merge_tol", [np.nan, -1e-3, -np.inf])
+def test_calibration_curve_rejects_a_nan_or_negative_merge_tol(merge_tol):
+    # with NaN, invert once merged the candidates (0.1, 0.3, 0.5, 0.7) into (0.4,)
+    x, y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    with pytest.raises(ConfigError, match="merge_tol"):
+        CalibrationCurve(x=x, y=y, merge_tol=merge_tol)
+    res = invert(CalibrationCurve(x=x, y=y, merge_tol=0.0), 0.0)
+    assert res.candidates == (0.1, 0.3, 0.5, 0.7) and res.ambiguous
 
 
 def test_calibration_curve_rejects_arrays_that_are_not_1d():
@@ -417,7 +443,7 @@ def _assert_explore_matches_dense(rho, kind, split):
     n = rho.n_qubits
     ops = collective_ops(n)
     xi2, n_a = explore_dense(
-        rho.matrix, build(kind, 1.0, range(n), n).matrix, (ops.jx, ops.jy, ops.jz), tr.tp,
+        rho.matrix, build(kind, range(n), n).matrix, (ops.jx, ops.jy, ops.jz), tr.tp,
         split.qubits_a if split else tuple(range(n // 2)),
     )
     assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-10
@@ -539,9 +565,9 @@ def test_appendix_b_oat_matches_closed_form():
 
 @functools.cache
 def _dense_propagator(n: int, kind: str) -> SpectralPropagator:
-    """Dense propagator of build(kind, 1.0, range(n), n): the route qcore.evolve
+    """Dense propagator of build(kind, range(n), n): the route qcore.evolve
     takes, solved once per (n, kind) so the 256x256 cases stay affordable."""
-    return SpectralPropagator(build(kind, 1.0, range(n), n))
+    return SpectralPropagator(build(kind, range(n), n))
 
 
 @pytest.mark.parametrize("kind", ["oat", "tf", "tat", "ghz"])
@@ -568,7 +594,7 @@ def test_symmetric_probes_match_dense_route(n_a, n_b, steps):
     psi_sym = _symmetric_amplitudes(psi, qcore.symmetric_isometry(n))
     coeffs = (psi_sym @ qcore.symmetric_split_isometry(n_a, n_b).T).reshape(steps, n_a + 1, n_b + 1)
     iso_a = qcore.symmetric_isometry(n_a)
-    eng = _dense_engine(HamiltonianKind.OAT, n_a, 1.0, tp)
+    eng = _dense_engine(HamiltonianKind.OAT, n_a, tp)
     taus = np.empty((3, steps))  # the protocol's three probe times per row
     for i in range(steps):
         products = eng.moment_products(eng.to_eigenbasis(rho_a[i]))
@@ -648,7 +674,7 @@ def test_row_invariant_hoists_are_bit_identical(n_a, n_b, t_steps, rng):
     tp = default_tp_grid("tf", 2000)
     mops = collective_ops(n_a).moment_operators
     for kind in ("tf", "oat", "tat"):
-        eng = _dense_engine(kind, n_a, 1.0, tp)
+        eng = _dense_engine(kind, n_a, tp)
         tilde = [eng.to_eigenbasis(op) for op in mops]
         a = np.exp(-1j * np.outer(eng.eigenvalues, tp))
         ac = a.conj()

@@ -121,7 +121,7 @@ def test_partial_trace_ghz_evolved_reduced_state():
     # keeps it in a two-level subspace; the reduced state is diagonal
     from monogamy_lab.hamiltonians import build
 
-    h = build("ghz", 1.0, range(4), 4)
+    h = build("ghz", range(4), 4)
     for phi in (0.2, 0.9, np.pi / 8):
         psi = evolve(basis_state(4, 0), h, phi)
         rho_a = partial_trace(dm_from_pure(psi), Partition((0, 1), (2, 3)), "a")
@@ -322,7 +322,7 @@ def test_evolve_identity_at_zero(rng):
 def test_evolve_ghz_generator_formula():
     from monogamy_lab.hamiltonians import build
 
-    h = build("ghz", 1.0, range(4), 4)
+    h = build("ghz", range(4), 4)
     for t in (0.3, 1.1, 2.7):
         out = evolve(basis_state(4, 0), h, t)
         expected = np.zeros(16, dtype=complex)

@@ -104,7 +104,7 @@ def test_ghz_register_squeezing_constant():
     from monogamy_lab.hamiltonians import build
 
     ops = collective_ops(4)
-    h = build("ghz", 1.0, range(4), 4)
+    h = build("ghz", range(4), 4)
     for phi in np.linspace(0.0, np.pi / 2, 9):
         psi = qcore.evolve(all_down_state(4), h, phi)
         res = squeezing_parameter(psi, ops)
@@ -120,8 +120,8 @@ def test_subsystem_squeezing_closed_form():
     from monogamy_lab.hamiltonians import build
 
     ops = collective_ops(2)
-    h_ab = build("ghz", 1.0, range(4), 4)
-    h_a = build("ghz", 1.0, range(2), 2)
+    h_ab = build("ghz", range(4), 4)
+    h_a = build("ghz", range(2), 2)
     for phi in (0.1, 0.45, 1.2):
         psi = qcore.evolve(all_down_state(4), h_ab, phi)
         rho_a = qcore.reduced_state_matrix(psi, 4, (0, 1))
