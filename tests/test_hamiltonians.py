@@ -76,18 +76,26 @@ def test_build_keeps_the_bits_of_the_direct_expressions():
         assert build(kind, range(n), n).matrix.tobytes() == m.tobytes(), kind
 
 
+def _unitary(h, t):
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+@pytest.mark.parametrize("t", [1.0, 0.7])
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("kind", list(HamiltonianKind))
-def test_symmetric_builder_is_the_dense_generator_on_sym_n(kind, n):
+def test_symmetric_builder_is_the_dense_generator_on_sym_n(kind, n, t):
     """The sym(n) builder equals the dense generator restricted by the
     Dicke isometry, and the dense generator maps sym(n) into itself (no
-    leak), so evolving in sym(n) is exact."""
+    leak), so evolving in sym(n) for a time t is exact. With unit coupling,
+    t = 0.7 is also the unit-time evolution at coupling 0.7."""
     iso = qcore.symmetric_isometry(n)
     dense = build(kind, range(n), n).matrix
     h_sym = _build_symmetric(kind, n)
     assert h_sym.shape == (n + 1, n + 1)
     assert np.max(np.abs(iso.T @ dense @ iso - h_sym)) <= 1e-13
     assert np.max(np.abs(dense @ iso - iso @ h_sym)) <= 1e-13
+    assert np.max(np.abs(_unitary(dense, t) @ iso - iso @ _unitary(h_sym, t))) <= 1e-12
 
 
 def test_total_spin_conserved_by_twisting():
