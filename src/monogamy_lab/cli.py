@@ -37,33 +37,30 @@ VIOLATION_SLACK = 1e-9
 COUNT_OPTIONS = ("threads", "samples", "steps", "t_steps", "tp_steps")
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _cells(column: np.ndarray):
-    """One column's cells: floats by ``_fmt``, bools and ints as integers,
-    enums by their value."""
+def _cells(column: np.ndarray) -> tuple[str, list]:
+    """One column's printf conversion and cells: floats as ``%.17g``, bools
+    and ints as integers, enums by their value."""
     kind = column.dtype.kind
     if kind == "f":
-        fmt = _fmt
-    elif kind == "O":
-        fmt = lambda v: v.value
-    else:
-        fmt = lambda v: str(int(v))
-    return map(fmt, column.tolist())
+        return "%.17g", column.tolist()
+    if kind == "O":
+        return "%s", [v.value for v in column.tolist()]
+    return "%d", column.tolist()
 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> int:
-    """Write equal-length named columns one row at a time; return the row count."""
+    """Write equal-length named columns; return the row count.
+
+    The columns are converted to Python cells once; each row is then one
+    printf-style line, streamed to the file through ``writelines``.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
+    conversions, cells = zip(*map(_cells, columns.values()))
+    line = ",".join(conversions) + "\n"
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in zip(*map(_cells, columns.values()), strict=True):
-            fh.write(",".join(row) + "\n")
-            count += 1
-    return count
+        fh.writelines(line % row for row in zip(*cells, strict=True))
+    return len(cells[0])
 
 
 def _sha256(path: Path) -> str:

@@ -8,7 +8,7 @@ inverted into an entanglement estimate. Both stages' generators have unit
 coupling (`hamiltonians`), so the entangling time t and the local time t'
 are in units of the inverse coupling. A trace holds its config; its
 metadata holds only what the run found: the worst negativity drift and the
-p-state rows.
+p-state rows. An exploration trace's metadata holds only its internal split.
 
 Local evolution cannot move entanglement across the A|B cut, and every run
 verifies this: the cut negativity is probed at NEGATIVITY_PROBES local times
@@ -676,12 +676,7 @@ def explore_measure_vs_squeezing(
         tp=tp,
         xi2_a=xi2,
         n_a=n_a,
-        metadata={
-            "h_a_kind": kind.value,
-            "t_max": t_max,
-            "steps": steps,
-            "split": {"a": list(split.qubits_a), "b": list(split.qubits_b)},
-        },
+        metadata={"split": {"a": list(split.qubits_a), "b": list(split.qubits_b)}},
     )
 
 

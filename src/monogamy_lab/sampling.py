@@ -1,10 +1,12 @@
 """Random-state and random-spectrum generation plus the bound-region datasets.
 
-Sampling is deterministic given an integer seed. Dataset generation derives
-one child seed per sample index (numpy SeedSequence spawning), so sample i
-depends only on the seed and i. The draws run per sample; the arithmetic
-after them runs over the whole stack of samples (fig2's reduces and
-concurrences, fig3's measures), with the per-sample bits.
+Sampling is deterministic given an integer seed. Sample i of a dataset draws
+from its own generator, seeded by ``SeedSequence(seed, spawn_key=(i,))``
+(child i of ``SeedSequence(seed).spawn(n)``), so it depends only on the seed
+and i. Only the draws run per sample, straight into a preallocated array;
+everything after them is one array stage over the whole stack of samples
+(fig2's reduces and concurrences; fig3's normalisation, sort and measures),
+with the per-sample bits.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(n)
+def _sample_rng(seed: int, i: int) -> np.random.Generator:
+    """Generator of sample i: child i of ``SeedSequence(seed).spawn(n)``, built directly."""
+    return _rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
 def haar_random_pure(n_qubits: int, seed) -> PureState:
@@ -61,14 +64,12 @@ def haar_random_pure(n_qubits: int, seed) -> PureState:
     return PureState(n_qubits, amps / np.linalg.norm(amps))
 
 
-def _draw_spectrum(seed, zeros: int) -> np.ndarray:
-    rng = _rng(seed)
-    k = 4 - zeros
-    draws = rng.standard_exponential(k)
-    vals = np.zeros(4)
-    vals[:k] = draws / draws.sum()
-    vals[::-1].sort()
-    return vals
+def _to_sorted_simplex(spectra: np.ndarray) -> np.ndarray:
+    """Normalise each row of drawn exponentials (zero-padded) to sum 1 and
+    sort it descending, in place."""
+    spectra /= spectra.sum(axis=1, keepdims=True)
+    spectra[:, ::-1].sort(axis=1)
+    return spectra
 
 
 def random_spectrum(seed, zeros: int = 0) -> Spectrum:
@@ -79,7 +80,9 @@ def random_spectrum(seed, zeros: int = 0) -> Spectrum:
     """
     if zeros not in (0, 1, 2):
         raise DomainError(f"zeros must be 0, 1, or 2, got {zeros}")
-    return Spectrum(tuple(_draw_spectrum(seed, zeros)))
+    vals = np.zeros((1, 4))
+    _rng(seed).standard_exponential(4 - zeros, out=vals[0, : 4 - zeros])
+    return Spectrum(tuple(_to_sorted_simplex(vals)[0]))
 
 
 # SampleClass by the count of non-zero eigenvalues, 0..4.
@@ -118,12 +121,12 @@ FIG2_PARTITION = Partition((0, 1), (2,))
 def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     """Concurrence pairs (C_AB, C_A1A2) for Haar-random three-qubit states.
 
-    Sample i is drawn from the i-th child seed, as `haar_random_pure` draws
+    Sample i is drawn from its own generator, as `haar_random_pure` draws
     it; the reduces and both concurrences then run once over the (N, 8)
     stack of amplitudes, with the per-sample results bit for bit.
     """
     n_samples = check_count("n_samples", n_samples)
-    psi = np.array([haar_random_pure(3, child).amplitudes for child in _child_seeds(seed, n_samples)])
+    psi = np.array([haar_random_pure(3, _sample_rng(seed, i)).amplitudes for i in range(n_samples)])
     x = _schmidt_concurrences(psi, 3, FIG2_PARTITION)
     y = measures.concurrence(qcore.reduced_state_matrix(psi, 3, FIG2_PARTITION.qubits_a))
     return Dataset(
@@ -152,12 +155,17 @@ def fig3_dataset(n_samples: int, seed: int) -> Dataset:
 
     Sample i pins ``(2, 1, 0)[i mod 3]`` eigenvalues to zero (sample 0 has two
     zeros), so the two-, three-, and four-nonzero populations are evenly
-    represented.
+    represented. Each sample's exponentials are drawn into its row of the
+    zero-filled spectra array; the rows are then normalised and sorted at
+    once.
     """
     n_samples = check_count("n_samples", n_samples)
-    children = _child_seeds(seed, n_samples)
-    rows = [_draw_spectrum(child, (2, 1, 0)[i % 3]) for i, child in enumerate(children)]
-    spectra = np.vstack([*rows, MARKER_SPECTRA])
+    spectra = np.zeros((n_samples + 4, 4))
+    for i in range(n_samples):
+        k = 2 + i % 3  # (2, 1, 0)[i % 3] zeros
+        _sample_rng(seed, i).standard_exponential(k, out=spectra[i, :k])
+    _to_sorted_simplex(spectra[:n_samples])
+    spectra[n_samples:] = MARKER_SPECTRA
     cls = _CLASS_BY_NONZERO[np.count_nonzero(spectra > _NONZERO_EIGENVALUE, axis=1)]
     cls[n_samples:] = SampleClass.MARKER
     return Dataset(

@@ -1,9 +1,10 @@
 """Independent reference implementations used only to check the package.
 
 Everything here goes through numpy's LAPACK-backed linear algebra, not the
-package's own eigensolver, so the two routes stay independent. The one
-exception is `jacobi_eigh_one`: the package's earlier one-matrix Jacobi
-solver, kept as the bit-for-bit reference of the stacked one.
+package's own eigensolver, so the two routes stay independent. Two earlier
+package routes are kept as bit-for-bit references of their replacements:
+`jacobi_eigh_one`, the one-matrix Jacobi solver behind the stacked one, and
+`write_csv_reference`, the per-cell CSV writer behind `cli._write_csv`.
 """
 
 import math
@@ -236,3 +237,26 @@ def jacobi_eigh_one(matrix, compute_vectors=True):
     if compute_vectors:
         return w, np.ascontiguousarray(v[:, order])
     return w, None
+
+
+def write_csv_reference(path, columns):
+    """The per-cell CSV writer: floats by ``format(x, ".17g")``, bools and ints
+    as integers, enums by their value, one joined row at a time."""
+
+    def cells(column):
+        kind = column.dtype.kind
+        if kind == "f":
+            fmt = lambda v: format(float(v), ".17g")
+        elif kind == "O":
+            fmt = lambda v: v.value
+        else:
+            fmt = lambda v: str(int(v))
+        return map(fmt, column.tolist())
+
+    count = 0
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*map(cells, columns.values()), strict=True):
+            fh.write(",".join(row) + "\n")
+            count += 1
+    return count

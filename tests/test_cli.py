@@ -1,11 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from monogamy_lab import analytic, protocol
-from monogamy_lab.cli import main
+from monogamy_lab.cli import _write_csv, main
 from monogamy_lab.hamiltonians import HamiltonianKind
+from monogamy_lab.sampling import SampleClass
+
+from oracle_utils import write_csv_reference
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def read_csv(path):
@@ -368,3 +374,47 @@ def test_appendix_b_accepts_and_lists_ghz(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "appb_size2_ghz.csv")
     assert header == ["t", "s_l_a", "xi2_a"]
     assert len(rows) == 11
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+
+
+def _assert_writers_agree(tmp_path, columns):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    count = _write_csv(new, columns)
+    assert count == write_csv_reference(old, columns)
+    assert new.read_bytes() == old.read_bytes()
+    return new, count
+
+
+def test_write_csv_matches_the_per_cell_writer(tmp_path):
+    floats = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, 1e22, 2.0**53 + 1, 1.0, -2.5e-300])
+    n = floats.size
+    columns = {
+        "x": floats,
+        "neg": -floats,
+        "flag": np.arange(n) % 2 == 0,
+        "count": np.arange(n, dtype=np.int64) - 3,
+        "class": np.array([list(SampleClass)[i % 4] for i in range(n)], dtype=object),
+    }
+    out, count = _assert_writers_agree(tmp_path, columns)
+    assert count == n and out.read_text().splitlines()[1] == "-0,0,1,-3,two_nonzero"
+
+
+def test_write_csv_with_zero_rows_writes_only_the_header(tmp_path):
+    out, count = _assert_writers_agree(tmp_path, {"a": np.zeros(0), "b": np.zeros(0, dtype=bool)})
+    assert count == 0 and out.read_text() == "a,b\n"
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "x.csv", {"a": np.zeros(3), "b": np.zeros(2)})
+
+
+@pytest.mark.parametrize("command, samples", [("fig3", 1000), ("fig2", 200)])
+def test_dataset_outputs_match_the_stored_references(tmp_path, command, samples):
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--samples", str(samples), "--seed", "0", "--out", str(out)]) == 0
+    workload = {"fig3": "fig3-spectra", "fig2": "fig2-haar"}[command]
+    assert out.read_bytes() == (REFERENCE_DIR / workload / "warm" / out.name).read_bytes()

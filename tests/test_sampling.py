@@ -63,6 +63,15 @@ def test_random_spectrum_forms():
         random_spectrum(5, zeros=3)
 
 
+@pytest.mark.parametrize("zeros", [0, 1, 2])
+def test_random_spectrum_is_the_normalised_sorted_draw(zeros):
+    for seed in range(20):
+        draws = np.random.default_rng(seed).standard_exponential(4 - zeros)
+        expected = np.zeros(4)
+        expected[: 4 - zeros] = np.sort(draws / draws.sum())[::-1]
+        assert random_spectrum(seed, zeros).values == tuple(expected)
+
+
 def test_random_spectrum_order_statistics():
     seeds = np.random.SeedSequence(99).spawn(100000)
     vals = np.array([random_spectrum(s).values for s in seeds])
