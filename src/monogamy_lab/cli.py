@@ -262,19 +262,16 @@ def _cmd_fig3(args) -> int:
 
 def _cmd_protocol(args) -> int:
     started = time.perf_counter()
-    # Every kind sweeps its own default local-time grid, so a kind's score
-    # does not depend on --ha; kinds that share a grid share one run.
-    groups: dict[bytes, tuple[np.ndarray, list[HamiltonianKind]]] = {}
-    for kind in dict.fromkeys(map(HamiltonianKind, (args.ha, "oat", "tat", "tf"))):
-        tp_grid = protocol.default_tp_grid(kind, args.tp_steps)
-        groups.setdefault(tp_grid.tobytes(), (tp_grid, []))[1].append(kind)
-    t_grid = protocol.default_t_grid(args.hab, args.t_steps)
-    traces = {}
-    for tp_grid, kinds in groups.values():
-        cfg = protocol.ProtocolConfig(n_a=args.na, n_b=args.nb, h_ab_kind=args.hab, h_a_kind=kinds[0],
-                                      t_grid=t_grid, tp_grid=tp_grid)
-        traces.update(protocol.run_protocol_multi(cfg, kinds))
-    trace = traces[HamiltonianKind(args.ha)]
+    # One entangle stage, shared by every kind; each kind's sweep then runs
+    # on that kind's own default tp grid, so its score does not depend on --ha.
+    ha = HamiltonianKind(args.ha)
+    cfg = protocol.ProtocolConfig(n_a=args.na, n_b=args.nb, h_ab_kind=args.hab, h_a_kind=ha,
+                                  t_grid=protocol.default_t_grid(args.hab, args.t_steps),
+                                  tp_grid=protocol.default_tp_grid(ha, args.tp_steps))
+    stage = protocol.entangle(cfg)
+    traces = {kind: protocol.sweep(stage, kind, protocol.default_tp_grid(kind, args.tp_steps))
+              for kind in dict.fromkeys(map(HamiltonianKind, (args.ha, "oat", "tat", "tf")))}
+    trace = traces[ha]
 
     out = Path(args.out)
     count = _write_csv(out, {

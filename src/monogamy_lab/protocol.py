@@ -6,9 +6,17 @@ the squeezing parameter of A over the local evolution time; the minimum is
 calibrated against the A|B linear entropy so a squeezing measurement can be
 inverted into an entanglement estimate. Both stages' generators have unit
 coupling (`hamiltonians`), so the entangling time t and the local time t'
-are in units of the inverse coupling. A trace holds its config; its
-metadata holds only what the run found: the worst negativity drift and the
-p-state rows. An exploration trace's metadata holds only its internal split.
+are in units of the inverse coupling.
+
+The two stages are two functions. `entangle` runs everything that does not
+depend on A's local kind, once over the whole t-grid, and returns a
+`GridStage`: rho_A, C(t), S_L,AB and xi2_AB, without the 2^n state stack.
+`sweep` runs stage two for one local kind on its own tp grid and returns
+that kind's `ProtocolTrace`, so kinds with different tp grids share one
+grid stage. `run_protocol` and `run_protocol_multi` compose the two. A
+trace holds its config; its metadata holds only what the run found: the
+worst negativity drift and the p-state rows. An exploration trace's
+metadata holds only its internal split.
 
 Local evolution cannot move entanglement across the A|B cut, and every run
 verifies this: the cut negativity is probed at NEGATIVITY_PROBES local times
@@ -37,8 +45,8 @@ point's bits. The spectra that feed no stored
 argmin use LAPACK: the probes (one batched SVD per kind) and explore's
 internal negativities (one stacked `np.linalg.eigvalsh`). They, and xi2_AB
 from its sym(n) moments, differ from the dense Jacobi route by about 1e-15
-at most. The sweep and refine run per kind, each row: a local kind builds
-its engine once, then fills its rows' min xi2_A and argmin_tp in a loop.
+at most. The sweep and refine run per kind, each row: `sweep` builds the
+kind's engine once, then fills its rows' min xi2_A and argmin_tp in a loop.
 
 `state_at`, `appendix_b_study` and `explore_measure_vs_squeezing` take
 their generators on the symmetric subspace from
@@ -109,6 +117,12 @@ def default_t_grid(h_ab_kind, steps: int = 401) -> np.ndarray:
 
 
 def default_tp_grid(h_a_kind, steps: int = 2000) -> np.ndarray:
+    """Local-time grid of a kind's sweep: [0, pi] for GHZ, [0, 100] otherwise.
+
+    The GHZ generator F, the flip of every spin, squares to 1, so
+    U(t') = cos t' - i sin t' F and U(pi) = -1 is a global phase: [0, pi]
+    holds every state the sweep can reach.
+    """
     kind = _as_kind(h_a_kind)
     hi = math.pi if kind is HamiltonianKind.GHZ else 100.0
     return np.linspace(0.0, hi, check_count("steps", steps))
@@ -137,7 +151,7 @@ class ProtocolConfig:
                 f"per-subsystem size is capped at {MAX_SUBSYSTEM_QUBITS} qubits"
             )
         for name in ("t_grid", "tp_grid"):
-            grid = np.asarray(getattr(self, name), dtype=float)
+            grid = np.array(getattr(self, name), dtype=float)  # a copy: the caller's stays writable
             if grid.ndim != 1:
                 raise ConfigError(f"{name} must be 1-D, got shape {grid.shape}")
             if grid.size == 0:
@@ -148,6 +162,22 @@ class ProtocolConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
             grid.setflags(write=False)
             object.__setattr__(self, name, grid)
+
+
+@dataclass(frozen=True, eq=False)
+class GridStage:
+    """The protocol's stages that do not depend on the local kind, over the
+    t-grid of ``config``: rho_A (T, 2^n_A, 2^n_A), the coefficient matrices
+    C(t) on sym(A) (x) sym(B) (T, n_A+1, n_B+1), S_L,AB and xi2_AB (T,).
+
+    It keeps no 2^n state stack, so holding it costs A-sized memory only.
+    """
+
+    config: ProtocolConfig
+    rho_a: np.ndarray
+    coeffs: np.ndarray
+    s_l_ab: np.ndarray
+    xi2_ab: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,21 +431,10 @@ def _min_over_tp(
 # protocol runs
 
 
-def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKind, ProtocolTrace]:
-    """Run the protocol once, sweeping A under several local Hamiltonians.
-
-    The stages that do not depend on the local kind (entangle, reduce, S_L
-    and xi2_AB) run once over the whole t-grid and are shared across the
-    requested kinds. Each kind then sweeps, refines and probes every row in
-    turn with its own engine.
-    """
-    if ha_kinds is None:
-        ha_kinds = [cfg.h_a_kind]
-    kinds = list(dict.fromkeys(_as_kind(k) for k in ha_kinds))  # first-seen order
-
+def entangle(cfg: ProtocolConfig) -> GridStage:
+    """Stage one over the whole t-grid: entangle, reduce to rho_A, and take
+    C(t), S_L,AB and xi2_AB. ``cfg``'s local kind and tp grid are not used."""
     n = cfg.n_a + cfg.n_b
-    n_rows = cfg.t_grid.size
-    # Grid stages, shared by every local kind. Entangle: psi(t) for all rows.
     prop = SpectralPropagator(build(cfg.h_ab_kind, range(n), n))
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
     psi = np.ascontiguousarray(states.T)  # (T, d)
@@ -425,62 +444,78 @@ def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKi
     # evolve.
     psi_sym = _symmetric_amplitudes(psi, qcore.symmetric_isometry(n))  # (T, n+1)
     moments = spin.pure_moments(psi_sym.T, spin.symmetric_ops(n).moment_operators)
-    xi2_ab_arr, _ = spin.xi2_from_moment_arrays(moments, n)
+    xi2_ab, _ = spin.xi2_from_moment_arrays(moments, n)
     coeffs = _split_coefficients(psi_sym, cfg.n_a, cfg.n_b)
-    s_l_arr = _cut_linear_entropy(coeffs, cfg.n_a)
-    iso_a = qcore.symmetric_isometry(cfg.n_a)
+    s_l_ab = _cut_linear_entropy(coeffs, cfg.n_a)
+    return GridStage(config=cfg, rho_a=rho_a, coeffs=coeffs, s_l_ab=s_l_ab, xi2_ab=xi2_ab)
 
-    # Probe times for the cut-negativity constancy check: the sweep start,
-    # evenly spaced interior points, and the refined minimum.
-    n_fixed = NEGATIVITY_PROBES - 1
-    fixed_probes = [
-        float(cfg.tp_grid[int(round(j * (cfg.tp_grid.size - 1) / max(1, n_fixed)))])
-        for j in range(n_fixed)
-    ]
-    traces: dict[HamiltonianKind, ProtocolTrace] = {}
-    for kind in kinds:
-        # Built after the 2^n-dimensional grid stages so that its (d_A, tp)
-        # phase matrices do not raise those stages' peak memory.
-        eng = _dense_engine(kind, cfg.n_a, cfg.tp_grid)
-        min_xi2, argmin_tp = np.empty(n_rows), np.empty(n_rows)
-        for i in range(n_rows):
-            products = eng.moment_products(eng.to_eigenbasis(rho_a[i]))
-            xi2_grid, _ = eng.xi2_sweep(products)
-            argmin_tp[i], min_xi2[i] = _min_over_tp(
-                xi2_grid, cfg.tp_grid, lambda tau: eng.xi2_at(products, tau), REFINE_TOL
-            )
-        # Probe times (NEGATIVITY_PROBES, T): the fixed ones, then each row's
-        # refined minimum. The probes evolve C(t) with A's propagator
-        # restricted to sym(A) and read the negativity off its singular values.
-        taus = np.array([*(np.full(n_rows, tau) for tau in fixed_probes), argmin_tp])
-        negs = measures.negativity_from_coefficients(eng.restricted_unitaries(iso_a, taus) @ coeffs)
-        drift = np.max(negs, axis=0) - np.min(negs, axis=0)
-        worst = float(np.max(drift))
-        if worst > NEGATIVITY_DRIFT_TOL:
-            raise ContractViolationError(
-                f"cut negativity drifted by {worst:.3e} along a local sweep"
-            )
-        flags = _nonmonotone_flags(min_xi2, s_l_arr, _flag_threshold(s_l_arr))
-        traces[kind] = ProtocolTrace(
-            config=replace(cfg, h_a_kind=kind),
-            t=cfg.t_grid.copy(),
-            s_l_ab=s_l_arr.copy(),
-            xi2_ab=xi2_ab_arr.copy(),
-            min_xi2_a=min_xi2,
-            argmin_tp=argmin_tp,
-            nonmonotone=flags,
-            negativity_drift=drift,
-            metadata={
-                "max_negativity_drift": worst,
-                "p_states": _select_p_states(s_l_arr, flags, cfg.t_grid),
-            },
+
+def sweep(stage: GridStage, kind, tp_grid) -> ProtocolTrace:
+    """Stage two for one local kind: sweep every row of ``stage`` over
+    ``tp_grid``, refine the grid minimum, and probe the cut negativity.
+
+    The trace's config is ``stage.config`` with this kind and tp grid, so a
+    bad grid raises ConfigError before any work is done.
+    """
+    cfg = replace(stage.config, h_a_kind=kind, tp_grid=tp_grid)
+    tp = cfg.tp_grid
+    n_rows = cfg.t_grid.size
+    s_l = stage.s_l_ab
+    # Built after entangle has freed its 2^n state stack, so that the
+    # engine's (d_A, tp) phase matrices do not raise that stage's peak memory.
+    eng = _dense_engine(cfg.h_a_kind, cfg.n_a, tp)
+    min_xi2, argmin_tp = np.empty(n_rows), np.empty(n_rows)
+    for i in range(n_rows):
+        products = eng.moment_products(eng.to_eigenbasis(stage.rho_a[i]))
+        xi2_grid, _ = eng.xi2_sweep(products)
+        argmin_tp[i], min_xi2[i] = _min_over_tp(
+            xi2_grid, tp, lambda tau: eng.xi2_at(products, tau), REFINE_TOL
         )
-    return traces
+    # Probe times (NEGATIVITY_PROBES, T) for the cut-negativity constancy
+    # check: the sweep start, evenly spaced interior grid points, then each
+    # row's refined minimum. The probes evolve C(t) with A's propagator
+    # restricted to sym(A) and read the negativity off its singular values.
+    n_fixed = NEGATIVITY_PROBES - 1
+    fixed_probes = [float(tp[int(round(j * (tp.size - 1) / max(1, n_fixed)))]) for j in range(n_fixed)]
+    taus = np.array([*(np.full(n_rows, tau) for tau in fixed_probes), argmin_tp])
+    unitaries = eng.restricted_unitaries(qcore.symmetric_isometry(cfg.n_a), taus)
+    negs = measures.negativity_from_coefficients(unitaries @ stage.coeffs)
+    drift = np.max(negs, axis=0) - np.min(negs, axis=0)
+    worst = float(np.max(drift))
+    if worst > NEGATIVITY_DRIFT_TOL:
+        raise ContractViolationError(
+            f"cut negativity drifted by {worst:.3e} along a local sweep"
+        )
+    flags = _nonmonotone_flags(min_xi2, s_l, _flag_threshold(s_l))
+    return ProtocolTrace(
+        config=cfg,
+        t=cfg.t_grid.copy(),
+        s_l_ab=s_l.copy(),
+        xi2_ab=stage.xi2_ab.copy(),
+        min_xi2_a=min_xi2,
+        argmin_tp=argmin_tp,
+        nonmonotone=flags,
+        negativity_drift=drift,
+        metadata={
+            "max_negativity_drift": worst,
+            "p_states": _select_p_states(s_l, flags, cfg.t_grid),
+        },
+    )
+
+
+def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKind, ProtocolTrace]:
+    """One ``entangle`` shared by a ``sweep`` per local kind (default: the
+    config's), each on ``cfg.tp_grid``; repeated kinds run once, in
+    first-seen order."""
+    if ha_kinds is None:
+        ha_kinds = [cfg.h_a_kind]
+    stage = entangle(cfg)
+    return {kind: sweep(stage, kind, cfg.tp_grid) for kind in dict.fromkeys(map(_as_kind, ha_kinds))}
 
 
 def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
     """Entangle, sweep the local evolution of A, and record the calibration data."""
-    return run_protocol_multi(cfg, [cfg.h_a_kind])[cfg.h_a_kind]
+    return sweep(entangle(cfg), cfg.h_a_kind, cfg.tp_grid)
 
 
 def _select_p_states(s_l: np.ndarray, flags: np.ndarray, t: np.ndarray) -> dict:

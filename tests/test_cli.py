@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,14 +100,15 @@ def test_protocol_ghz_rows_satisfy_inversion_relation(tmp_path):
 
 
 def test_protocol_manifest_drift_is_the_worst_over_every_kind(tmp_path, monkeypatch):
-    run = protocol.run_protocol_multi
+    sweep = protocol.sweep
 
-    def run_with_a_drifting_kind(cfg, kinds):
-        traces = run(cfg, kinds)
-        traces[HamiltonianKind.OAT].metadata["max_negativity_drift"] = 5e-10  # below the gate
-        return traces
+    def sweep_with_a_drifting_kind(stage, kind, tp_grid):
+        trace = sweep(stage, kind, tp_grid)
+        if trace.config.h_a_kind is HamiltonianKind.OAT:
+            trace.metadata["max_negativity_drift"] = 5e-10  # below the gate
+        return trace
 
-    monkeypatch.setattr(protocol, "run_protocol_multi", run_with_a_drifting_kind)
+    monkeypatch.setattr(protocol, "sweep", sweep_with_a_drifting_kind)
     out = tmp_path / "p.csv"
     code = main([
         "protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", "tf",
@@ -115,6 +117,35 @@ def test_protocol_manifest_drift_is_the_worst_over_every_kind(tmp_path, monkeypa
     assert code == 0
     manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
     assert manifest["max_negativity_drift"] == 5e-10
+
+
+@pytest.mark.parametrize("ha", ["ghz", "tf"])
+def test_protocol_entangles_once_per_run(tmp_path, monkeypatch, ha):
+    # under --ha ghz the kinds once ran in two groups by tp grid, each with
+    # its own entangle stage
+    entangle, calls = protocol.entangle, []
+
+    def counting_entangle(cfg):
+        calls.append(cfg)
+        return entangle(cfg)
+
+    monkeypatch.setattr(protocol, "entangle", counting_entangle)
+    out = tmp_path / "p.csv"
+    code = main([
+        "protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", ha,
+        "--t-steps", "11", "--tp-steps", "100", "--out", str(out),
+    ])
+    assert code == 0 and len(calls) == 1
+    cfg = protocol.ProtocolConfig(2, 2, "oat", "tf", t_grid=protocol.default_t_grid("oat", 11),
+                                  tp_grid=protocol.default_tp_grid("tf", 100))
+    trace = protocol.run_protocol(replace(cfg, h_a_kind=ha, tp_grid=protocol.default_tp_grid(ha, 100)))
+    ref = tmp_path / "ref.csv"
+    _write_csv(ref, {
+        "t": trace.t, "s_l_ab": trace.s_l_ab, "xi2_ab": trace.xi2_ab,
+        "min_xi2_a": trace.min_xi2_a, "argmin_tp": trace.argmin_tp,
+        "nonmonotone_flag": trace.nonmonotone,
+    })
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_protocol_manifest_scores_do_not_depend_on_ha(tmp_path):

@@ -30,6 +30,7 @@ from monogamy_lab.protocol import (
     calibration,
     default_t_grid,
     default_tp_grid,
+    entangle,
     explore_measure_vs_squeezing,
     invert,
     monotonicity_score,
@@ -37,6 +38,7 @@ from monogamy_lab.protocol import (
     run_protocol,
     run_protocol_multi,
     state_at,
+    sweep,
 )
 from monogamy_lab.qcore import DensityMatrix, Partition, SpectralPropagator, all_down_state
 from monogamy_lab.spin import (
@@ -95,6 +97,18 @@ def test_config_validation():
                 ProtocolConfig(2, 2, "oat", "tf", **grids)
     cfg = ghz_config()
     assert cfg.h_ab_kind is HamiltonianKind.GHZ
+
+
+def test_config_copies_the_callers_grids():
+    # the grids were once frozen in place: the caller's own array turned
+    # read-only and was the config's grid
+    t, tp = np.array([0.0, 1.0]), np.linspace(0.0, 2.0, 5)
+    cfg = ProtocolConfig(1, 1, "oat", "tf", t_grid=t, tp_grid=tp)
+    assert t.flags.writeable and tp.flags.writeable
+    assert cfg.t_grid is not t and cfg.tp_grid is not tp
+    assert not cfg.tp_grid.flags.writeable
+    t[0], tp[0] = -1.0, -1.0
+    assert cfg.t_grid[0] == 0.0 and cfg.tp_grid[0] == 0.0
 
 
 def test_default_grids():
@@ -271,12 +285,36 @@ def test_protocol_traces_do_not_depend_on_the_kind_set():
     reverse = run_protocol_multi(cfg, kinds[::-1])
     assert list(multi) == kinds and list(reverse) == kinds[::-1]
     arrays = ("t", "s_l_ab", "xi2_ab", "min_xi2_a", "argmin_tp", "nonmonotone", "negativity_drift")
+
+    def assert_same(one, other):
+        for name in arrays:
+            assert np.array_equal(getattr(one, name), getattr(other, name)), name
+        assert one.metadata == other.metadata
+        assert np.array_equal(one.config.tp_grid, other.config.tp_grid)
+        assert one.config.h_a_kind is other.config.h_a_kind
+
     for kind in kinds:
         for other in (run_protocol(replace(cfg, h_a_kind=kind)), reverse[kind]):
-            for name in arrays:
-                assert np.array_equal(getattr(multi[kind], name), getattr(other, name)), (kind, name)
-            assert multi[kind].metadata == other.metadata
+            assert_same(multi[kind], other)
             assert other.config.h_a_kind is kind
+    # one grid stage serves a kind on a second tp grid too
+    stage = entangle(cfg)
+    tp = np.linspace(0.0, np.pi, 150)
+    swept = sweep(stage, "oat", tp)
+    assert swept.config.h_a_kind is HamiltonianKind.OAT
+    assert_same(swept, run_protocol(replace(cfg, h_a_kind="oat", tp_grid=tp)))
+    assert_same(sweep(stage, "tf", cfg.tp_grid), multi[HamiltonianKind.TF])
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.linspace(0.0, 1.0, 6).reshape(2, 3), "1-D"),
+    (np.array([0.0, np.nan, 1.0]), "finite"),
+    (np.array([0.0, 2.0, 1.0]), "increasing"),
+])
+def test_sweep_rejects_a_bad_tp_grid(bad, match):
+    stage = entangle(ProtocolConfig(1, 1, "oat", "tf", t_grid=np.linspace(0, np.pi, 3), tp_grid=[0.0, 1.0]))
+    with pytest.raises(ConfigError, match=match):
+        sweep(stage, "tf", bad)
 
 
 # ---------------------------------------------------------------------------
