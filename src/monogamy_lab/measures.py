@@ -151,7 +151,7 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Square root of a positive-semidefinite matrix, or of each member of a
     (..., d, d) stack, with eigenvalues in [-_CLIP, 0) taken as zero. A
     more negative eigenvalue raises DomainError naming the first member."""
-    w, v = qcore.hermitian_eigen(m)
+    w, v = qcore.lapack_eigen(m)
     w = np.where((w < 0) & (w >= -_CLIP), 0.0, w)
     negative = w[..., -1] < 0
     if np.any(negative):
@@ -167,14 +167,15 @@ def concurrence(rho: DensityMatrix | np.ndarray):
     rho * (S rho^conj S) with S the two-qubit spin-flip sigma_y x sigma_y,
     evaluated through the Hermitian form sqrt(rho) S rho^conj S sqrt(rho).
     Takes one 4x4 matrix (returns a float) or a (..., 4, 4) stack (returns
-    an array of shape (...)); a stack makes two eigensolver calls in all.
+    an array of shape (...)); a stack makes two LAPACK eigensolver calls in
+    all (`qcore.lapack_eigen`, `qcore.lapack_eigenvalues`).
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     if m.shape[-2:] != (4, 4):
         raise DomainError(f"concurrence is defined for two qubits, got shape {m.shape}")
     sqrt_rho = _psd_sqrt(m)
     herm = sqrt_rho @ (_SPIN_FLIP @ m.conj() @ _SPIN_FLIP) @ sqrt_rho
-    mu2 = np.clip(qcore.hermitian_eigenvalues(herm), 0.0, None)
+    mu2 = np.clip(qcore.lapack_eigenvalues(herm), 0.0, None)
     # the product matrix is bounded by 1 for trace-one inputs, so anything
     # below 1e-13 is eigensolver noise; sqrt would blow it up to O(1e-7)
     mu2[mu2 < 1e-13] = 0.0

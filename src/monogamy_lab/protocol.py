@@ -43,9 +43,16 @@ stay on Jacobi and dense, bit for bit; the degenerate solves of one
 `spin.xi2_from_moment_arrays` call are one stacked Jacobi call, with each
 point's bits. The spectra that feed no stored
 argmin use LAPACK: the probes (one batched SVD per kind) and explore's
-internal negativities (one stacked `np.linalg.eigvalsh`). They, and xi2_AB
-from its sym(n) moments, differ from the dense Jacobi route by about 1e-15
-at most. The sweep and refine run per kind, each row: `sweep` builds the
+internal negativities (one stacked `np.linalg.eigvalsh`, kept in numpy's
+ascending order: summing the negative eigenvalues in descending order, as
+`qcore.lapack_eigenvalues` returns them, moves explore.csv at 4+4 over
+201 steps by 2.8e-17).
+They, and xi2_AB from its sym(n) moments, differ from the dense Jacobi
+route by about 1e-15 at most. Outside the protocol, fig2's C_A1A2 uses
+LAPACK too (`measures.concurrence` calls `qcore.lapack_eigen`). Moving the pinned stages to
+LAPACK moves more than the flat rows: it also puts the appendix-b OAT
+study's xi2_A at size 40 2.2e-11 from its closed form, against a 1e-11
+bound. The sweep and refine run per kind, each row: `sweep` builds the
 kind's engine once, then fills its rows' min xi2_A and argmin_tp in a loop.
 
 `state_at`, `appendix_b_study` and `explore_measure_vs_squeezing` take

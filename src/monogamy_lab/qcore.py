@@ -16,13 +16,27 @@ Conventions used throughout the package:
   register state. ``symmetric_split_isometry(n_a, n_b)`` splits
   sym(n_a+n_b) into sym(n_a) (x) sym(n_b), a local isometry that keeps cut
   negativities and purities, with no 2^n array.
-* ``hermitian_eigen`` and ``hermitian_eigenvalues`` take one matrix or a
-  (..., d, d) stack and follow numpy's eigh shapes, in descending order.
-  Non-finite input raises DomainError before any solve. A stack is one call
-  to the package's Jacobi solver (``_jacobi``), which gives each member the
-  bits it gets alone: each member keeps its own tolerance, from its own
-  norm, and its own ``math.atan2`` rotation angles, because a stack-wide
-  norm or ``np.arctan2`` round differently in the last bit.
+* Eigensolves take two routes, with the same input checks, shapes and
+  order: one matrix or a (..., d, d) stack, numpy's eigh shapes, descending
+  order; a non-finite entry raises DomainError naming the stack member, and
+  a non-Hermitian input ContractViolationError, before any solve. Either
+  route solves a stack in one call and gives each member the bits it gets
+  alone.
+
+  - ``lapack_eigen`` and ``lapack_eigenvalues`` are ``np.linalg.eigh`` and
+    ``eigvalsh``, reversed. ``measures.concurrence`` uses them for its two
+    4x4 stacked solves (the PSD square root and the Wootters spectrum),
+    which carry the fig2 dataset's C_A1A2.
+  - ``hermitian_eigen`` and ``hermitian_eigenvalues`` run the package's
+    Jacobi solver (``_jacobi``); each stack member keeps its own tolerance,
+    from its own norm, and its own ``math.atan2`` rotation angles, because
+    a stack-wide norm or ``np.arctan2`` round differently in the last bit.
+    The protocol's 2^n entangler, its dense engine and the degenerate 3x3
+    covariances in ``spin`` stay here: on rows where xi2_A is flat over the
+    local time, the benchmark's stored argmin_tp is set by their rounding,
+    and LAPACK moves it (see ``protocol``). So do fig2's 2x2 Schmidt
+    spectra: about a tenth of its Jacobi time, and they keep its C_AB and
+    bound columns bit for bit.
 """
 
 from __future__ import annotations
@@ -336,6 +350,19 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     shape (..., d) for a (..., d, d) stack."""
     w, _ = jacobi_eigh(_hermitian_input(matrix), compute_vectors=False)
     return w
+
+
+def lapack_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """`hermitian_eigen` by LAPACK (``np.linalg.eigh``), with the same input
+    checks, shapes and descending order. A stack is one call; each member
+    gets the bits of its own one-matrix solve."""
+    w, v = np.linalg.eigh(_hermitian_input(matrix))
+    return w[..., ::-1], v[..., ::-1]
+
+
+def lapack_eigenvalues(matrix) -> np.ndarray:
+    """`hermitian_eigenvalues` by LAPACK (``np.linalg.eigvalsh``), descending."""
+    return np.linalg.eigvalsh(_hermitian_input(matrix))[..., ::-1]
 
 
 def spectrum_of(rho: DensityMatrix | np.ndarray) -> Spectrum:

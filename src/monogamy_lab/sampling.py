@@ -3,10 +3,13 @@
 Sampling is deterministic given an integer seed. Sample i of a dataset draws
 from its own generator, seeded by ``SeedSequence(seed, spawn_key=(i,))``
 (child i of ``SeedSequence(seed).spawn(n)``), so it depends only on the seed
-and i. Only the draws run per sample, straight into a preallocated array;
-everything after them is one array stage over the whole stack of samples
-(fig2's reduces and concurrences; fig3's normalisation, sort and measures),
-with the per-sample bits.
+and i. Only the draws run per sample, straight into a preallocated array
+(fig2 also normalises each state there); everything after them is one
+array stage over the whole stack of samples, with the per-sample bits:
+fig2's reduces and concurrences (one stacked Jacobi solve for C_AB, two
+stacked LAPACK solves inside `measures.concurrence` for C_A1A2), and fig3's
+normalisation, sort and measures. `haar_random_pure` and `random_spectrum`
+draw one sample the same way.
 """
 
 from __future__ import annotations
@@ -54,14 +57,19 @@ def _sample_rng(seed: int, i: int) -> np.random.Generator:
     return _rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
+def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Unit vector of dim complex-Gaussian amplitudes: real parts, then
+    imaginary parts, normalised by the vector's own norm. One row at a time:
+    numpy's axis-wise norm sums in another order and moves about one row in
+    seven by an ulp."""
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return amps / np.linalg.norm(amps)
+
+
 def haar_random_pure(n_qubits: int, seed) -> PureState:
     """Haar-distributed pure state: normalized complex-Gaussian amplitudes."""
-    if n_qubits < 1:
-        raise DomainError("need at least one qubit")
-    rng = _rng(seed)
-    dim = 2**n_qubits
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(n_qubits, amps / np.linalg.norm(amps))
+    n_qubits = check_count("n_qubits", n_qubits)
+    return PureState(n_qubits, _haar_amplitudes(_rng(seed), 2**n_qubits))
 
 
 def _to_sorted_simplex(spectra: np.ndarray) -> np.ndarray:
@@ -122,11 +130,16 @@ def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     """Concurrence pairs (C_AB, C_A1A2) for Haar-random three-qubit states.
 
     Sample i is drawn from its own generator, as `haar_random_pure` draws
-    it; the reduces and both concurrences then run once over the (N, 8)
-    stack of amplitudes, with the per-sample results bit for bit.
+    it, into row i of an (N, 8) amplitude array. The reduces and both
+    concurrences then run once over the stack, with the per-sample results
+    bit for bit: C_AB from one stacked Jacobi solve of the 2x2 reduced
+    states (`qcore.hermitian_eigenvalues`), C_A1A2 from `measures.concurrence`,
+    whose two 4x4 stacked solves run on LAPACK.
     """
     n_samples = check_count("n_samples", n_samples)
-    psi = np.array([haar_random_pure(3, _sample_rng(seed, i)).amplitudes for i in range(n_samples)])
+    psi = np.empty((n_samples, 8), dtype=np.complex128)
+    for i in range(n_samples):
+        psi[i] = _haar_amplitudes(_sample_rng(seed, i), 8)
     x = _schmidt_concurrences(psi, 3, FIG2_PARTITION)
     y = measures.concurrence(qcore.reduced_state_matrix(psi, 3, FIG2_PARTITION.qubits_a))
     return Dataset(

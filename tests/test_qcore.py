@@ -279,7 +279,8 @@ def test_eigensolver_rejects_non_finite_input(bad):
     m = np.diag([bad, 1.0, 2.0, 3.0])
     stack = np.stack([np.diag([4.0, 1.0, 2.0, 3.0])] * 6)
     stack[4, 1, 2] = stack[4, 2, 1] = bad
-    for fn in (hermitian_eigen, hermitian_eigenvalues):
+    stack[5, 0, 0] = bad
+    for fn in (hermitian_eigen, hermitian_eigenvalues, qcore.lapack_eigen, qcore.lapack_eigenvalues):
         with pytest.raises(DomainError, match="non-finite"):
             fn(m)
         with pytest.raises(DomainError, match=r"stack member 4\)"):
@@ -299,6 +300,39 @@ def test_hermitian_eigen_checks_stacks():
         hermitian_eigen(np.ones(4))
     with pytest.raises(DimensionMismatchError):
         hermitian_eigen(np.zeros((0, 2, 2)))
+
+
+def test_lapack_pair_is_eigh_in_descending_order(rng):
+    m = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    m = m + m.conj().swapaxes(-1, -2)
+    w, v = qcore.lapack_eigen(m)
+    values = qcore.lapack_eigenvalues(m)
+    assert w.shape == values.shape == (3, 6) and v.shape == (3, 6, 6)
+    assert np.all(np.diff(w, axis=-1) <= 0) and np.all(np.diff(values, axis=-1) <= 0)
+    assert np.array_equal(w, np.linalg.eigh(m)[0][..., ::-1])
+    assert np.array_equal(values, np.linalg.eigvalsh(m)[..., ::-1])
+    assert np.max(np.abs((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2) - m)) < 1e-12
+
+
+@pytest.mark.parametrize("fn", [qcore.lapack_eigen, qcore.lapack_eigenvalues])
+def test_lapack_pair_rejects_non_hermitian_input(fn):
+    with pytest.raises(ContractViolationError):
+        fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ContractViolationError):
+        fn(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+    with pytest.raises(DimensionMismatchError):
+        fn(np.ones((3, 2, 3)))
+
+
+def test_lapack_pair_gives_each_stack_member_its_own_bits(rng):
+    m = rng.standard_normal((40, 4, 4)) + 1j * rng.standard_normal((40, 4, 4))
+    m = m + m.conj().swapaxes(-1, -2)
+    w, v = qcore.lapack_eigen(m)
+    values = qcore.lapack_eigenvalues(m)
+    for k in range(len(m)):
+        w_k, v_k = qcore.lapack_eigen(m[k])
+        assert w[k].tobytes() == w_k.tobytes() and v[k].tobytes() == v_k.tobytes()
+        assert values[k].tobytes() == qcore.lapack_eigenvalues(m[k]).tobytes()
 
 
 def test_spectrum_of_clips_noise():

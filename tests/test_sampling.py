@@ -30,6 +30,12 @@ def test_haar_deterministic():
     assert not np.array_equal(a.amplitudes, c.amplitudes)
 
 
+@pytest.mark.parametrize("n_qubits", [0, -1, True, 2.5, "3", None])
+def test_haar_random_pure_rejects_a_bad_qubit_count(n_qubits):
+    with pytest.raises(DomainError, match="n_qubits"):
+        haar_random_pure(n_qubits, 0)
+
+
 def test_haar_single_qubit_mean_sz():
     rng_seeds = np.random.SeedSequence(77).spawn(10000)
     vals = []
@@ -131,12 +137,17 @@ def test_fig2_is_bytewise_the_per_sample_route(seed, n):
 
 
 def test_fig2_makes_one_eigensolver_call_per_stack(monkeypatch):
+    # C_AB's 2x2 spectra on the Jacobi route, C_A1A2's two 4x4 solves on LAPACK
     calls = []
-    eigen, eigenvalues = qcore.hermitian_eigen, qcore.hermitian_eigenvalues
-    monkeypatch.setattr(qcore, "hermitian_eigen", lambda m: calls.append(np.shape(m)) or eigen(m))
-    monkeypatch.setattr(qcore, "hermitian_eigenvalues", lambda m: calls.append(np.shape(m)) or eigenvalues(m))
+    for route in ("hermitian_eigen", "hermitian_eigenvalues", "lapack_eigen", "lapack_eigenvalues"):
+        fn = getattr(qcore, route)
+        monkeypatch.setattr(qcore, route, lambda m, r=route, fn=fn: calls.append((r, np.shape(m))) or fn(m))
     fig2_dataset(50, seed=2)
-    assert sorted(calls) == [(50, 2, 2), (50, 4, 4), (50, 4, 4)]
+    assert sorted(calls) == [
+        ("hermitian_eigenvalues", (50, 2, 2)),
+        ("lapack_eigen", (50, 4, 4)),
+        ("lapack_eigenvalues", (50, 4, 4)),
+    ]
 
 
 def test_fig2_deterministic():
