@@ -2,7 +2,13 @@
 
 The sweep order (row-major over the upper triangle) is fixed, so repeated
 runs on the same input produce identical output. Each rotation updates
-whole rows and columns with numpy.
+whole rows and columns with numpy, without copies: both new members of a
+pair are computed from views of the old ones into preallocated scratch, then
+written. The eigenvector accumulator holds eigenvector i in row i, so its
+update runs over two contiguous rows; ``jacobi_eigh`` transposes it once,
+when it orders the output. The rotation keeps the bits of the plain
+``c * x + suc * y`` form by two rules (see ``_rotate``): coefficient-first
+products, and numpy-scalar coefficients.
 
 A (..., d, d) stack is solved in one call, with the members on the last
 axis of a (d, d, k) working array: each (p, q) step rotates, at once, every
@@ -42,34 +48,64 @@ def _cos_sin(y, x):
 _cos_sin_each = np.frompyfunc(_cos_sin, 2, 2)
 
 
-def _rotate(a, v, p, q, c, s, u):
+def _rotate(a, v, p, q, c, s, u, work=None):
     """Rotate a (d, d) matrix, or every member of a (d, d, k) stack, in the
     (p, q) plane: c and s are the real and u the complex unit coefficients,
-    Python scalars for one matrix and (k,) arrays for a stack."""
+    Python scalars for one matrix and (k,) arrays for a stack. v holds the
+    eigenvectors as rows (eigenvector i in v[i]), so its update, like the
+    row update of a, runs over two contiguous rows. work is the scratch
+    from ``_work(a)``, made here when not given.
+
+    Each pair (columns p and q of a, then rows p and q of a, then rows p
+    and q of v) takes two ufunc calls: one ``np.multiply`` forms the four
+    products coef[i, j] * pair[j], and one ``np.add`` writes pair[i] =
+    coef[i, 0] pair[0] + coef[i, 1] pair[1] once both sums are computed
+    from the old pair. Two rules keep every bit of the one-product-per-term
+    form ``c * x + suc * y``: each product keeps its coefficient first
+    (numpy's complex SIMD loops use FMA, so ``c * x`` and ``x * c`` can
+    differ in the last bit), and the coefficients stay numpy scalars or
+    arrays (in Python ``complex`` arithmetic, u = a_pq / |a_pq| differs
+    from numpy's in the last bit for about half of all a_pq)."""
+    if work is None:
+        work = _work(a)
+    k_cols, k_rows, prod, from_p, from_q = work
     su = s * u
     suc = s * u.conjugate()
-    colp = a[:, p].copy()
-    colq = a[:, q].copy()
-    a[:, p] = c * colp + suc * colq
-    a[:, q] = -su * colp + c * colq
-    rowp = a[p].copy()
-    rowq = a[q].copy()
-    a[p] = c * rowp + su * rowq
-    a[q] = -suc * rowp + c * rowq
+    k_cols[0, 0, 0] = k_cols[1, 1, 0] = k_rows[0, 0, 0] = k_rows[1, 1, 0] = c
+    k_cols[0, 1, 0] = suc
+    k_cols[1, 0, 0] = -su
+    k_rows[0, 1, 0] = su
+    k_rows[1, 0, 0] = -suc
+    pair = slice(p, q + 1, q - p)  # indices p and q
+    cols = a[:, pair].swapaxes(0, 1)
+    np.multiply(k_cols, cols, out=prod)
+    np.add(from_p, from_q, out=cols)
+    rows = a[pair]
+    np.multiply(k_rows, rows, out=prod)
+    np.add(from_p, from_q, out=rows)
     a[p, q] = 0.0
     a[q, p] = 0.0
     a[p, p] = a[p, p].real
     a[q, q] = a[q, q].real
     if v is not None:
-        colp = v[:, p].copy()
-        colq = v[:, q].copy()
-        v[:, p] = c * colp + suc * colq
-        v[:, q] = -su * colp + c * colq
+        rows = v[pair]
+        np.multiply(k_cols, rows, out=prod)
+        np.add(from_p, from_q, out=rows)
+
+
+def _work(a):
+    """Scratch for ``_rotate`` on a (d, d[, k]) array: the column and row
+    coefficients, each (2, 2, 1[, k]) so that they broadcast over a pair,
+    the (2, 2, d[, k]) products, and their views by source, p and q."""
+    coef = np.empty((2, 2, 2, 1) + a.shape[2:], dtype=a.dtype)
+    prod = np.empty((2, 2) + a.shape[1:], dtype=a.dtype)
+    return coef[0], coef[1], prod, prod[:, 0], prod[:, 1]
 
 
 def _sweep_one(a, v, thresh):
     """One cyclic sweep over a single (d, d) matrix."""
     n = a.shape[0]
+    work = _work(a)
     for p in range(n - 1):
         for q in range(p + 1, n):
             apq = a[p, q]
@@ -77,7 +113,7 @@ def _sweep_one(a, v, thresh):
             if b <= thresh:
                 continue
             c, s = _cos_sin(2.0 * b, a[p, p].real - a[q, q].real)
-            _rotate(a, v, p, q, c, s, apq / b)
+            _rotate(a, v, p, q, c, s, apq / b, work)
 
 
 def _sweep_stack(a, v, thresh):
@@ -118,7 +154,7 @@ def _kernel(a, v, tol):
     """Diagonalize a (d, d, k) stack, and rotate its (d, d, k) eigenvector
     stack v (None to skip), until each member's off-diagonal norm is at
     most its tol. Returns the (k, d) diagonals; v ends up holding the
-    eigenvectors. Converged members leave the working arrays."""
+    eigenvectors as rows. Converged members leave the working arrays."""
     n, k = a.shape[0], a.shape[-1]
     diag = np.empty((k, n))
     vecs = v
@@ -176,5 +212,6 @@ def jacobi_eigh(
     w = np.take_along_axis(w, order, axis=-1)
     if not compute_vectors:
         return w, None
-    vecs = np.take_along_axis(np.moveaxis(v, -1, 0), order.reshape(-1, 1, n), axis=-1)
+    rows = np.moveaxis(v, -1, 0)  # (k, d, d), eigenvector i in row i
+    vecs = np.take_along_axis(rows.swapaxes(-1, -2), order.reshape(-1, 1, n), axis=-1)
     return w, vecs.reshape(*lead, n, n)

@@ -268,9 +268,14 @@ def _cmd_protocol(args) -> int:
     cfg = protocol.ProtocolConfig(n_a=args.na, n_b=args.nb, h_ab_kind=args.hab, h_a_kind=ha,
                                   t_grid=protocol.default_t_grid(args.hab, args.t_steps),
                                   tp_grid=protocol.default_tp_grid(ha, args.tp_steps))
+    tick = time.perf_counter()
     stage = protocol.entangle(cfg)
-    traces = {kind: protocol.sweep(stage, kind, protocol.default_tp_grid(kind, args.tp_steps))
-              for kind in dict.fromkeys(map(HamiltonianKind, (args.ha, "oat", "tat", "tf")))}
+    stage_wall_s = {"entangle": time.perf_counter() - tick, "sweep": {}}
+    traces = {}
+    for kind in dict.fromkeys(map(HamiltonianKind, (args.ha, "oat", "tat", "tf"))):
+        tick = time.perf_counter()
+        traces[kind] = protocol.sweep(stage, kind, protocol.default_tp_grid(kind, args.tp_steps))
+        stage_wall_s["sweep"][kind.value] = time.perf_counter() - tick
     trace = traces[ha]
 
     out = Path(args.out)
@@ -289,6 +294,7 @@ def _cmd_protocol(args) -> int:
     config = _options(args, "na", "nb", "hab", "ha", "t_steps", "tp_steps")
     _write_manifest(out, "protocol", config, {out: count}, started,
                     extra={"monotonicity_scores": scores,
+                           "stage_wall_s": stage_wall_s,
                            "p_states": trace.metadata["p_states"],
                            "max_negativity_drift": max(
                                tr.metadata["max_negativity_drift"] for tr in traces.values())})

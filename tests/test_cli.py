@@ -119,6 +119,22 @@ def test_protocol_manifest_drift_is_the_worst_over_every_kind(tmp_path, monkeypa
     assert manifest["max_negativity_drift"] == 5e-10
 
 
+def test_protocol_manifest_records_stage_wall_times(tmp_path):
+    out = tmp_path / "p.csv"
+    code = main([
+        "protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", "ghz",
+        "--t-steps", "11", "--tp-steps", "100", "--out", str(out),
+    ])
+    assert code == 0
+    manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+    stages = manifest["stage_wall_s"]
+    assert set(stages) == {"entangle", "sweep"}
+    assert set(stages["sweep"]) == {"ghz", "oat", "tat", "tf"}
+    times = [stages["entangle"], *stages["sweep"].values()]
+    assert all(s >= 0.0 for s in times)
+    assert sum(times) <= manifest["wall_time_s"]
+
+
 @pytest.mark.parametrize("ha", ["ghz", "tf"])
 def test_protocol_entangles_once_per_run(tmp_path, monkeypatch, ha):
     # under --ha ghz the kinds once ran in two groups by tp grid, each with
