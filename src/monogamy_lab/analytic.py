@@ -129,14 +129,9 @@ def verify_threshold_region(step: float = 1e-3) -> int:
     return checked
 
 
-def threshold_negativity(verify: bool = True, step: float = 1e-3) -> float:
-    """Cut negativity above which subsystem A admits no internal entanglement.
-
-    The first call per process re-verifies the claim by grid search over the
-    ordered simplex (pass verify=False to skip).
-    """
-    if verify:
-        verify_threshold_region(step)
+def threshold_negativity() -> float:
+    """Cut negativity above which subsystem A admits no internal entanglement
+    (`verify_threshold_region` checks the claim on a grid)."""
     return THRESHOLD_NEGATIVITY
 
 

@@ -248,7 +248,7 @@ def _cmd_fig2(args) -> int:
 def _cmd_fig3(args) -> int:
     started = time.perf_counter()
     ds = sampling.fig3_dataset(args.samples, args.seed)
-    threshold = analytic.threshold_negativity(verify=False)
+    threshold = analytic.threshold_negativity()
     violations = int(np.count_nonzero((ds.x > threshold + VIOLATION_SLACK) & (ds.y > 1e-12)))
 
     out = Path(args.out)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the count check that
-raises one."""
+"""Exception types shared across the package, and the integer checks
+that raise them."""
 
 import numbers
 
@@ -41,9 +41,14 @@ class UndefinedScoreError(MonogamyLabError, ValueError):
     """A statistic is undefined for the given (degenerate) input."""
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer: numpy integers count, bools and floats do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_count(name: str, value) -> int:
     """value as an int; DomainError unless it is an integer >= 1 (bools and
     floats are refused, numpy integers accepted)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if not is_integer(value) or value < 1:
         raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore, spin
-from .errors import DomainError
+from .errors import DomainError, is_integer
+
+SYMMETRY_TOL = 1e-10  # largest defect entry `symmetry_report` counts as zero
 
 
 class HamiltonianKind(enum.Enum):
@@ -61,19 +63,18 @@ def _kind_matrix(kind: HamiltonianKind, spin_ops, flip) -> np.ndarray:
     return jx @ jy + jy @ jx  # TAT
 
 
-def build(kind, subset=None, n_total: int | None = None) -> Hamiltonian:
+def build(kind, subset, n_total: int) -> Hamiltonian:
     """Construct a Hamiltonian of the given kind on a subset of a register.
 
     kinds: 'oat' -> Jx^2; 'tf' -> Jx^2 + Jz; 'tat' -> Jx Jy + Jy Jx; 'ghz'
     -> the product of sigma_x over the subset. Collective operators are
-    summed over the subset only.
+    summed over the subset only; ``range(n_total)`` is the whole register.
     """
     kind = _as_kind(kind)
-    if n_total is None:
-        raise DomainError("n_total is required")
-    if subset is None:
-        subset = tuple(range(n_total))
-    subset = tuple(int(i) for i in subset)
+    subset = tuple(subset)
+    if not all(map(is_integer, subset)):
+        raise DomainError(f"qubit indices must be integers, got {subset}")
+    subset = tuple(map(int, subset))
     if not subset:
         raise DomainError("Hamiltonian subset must be non-empty")
     if len(set(subset)) != len(subset) or min(subset) < 0 or max(subset) >= n_total:
@@ -118,19 +119,18 @@ class SymmetryReport:
     spin_flip: bool
     x_rotation: bool
     z_parity: bool
-    tolerance: float = 1e-10
 
 
-def symmetry_report(h: Hamiltonian, tolerance: float = 1e-10) -> SymmetryReport:
+def symmetry_report(h: Hamiltonian) -> SymmetryReport:
     m = h.matrix
     n = h.n_total
     flip = qcore.pauli_product(qcore.PAULI_Y, h.subset, n)
-    spin_flip = float(np.max(np.abs(flip @ m.conj() @ flip.conj().T - m))) <= tolerance
+    spin_flip = float(np.max(np.abs(flip @ m.conj() @ flip.conj().T - m))) <= SYMMETRY_TOL
 
     jx, _, _ = spin.collective_spin_matrices(h.subset, n)
-    x_rotation = float(np.max(np.abs(m @ jx - jx @ m))) <= tolerance
+    x_rotation = float(np.max(np.abs(m @ jx - jx @ m))) <= SYMMETRY_TOL
 
     parity = qcore.pauli_product(qcore.PAULI_Z, h.subset, n)
-    z_parity = float(np.max(np.abs(parity @ m @ parity.conj().T - m))) <= tolerance
+    z_parity = float(np.max(np.abs(parity @ m @ parity.conj().T - m))) <= SYMMETRY_TOL
 
-    return SymmetryReport(spin_flip, x_rotation, z_parity, tolerance)
+    return SymmetryReport(spin_flip, x_rotation, z_parity)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import qcore
-from .errors import DomainError
+from .errors import DomainError, is_integer
 from .qcore import DensityMatrix, Partition, PureState, Spectrum
 
 _CLIP = 1e-10
@@ -42,13 +42,13 @@ def purity(rho: DensityMatrix | np.ndarray):
 
 
 def tsallis_entropy(rho: DensityMatrix | np.ndarray, q: int) -> float:
-    """One-parameter entropy family; q=1 is von Neumann, q=2 linear entropy."""
-    if isinstance(q, float):
-        if not q.is_integer():
-            raise DomainError(f"q must be an integer >= 1, got {q}")
+    """One-parameter entropy family; q=1 is von Neumann, q=2 linear entropy.
+    q is an integer >= 1 (2.0 and numpy integers count, bools do not)."""
+    if isinstance(q, float) and q.is_integer():
         q = int(q)
-    if not isinstance(q, int) or q < 1:
-        raise DomainError(f"q must be an integer >= 1, got {q}")
+    if not is_integer(q) or q < 1:
+        raise DomainError(f"q must be an integer >= 1, got {q!r}")
+    q = int(q)
     w = _clipped_spectrum(rho)
     if q == 1:
         pos = w[w > 0]
@@ -79,9 +79,9 @@ def _negative_sum(eigenvalues: np.ndarray):
     return float(neg) if neg.ndim == 0 else neg
 
 
-def negativity_raw(rho: DensityMatrix, p: Partition, side: str = "a") -> float:
+def negativity_raw(rho: DensityMatrix, p: Partition) -> float:
     """Sum of |negative eigenvalues| of the partially transposed matrix."""
-    pt = qcore.partial_transpose(rho, p, side)
+    pt = qcore.partial_transpose(rho, p)
     return _negative_sum(qcore.hermitian_eigenvalues(pt))
 
 
@@ -90,9 +90,9 @@ def _normalization(p: Partition) -> float:
     return (d_min - 1) / 2.0
 
 
-def negativity_normalized(rho: DensityMatrix, p: Partition, side: str = "a") -> float:
+def negativity_normalized(rho: DensityMatrix, p: Partition) -> float:
     """Negativity divided by its maximum (d_min - 1)/2 for the given cut."""
-    return _clip01(negativity_raw(rho, p, side) / _normalization(p))
+    return _clip01(negativity_raw(rho, p) / _normalization(p))
 
 
 # Positive eigenvalues below this floor are treated as exact zeros in the

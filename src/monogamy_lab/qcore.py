@@ -52,6 +52,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     InvalidPartitionError,
+    is_integer,
 )
 
 NORM_TOL = 1e-12
@@ -132,8 +133,10 @@ class Partition:
     qubits_b: tuple[int, ...]
 
     def __post_init__(self):
-        qa = tuple(int(i) for i in self.qubits_a)
-        qb = tuple(int(i) for i in self.qubits_b)
+        qa, qb = tuple(self.qubits_a), tuple(self.qubits_b)
+        if not all(map(is_integer, qa + qb)):
+            raise InvalidPartitionError(f"qubit indices must be integers, got {qa}|{qb}")
+        qa, qb = tuple(map(int, qa)), tuple(map(int, qb))
         if not qa or not qb:
             raise InvalidPartitionError("both sides of a partition must be non-empty")
         if len(set(qa)) != len(qa) or len(set(qb)) != len(qb) or set(qa) & set(qb):
@@ -309,10 +312,11 @@ def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int, subset: tuple[in
     return np.ascontiguousarray(t.transpose(axes).reshape(d, d))
 
 
-def partial_transpose(rho: DensityMatrix, p: Partition, side: str = "a") -> np.ndarray:
-    """Transpose the indices of one side only; Hermitian but possibly indefinite."""
+def partial_transpose(rho: DensityMatrix, p: Partition) -> np.ndarray:
+    """Transpose side A's indices (``Partition(b, a)`` for side B, the full
+    transpose of this); Hermitian but possibly indefinite."""
     p.check_register(rho.n_qubits)
-    return partial_transpose_matrix(rho.matrix, rho.n_qubits, p.side(side))
+    return partial_transpose_matrix(rho.matrix, rho.n_qubits, p.qubits_a)
 
 
 def _hermitian_input(matrix) -> np.ndarray:

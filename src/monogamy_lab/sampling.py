@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures, qcore
-from .errors import DomainError, check_count
+from .errors import DomainError, check_count, is_integer
 from .qcore import Partition, PureState, Spectrum
 
 _NONZERO_EIGENVALUE = 1e-12
@@ -48,13 +48,9 @@ class Dataset:
         return self.x.size
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _sample_rng(seed: int, i: int) -> np.random.Generator:
     """Generator of sample i: child i of ``SeedSequence(seed).spawn(n)``, built directly."""
-    return _rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
 def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -69,7 +65,7 @@ def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
 def haar_random_pure(n_qubits: int, seed) -> PureState:
     """Haar-distributed pure state: normalized complex-Gaussian amplitudes."""
     n_qubits = check_count("n_qubits", n_qubits)
-    return PureState(n_qubits, _haar_amplitudes(_rng(seed), 2**n_qubits))
+    return PureState(n_qubits, _haar_amplitudes(np.random.default_rng(seed), 2**n_qubits))
 
 
 def _to_sorted_simplex(spectra: np.ndarray) -> np.ndarray:
@@ -83,13 +79,14 @@ def _to_sorted_simplex(spectra: np.ndarray) -> np.ndarray:
 def random_spectrum(seed, zeros: int = 0) -> Spectrum:
     """Length-4 spectrum, uniform on the simplex of the non-zero entries.
 
-    ``zeros`` entries (0, 1, or 2) are pinned to zero; the rest are drawn by
-    the exponential-normalization construction and sorted descending.
+    ``zeros`` entries (the integer 0, 1, or 2) are pinned to zero; the rest
+    are drawn by the exponential-normalization construction, sorted descending.
     """
-    if zeros not in (0, 1, 2):
-        raise DomainError(f"zeros must be 0, 1, or 2, got {zeros}")
+    if not is_integer(zeros) or zeros not in (0, 1, 2):
+        raise DomainError(f"zeros must be the integer 0, 1, or 2, got {zeros!r}")
+    zeros = int(zeros)
     vals = np.zeros((1, 4))
-    _rng(seed).standard_exponential(4 - zeros, out=vals[0, : 4 - zeros])
+    np.random.default_rng(seed).standard_exponential(4 - zeros, out=vals[0, : 4 - zeros])
     return Spectrum(tuple(_to_sorted_simplex(vals)[0]))
 
 

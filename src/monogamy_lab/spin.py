@@ -40,14 +40,10 @@ def collective_spin_matrices(subset: tuple[int, ...], n_total: int) -> tuple[np.
 class CollectiveSpinOps:
     """Total-spin components for a set of spin-1/2 particles."""
 
-    subset: tuple[int, ...]
+    n_spins: int
     jx: np.ndarray
     jy: np.ndarray
     jz: np.ndarray
-
-    @property
-    def n_spins(self) -> int:
-        return len(self.subset)
 
     @property
     def dim(self) -> int:
@@ -69,7 +65,7 @@ def collective_ops(n_spins: int) -> CollectiveSpinOps:
     jx, jy, jz = collective_spin_matrices(tuple(range(n_spins)), n_spins)
     for j in (jx, jy, jz):
         j.setflags(write=False)
-    return CollectiveSpinOps(tuple(range(n_spins)), jx, jy, jz)
+    return CollectiveSpinOps(n_spins, jx, jy, jz)
 
 
 def symmetric_ops(n_spins: int) -> CollectiveSpinOps:
@@ -92,7 +88,7 @@ def symmetric_ops(n_spins: int) -> CollectiveSpinOps:
     jx, jy = 0.5 * (j_plus + j_minus), -0.5j * (j_plus - j_minus)
     for j in (jx, jy, jz):
         j.setflags(write=False)
-    return CollectiveSpinOps(tuple(range(n_spins)), jx, jy, jz)
+    return CollectiveSpinOps(n_spins, jx, jy, jz)
 
 
 @dataclass(frozen=True, eq=False)

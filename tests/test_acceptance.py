@@ -80,7 +80,8 @@ def test_criterion_2_monogamy_bound_datasets():
 
     ds3 = ml.fig3_dataset(100000, seed=0)
     x, y = ds3.x, ds3.y
-    threshold = analytic.threshold_negativity(verify=True)
+    analytic.verify_threshold_region()
+    threshold = analytic.threshold_negativity()
     two = ds3.cls == ml.SampleClass.TWO_NONZERO
     curve_dev = float(np.max(np.abs(y[two] - analytic.nmax_boundary_rank2(x[two]))))
     threshold_violations = int(np.count_nonzero((x > threshold + 1e-9) & (y > 1e-12)))

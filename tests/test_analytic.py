@@ -110,7 +110,7 @@ def test_spectrum_state_has_requested_spectrum(rng):
 
 def test_threshold_value_and_state():
     assert abs(THRESHOLD_NEGATIVITY - 0.9106836025229591) < 1e-12
-    assert abs(threshold_negativity(verify=False) - (1 / 3 + np.sqrt(1 / 3))) < 1e-15
+    assert abs(threshold_negativity() - (1 / 3 + np.sqrt(1 / 3))) < 1e-15
     st = threshold_state()
     assert measures.max_negativity(st) < 1e-15
     assert abs(measures.negativity_2pn_from_spectrum(st) - THRESHOLD_NEGATIVITY) < 1e-12
@@ -119,8 +119,9 @@ def test_threshold_value_and_state():
 def test_threshold_grid_verification():
     checked = verify_threshold_region(step=1e-3)
     assert checked > 5_000_000
-    # memoized: the getter now returns without re-sweeping
-    assert threshold_negativity(verify=True, step=1e-3) == THRESHOLD_NEGATIVITY
+    # memoized: a second call returns the count without re-sweeping
+    assert verify_threshold_region(step=1e-3) == checked
+    assert threshold_negativity() == THRESHOLD_NEGATIVITY
 
 
 # ---------------------------------------------------------------------------

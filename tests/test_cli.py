@@ -66,7 +66,7 @@ def test_fig3_output_and_markers(tmp_path):
     flat = markers[-1]
     assert [float(v) for v in flat[:4]] == [0.25, 0.25, 0.25, 0.25]
     assert float(flat[4]) == 1.0 and float(flat[5]) == 0.0
-    th = analytic.threshold_negativity(verify=False)
+    th = analytic.threshold_negativity()
     for r in rows:
         if float(r[4]) > th + 1e-9:
             assert float(r[5]) <= 1e-12

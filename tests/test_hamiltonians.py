@@ -61,6 +61,13 @@ def test_build_validation():
         build("oat", (0, 5), 3)
     with pytest.raises(DomainError):
         build("nope", (0,), 1)
+    # an index is an integer: no float is rounded to a qubit, no bool read as 0 or 1
+    for subset in [(0.6, 1.7), (True,), (0, 1.0), (np.bool_(True),)]:
+        with pytest.raises(DomainError):
+            build("oat", subset, 2)
+    h = build("oat", np.arange(2), np.int64(2))
+    assert h.subset == (0, 1) and all(type(i) is int for i in h.subset)
+    assert h.matrix.tobytes() == build("oat", (0, 1), 2).matrix.tobytes()
 
 
 def test_build_keeps_the_bits_of_the_direct_expressions():

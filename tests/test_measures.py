@@ -79,6 +79,12 @@ def test_tsallis_domain_errors():
         tsallis_entropy(rho, 0)
     with pytest.raises(DomainError):
         tsallis_entropy(rho, 1.5)
+    with pytest.raises(DomainError):
+        tsallis_entropy(rho, True)  # a bool is not the order 1
+    rho = DensityMatrix(1, np.diag([0.7, 0.3]))
+    for q in (1, 2, 3):
+        assert tsallis_entropy(rho, np.int64(q)) == tsallis_entropy(rho, q)
+        assert tsallis_entropy(rho, float(q)) == tsallis_entropy(rho, q)
 
 
 def test_linear_entropy_endpoints(rng):
@@ -133,6 +139,19 @@ def test_negativity_matches_bruteforce(rng):
         ours = negativity_raw(DensityMatrix(3, rho), Partition((0,), (1, 2)))
         ref = negativity_bruteforce(rho, 2, 4)
         assert abs(ours - ref) < 1e-9
+
+
+@pytest.mark.parametrize("qa, qb", [((0,), (1,)), ((0,), (1, 2)), ((2,), (0, 1)), ((1, 3), (0, 2)), ((0,), (1, 2, 3))])
+def test_negativity_is_the_same_from_either_side(qa, qb, rng):
+    # swapping the partition's sides transposes the other side, whose
+    # partial transpose has the same spectrum (rank 2 keeps most draws
+    # entangled, full rank covers the mixed interior)
+    n = len(qa) + len(qb)
+    for rank in (2, 2, 2**n, 2**n):
+        rho = DensityMatrix(n, random_density(2**n, rng, rank=rank))
+        ab, ba = Partition(qa, qb), Partition(qb, qa)
+        assert abs(negativity_raw(rho, ab) - negativity_raw(rho, ba)) < 1e-12
+        assert abs(negativity_normalized(rho, ab) - negativity_normalized(rho, ba)) < 1e-12
 
 
 def test_negativity_local_unitary_invariance(rng):

@@ -28,7 +28,7 @@ from monogamy_lab.qcore import (
     tensor_product,
 )
 
-from oracle_utils import random_state, random_unitary
+from oracle_utils import random_density, random_state, random_unitary
 
 
 def bell_state():
@@ -69,6 +69,13 @@ def test_partition_validation():
     with pytest.raises(InvalidPartitionError):
         p.check_register(4)
     p.check_register(3)
+    # an index is an integer: no float is rounded to a qubit, no bool read as 0 or 1
+    for qa, qb in [((0.9,), (1.2,)), ((True,), (2,)), ((0,), (1.0,)), ((0,), ("1",)), ((np.bool_(False),), (1,))]:
+        with pytest.raises(InvalidPartitionError):
+            Partition(qa, qb)
+    p = Partition(np.arange(2), (np.int64(2),))
+    assert p.qubits_a == (0, 1) and p.qubits_b == (2,)
+    assert all(type(i) is int for i in p.qubits_a + p.qubits_b)
 
 
 def test_spectrum_validation():
@@ -191,13 +198,13 @@ def test_partial_transpose_product_state_is_psd(rng):
     a = PureState(1, random_state(2, rng))
     b = PureState(1, random_state(2, rng))
     rho = dm_from_pure(tensor_product(a, b))
-    pt = partial_transpose(rho, Partition((0,), (1,)), "a")
+    pt = partial_transpose(rho, Partition((0,), (1,)))
     assert hermitian_eigenvalues(pt)[-1] > -1e-12
 
 
 def test_partial_transpose_bell_state():
     rho = dm_from_pure(bell_state())
-    pt = partial_transpose(rho, Partition((0,), (1,)), "a")
+    pt = partial_transpose(rho, Partition((0,), (1,)))
     w = hermitian_eigenvalues(pt)
     assert abs(w[-1] + 0.5) < 1e-12
 
@@ -208,7 +215,7 @@ def test_partial_transpose_2p1_schmidt():
         amps[0] = np.sqrt(lam)  # |00>|0>
         amps[7] = np.sqrt(1 - lam)  # |11>|1>
         rho = dm_from_pure(PureState(3, amps))
-        pt = partial_transpose(rho, Partition((0, 1), (2,)), "a")
+        pt = partial_transpose(rho, Partition((0, 1), (2,)))
         w = hermitian_eigenvalues(pt)
         assert abs(w[-1] + np.sqrt(lam * (1 - lam))) < 1e-12
 
@@ -217,11 +224,20 @@ def test_partial_transpose_involution_and_trace(rng):
     psi = PureState(3, random_state(8, rng))
     rho = dm_from_pure(psi)
     p = Partition((1,), (0, 2))
-    pt = partial_transpose(rho, p, "a")
+    pt = partial_transpose(rho, p)
     assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
     assert abs(np.trace(pt) - 1) < 1e-12
     again = qcore.partial_transpose_matrix(pt, 3, p.qubits_a)
     assert np.array_equal(again, rho.matrix)
+
+
+@pytest.mark.parametrize("qa, qb", [((0,), (1,)), ((0,), (1, 2)), ((2,), (0, 1)), ((1, 3), (0, 2)), ((0,), (1, 2, 3))])
+def test_swapped_partition_transposes_the_other_side(qa, qb, rng):
+    # the partition's order names the transposed side; side B's partial
+    # transpose is the full transpose of side A's
+    n = len(qa) + len(qb)
+    rho = DensityMatrix(n, random_density(2**n, rng))
+    assert np.array_equal(partial_transpose(rho, Partition(qb, qa)), partial_transpose(rho, Partition(qa, qb)).T)
 
 
 def test_partial_transpose_noncontiguous_matches_reordered(rng):

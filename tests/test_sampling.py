@@ -65,8 +65,11 @@ def test_random_spectrum_forms():
     assert abs(sum(s2.values) - 1) < 1e-12
     s0 = random_spectrum(5, zeros=0)
     assert all(v > 0 for v in s0.values)
-    with pytest.raises(DomainError):
-        random_spectrum(5, zeros=3)
+    for zeros in (3, -1, 1.0, True, np.bool_(True), "1", None):
+        with pytest.raises(DomainError):
+            random_spectrum(5, zeros=zeros)
+    for zeros in (0, 1, 2):
+        assert random_spectrum(5, zeros=np.int64(zeros)) == random_spectrum(5, zeros=zeros)
 
 
 @pytest.mark.parametrize("zeros", [0, 1, 2])
@@ -182,7 +185,7 @@ def test_fig3_rank2_records_on_rescaled_curve():
 
 def test_fig3_threshold_property():
     ds = fig3_dataset(3000, seed=51)
-    th = analytic.threshold_negativity(verify=False)
+    th = analytic.threshold_negativity()
     assert np.all(ds.y[ds.x > th + 1e-9] <= 1e-12)
 
 
