@@ -23,13 +23,11 @@ from .qcore import (
     dm_from_pure,
     evolve,
     expectation,
-    fidelity,
     half_partition,
     hermitian_eigen,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    spectrum_of,
     tensor_product,
 )
 from .measures import (
@@ -46,7 +44,7 @@ from .measures import (
     tsallis_entropy,
 )
 from .spin import CollectiveSpinOps, SqueezingResult, collective_ops, squeezing_parameter, symmetric_ops
-from .hamiltonians import Hamiltonian, HamiltonianKind, SymmetryReport, build as build_hamiltonian, symmetry_report
+from .hamiltonians import HamiltonianKind, SymmetryReport, build as build_hamiltonian, symmetry_report
 from .analytic import (
     GhzAnalytics,
     cmax_boundary,

@@ -65,10 +65,11 @@ def linear_entropy_from_purity(purity, dim: int):
     return _clip01(dim / (dim - 1) * (1.0 - purity))
 
 
-def linear_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """Purity deficit rescaled by dim/(dim-1) so the maximum is 1."""
+def linear_entropy(rho: DensityMatrix | np.ndarray):
+    """Purity deficit rescaled by dim/(dim-1) so the maximum is 1: a float for
+    a density matrix, an array of shape (...) for a (..., d, d) stack."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return linear_entropy_from_purity(purity(m), m.shape[0])
+    return linear_entropy_from_purity(purity(m), m.shape[-1])
 
 
 def _negative_sum(eigenvalues: np.ndarray):

@@ -334,11 +334,11 @@ class _SubsystemEngine(SpectralPropagator):
 
 def _dense_engine(kind: HamiltonianKind, n_a: int, tp: np.ndarray) -> _SubsystemEngine:
     """The protocol's engine: A's Hamiltonian and moment operators on all 2^n_A states."""
-    return _SubsystemEngine(build(kind, range(n_a), n_a).matrix, spin.collective_ops(n_a).moment_operators, n_a, tp)
+    return _SubsystemEngine(build(kind, n_a), spin.collective_ops(n_a).moment_operators, n_a, tp)
 
 
 def _evolve_all_down(kind, n: int, t) -> np.ndarray:
-    """The n-qubit all-down state evolved under ``build(kind, range(n), n)``
+    """The n-qubit all-down state evolved under ``build(kind, n)``
     for time t, as its sym(n) amplitudes: shape (n+1,), or (n+1, T) for an
     array of T times. ``qcore.symmetric_isometry(n) @`` the result embeds
     it in the register.
@@ -442,7 +442,7 @@ def entangle(cfg: ProtocolConfig) -> GridStage:
     """Stage one over the whole t-grid: entangle, reduce to rho_A, and take
     C(t), S_L,AB and xi2_AB. ``cfg``'s local kind and tp grid are not used."""
     n = cfg.n_a + cfg.n_b
-    prop = SpectralPropagator(build(cfg.h_ab_kind, range(n), n))
+    prop = SpectralPropagator(build(cfg.h_ab_kind, n))
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
     psi = np.ascontiguousarray(states.T)  # (T, d)
     rho_a = qcore.reduced_state_matrix(psi, n, tuple(range(cfg.n_a)))

@@ -52,6 +52,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     InvalidPartitionError,
+    check_count,
     is_integer,
 )
 
@@ -62,7 +63,6 @@ PSD_TOL = 1e-10
 EIGEN_INPUT_TOL = 1e-10
 SPECTRUM_SUM_TOL = 1e-10
 
-PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -81,16 +81,14 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        n = check_count("n_qubits", self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if self.n_qubits < 1:
-            raise DomainError("a register needs at least one qubit")
-        if amps.size != 2**self.n_qubits:
-            raise DimensionMismatchError(
-                f"expected {2**self.n_qubits} amplitudes, got {amps.size}"
-            )
+        if amps.size != 2**n:
+            raise DimensionMismatchError(f"expected {2**n} amplitudes, got {amps.size}")
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > NORM_TOL:
             raise ContractViolationError(f"state norm {nrm!r} deviates from 1")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", _freeze(amps.copy()))
 
     @property
@@ -106,8 +104,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        n = check_count("n_qubits", self.n_qubits)
         m = np.asarray(self.matrix, dtype=np.complex128)
-        d = 2**self.n_qubits
+        d = 2**n
         if m.shape != (d, d):
             raise DimensionMismatchError(f"expected a {d}x{d} matrix, got {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
@@ -118,6 +117,7 @@ class DensityMatrix:
         w = hermitian_eigenvalues(m)
         if w[-1] < -PSD_TOL:
             raise ContractViolationError(f"negative eigenvalue {w[-1]!r}")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", _freeze(m.copy()))
 
     @property
@@ -157,17 +157,10 @@ class Partition:
                 f"{n_qubits}-qubit register"
             )
 
-    def side(self, which: str) -> tuple[int, ...]:
-        which = which.lower()
-        if which == "a":
-            return self.qubits_a
-        if which == "b":
-            return self.qubits_b
-        raise DomainError(f"side must be 'a' or 'b', got {which!r}")
-
 
 def half_partition(n_qubits: int) -> Partition:
     """First-half / second-half split of a register."""
+    n_qubits = check_count("n_qubits", n_qubits)
     if n_qubits < 2:
         raise InvalidPartitionError("need at least two qubits to bipartition")
     k = n_qubits // 2
@@ -193,14 +186,6 @@ class Spectrum:
             raise DomainError(f"spectrum sums to {arr.sum()!r}, not 1")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_values(cls, values) -> "Spectrum":
-        """Build a spectrum from unsorted values, clipping eigensolver noise."""
-        arr = np.sort(np.asarray(values, dtype=float))[::-1]
-        arr[(arr < 0) & (arr >= -PSD_TOL)] = 0.0
-        arr[(arr > 1) & (arr <= 1 + PSD_TOL)] = 1.0
-        return cls(tuple(arr))
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -209,6 +194,7 @@ class Spectrum:
 
 
 def basis_state(n_qubits: int, index: int) -> PureState:
+    n_qubits = check_count("n_qubits", n_qubits)
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return PureState(n_qubits, amps)
@@ -216,7 +202,7 @@ def basis_state(n_qubits: int, index: int) -> PureState:
 
 def all_down_state(n_qubits: int) -> PureState:
     """Product state with every spin down (|1...1> in our convention)."""
-    return basis_state(n_qubits, 2**n_qubits - 1)
+    return basis_state(n_qubits, -1)  # the last basis state
 
 
 def symmetric_isometry(n_qubits: int) -> np.ndarray:
@@ -225,8 +211,7 @@ def symmetric_isometry(n_qubits: int) -> np.ndarray:
     Column k is the normalised sum of the basis states with k ones (k spins
     down), so column 0 is the all-up and column n the all-down state.
     """
-    if n_qubits < 1:
-        raise DomainError("a register needs at least one qubit")
+    n_qubits = check_count("n_qubits", n_qubits)
     idx = np.arange(2**n_qubits)
     ones = sum((idx >> q) & 1 for q in range(n_qubits))
     iso = np.zeros((idx.size, n_qubits + 1))
@@ -295,12 +280,11 @@ def reduced_state_matrix(state: PureState | np.ndarray, n_qubits: int, keep: tup
     return x @ x.conj().swapaxes(-1, -2)
 
 
-def partial_trace(rho: DensityMatrix, p: Partition, keep: str = "a") -> DensityMatrix:
-    """Reduced density matrix for one side of a partition."""
+def partial_trace(rho: DensityMatrix, p: Partition) -> DensityMatrix:
+    """Reduced density matrix of side A (``Partition(b, a)`` for side B)."""
     p.check_register(rho.n_qubits)
-    kept = p.side(keep)
-    out = partial_trace_matrix(rho.matrix, rho.n_qubits, kept)
-    return DensityMatrix(len(kept), out)
+    out = partial_trace_matrix(rho.matrix, rho.n_qubits, p.qubits_a)
+    return DensityMatrix(len(p.qubits_a), out)
 
 
 def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int, subset: tuple[int, ...]) -> np.ndarray:
@@ -369,16 +353,11 @@ def lapack_eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian_input(matrix))[..., ::-1]
 
 
-def spectrum_of(rho: DensityMatrix | np.ndarray) -> Spectrum:
-    """Spectrum of a density matrix, eigensolver noise clipped to zero."""
-    return Spectrum.from_values(hermitian_eigenvalues(_as_matrix(rho)))
-
-
 class SpectralPropagator:
     """Time evolution exp(-i H t) through one cached eigendecomposition of H."""
 
-    def __init__(self, hamiltonian):
-        m = _as_matrix(getattr(hamiltonian, "matrix", hamiltonian))
+    def __init__(self, hamiltonian: np.ndarray):
+        m = _as_matrix(hamiltonian)
         self.eigenvalues, self.eigenvectors = hermitian_eigen(m)
         self._vh = np.ascontiguousarray(self.eigenvectors.conj().T)
         self.dim = m.shape[0]
@@ -395,9 +374,9 @@ class SpectralPropagator:
         return (self.eigenvectors * np.exp(-1j * self.eigenvalues * t)) @ self._vh
 
 
-def evolve(state: PureState, hamiltonian, t: float) -> PureState:
+def evolve(state: PureState, hamiltonian: np.ndarray, t: float) -> PureState:
     """Evolve a pure state under a Hermitian generator for time t (hbar = 1)."""
-    m = _as_matrix(getattr(hamiltonian, "matrix", hamiltonian))
+    m = _as_matrix(hamiltonian)
     if m.shape[0] != state.dim:
         raise DimensionMismatchError(
             f"Hamiltonian dimension {m.shape[0]} does not match state dimension {state.dim}"
@@ -419,13 +398,6 @@ def expectation(rho: DensityMatrix | PureState | np.ndarray, observable: np.ndar
     return float(np.einsum("ij,ji->", m, obs).real)
 
 
-def fidelity(a: PureState, b: PureState) -> float:
-    """Squared overlap |<a|b>|^2; insensitive to global phase."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("states live on different registers")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
 def embed_single_qubit_op(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     """Embed a one-qubit operator at the given index of an n-qubit register."""
     if not 0 <= qubit < n_qubits:
@@ -435,14 +407,12 @@ def embed_single_qubit_op(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarr
     return np.kron(np.kron(left, np.asarray(op, dtype=np.complex128)), right)
 
 
-def pauli_product(op: np.ndarray, subset: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Product of one-qubit operators over a subset, identity elsewhere."""
-    subset = set(subset)
-    if subset and (min(subset) < 0 or max(subset) >= n_qubits):
-        raise DomainError("subset outside register")
+def pauli_product(op: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The one-qubit operator op on every qubit of an n-qubit register: its
+    n-fold Kronecker power."""
     out = np.array([[1.0 + 0j]])
-    for i in range(n_qubits):
-        out = np.kron(out, op if i in subset else PAULI_I)
+    for _ in range(n_qubits):
+        out = np.kron(out, op)
     return out
 
 

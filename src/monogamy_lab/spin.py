@@ -1,5 +1,9 @@
 """Collective spin operators and the minimal-variance squeezing parameter.
 
+`collective_ops(n)` gives (Jx, Jy, Jz) as dense 2^n matrices on a whole
+n-qubit register; `symmetric_ops(n)` gives the spin-j matrices, j = n/2, on
+its symmetric subspace sym(n).
+
 The squeezing parameter is 4 min Var(J_perp) / N over directions
 perpendicular to the mean spin; the minimization is exact (smallest
 eigenvalue of the projected covariance), not a grid search. A state with no
@@ -15,25 +19,10 @@ from functools import cached_property
 import numpy as np
 
 from . import qcore
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, check_count
 from .qcore import DensityMatrix, PureState
 
 DEGENERATE_MEAN_SPIN_TOL = 1e-9
-
-
-def collective_spin_matrices(subset: tuple[int, ...], n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) summed over a qubit subset, embedded in an n-qubit register."""
-    subset = tuple(subset)
-    if not subset:
-        raise DomainError("subset must be non-empty")
-    dim = 2**n_total
-    out = []
-    for pauli in (qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z):
-        j = np.zeros((dim, dim), dtype=np.complex128)
-        for i in subset:
-            j += qcore.embed_single_qubit_op(pauli, i, n_total)
-        out.append(0.5 * j)
-    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +48,19 @@ class CollectiveSpinOps:
 
 
 def collective_ops(n_spins: int) -> CollectiveSpinOps:
-    """Collective spin operators on the local space of n spin-1/2 particles."""
-    if n_spins < 1:
-        raise DomainError("need at least one spin")
-    jx, jy, jz = collective_spin_matrices(tuple(range(n_spins)), n_spins)
-    for j in (jx, jy, jz):
+    """Collective spin operators of n spin-1/2 particles on their dense 2^n
+    register: each J is half the sum of one Pauli matrix over the qubits."""
+    n_spins = check_count("n_spins", n_spins)
+    dim = 2**n_spins
+    out = []
+    for pauli in (qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z):
+        j = np.zeros((dim, dim), dtype=np.complex128)
+        for i in range(n_spins):
+            j += qcore.embed_single_qubit_op(pauli, i, n_spins)
+        j = 0.5 * j
         j.setflags(write=False)
-    return CollectiveSpinOps(n_spins, jx, jy, jz)
+        out.append(j)
+    return CollectiveSpinOps(n_spins, *out)
 
 
 def symmetric_ops(n_spins: int) -> CollectiveSpinOps:
@@ -78,8 +73,7 @@ def symmetric_ops(n_spins: int) -> CollectiveSpinOps:
     dense ones too, and a state's moments can be taken from its n+1
     amplitudes in sym(n).
     """
-    if n_spins < 1:
-        raise DomainError("need at least one spin")
+    n_spins = check_count("n_spins", n_spins)
     k = np.arange(n_spins)
     # <k+1|J-|k> = sqrt((k+1)(n-k)): J- flips one more spin down.
     j_minus = np.diag(np.sqrt((k + 1.0) * (n_spins - k)), -1).astype(np.complex128)

@@ -147,7 +147,7 @@ def test_criterion_4_concurrence_convention(rng):
 
 
 def test_criterion_5_register_squeezing_ghz_point():
-    h = ml.build_hamiltonian("oat", range(4), 4)
+    h = ml.build_hamiltonian("oat", 4)
     psi = qcore.evolve(qcore.all_down_state(4), h, np.pi / 2)
     a0, a15 = psi.amplitudes[0], psi.amplitudes[-1]
     ghz_fid = (abs(a0) + abs(a15)) ** 2 / 2

@@ -166,7 +166,7 @@ def test_ghz_analytics_vs_reduced_two_level_simulation():
     # simulated register trajectory
     from monogamy_lab.hamiltonians import build
 
-    h = build("ghz", range(4), 4)
+    h = build("ghz", 4)
     for phi in (0.2, 0.8, 1.4):
         psi = qcore.evolve(qcore.basis_state(4, 0), h, phi)
         amps = psi.amplitudes

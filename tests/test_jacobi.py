@@ -46,7 +46,7 @@ def _mixed_stack(rng, d, k):
 @pytest.mark.parametrize("kind", ["oat", "tat", "tf", "ghz"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_entanglers_match_the_one_matrix_kernel(kind, n):
-    h = build(kind, range(n), n).matrix
+    h = build(kind, n)
     _assert_members_match_one_by_one(h)
     _assert_members_match_one_by_one(h[None])
 

@@ -96,11 +96,21 @@ def test_linear_entropy_endpoints(rng):
         linear_entropy(np.eye(1))
 
 
+def test_linear_entropy_of_a_stack_uses_the_matrix_dimension(rng):
+    # the dimension is the last axis, not the stack length
+    for k in (1, 3, 5):
+        assert np.array_equal(linear_entropy(np.stack([np.eye(2) / 2] * k)), np.ones(k))
+    rhos = np.array([random_density(4, rng) for _ in range(3)])
+    assert np.allclose(linear_entropy(rhos), [linear_entropy(r) for r in rhos], rtol=0, atol=1e-14)
+    with pytest.raises(DomainError):
+        linear_entropy(np.ones((3, 1, 1)))
+
+
 def test_linear_entropy_ghz_evolved_value():
     # reduced state of the flip-generator trajectory at phi = pi/8
     from monogamy_lab.hamiltonians import build
 
-    h = build("ghz", range(4), 4)
+    h = build("ghz", 4)
     psi = qcore.evolve(qcore.basis_state(4, 0), h, np.pi / 8)
     rho_a = qcore.reduced_state_matrix(psi, 4, (0, 1))
     assert abs(linear_entropy(rho_a) - 1.0 / 3.0) < 1e-12

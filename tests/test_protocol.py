@@ -196,7 +196,7 @@ def test_min_never_exceeds_grid_samples():
 
 def test_oat_half_period_reaches_ghz_point():
     n = 4
-    h = build("oat", range(n), n)
+    h = build("oat", n)
     psi = qcore.evolve(all_down_state(n), h, np.pi / 2)
     a0, a15 = psi.amplitudes[0], psi.amplitudes[-1]
     ghz_fidelity = (abs(a0) + abs(a15)) ** 2 / 2
@@ -240,7 +240,7 @@ def test_grid_stages_match_per_row_route(n_a, n_b):
         assert abs(trace.xi2_ab[i] - squeezing_parameter(state_at(cfg, t), ops).xi2) < 1e-12
 
     n = n_a + n_b
-    prop = SpectralPropagator(build("oat", range(n), n))
+    prop = SpectralPropagator(build("oat", n))
     psi0 = all_down_state(n).amplitudes
     columns = prop.apply(psi0, cfg.t_grid)
     assert columns.shape == (2**n, cfg.t_grid.size)
@@ -481,7 +481,7 @@ def _assert_explore_matches_dense(rho, kind, split):
     n = rho.n_qubits
     ops = collective_ops(n)
     xi2, n_a = explore_dense(
-        rho.matrix, build(kind, range(n), n).matrix, (ops.jx, ops.jy, ops.jz), tr.tp,
+        rho.matrix, build(kind, n), (ops.jx, ops.jy, ops.jz), tr.tp,
         split.qubits_a if split else tuple(range(n // 2)),
     )
     assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-10
@@ -603,9 +603,9 @@ def test_appendix_b_oat_matches_closed_form():
 
 @functools.cache
 def _dense_propagator(n: int, kind: str) -> SpectralPropagator:
-    """Dense propagator of build(kind, range(n), n): the route qcore.evolve
+    """Dense propagator of build(kind, n): the route qcore.evolve
     takes, solved once per (n, kind) so the 256x256 cases stay affordable."""
-    return SpectralPropagator(build(kind, range(n), n))
+    return SpectralPropagator(build(kind, n))
 
 
 @pytest.mark.parametrize("kind", ["oat", "tf", "tat", "ghz"])

@@ -7,7 +7,6 @@ from monogamy_lab.qcore import DensityMatrix, PureState, all_down_state
 from monogamy_lab.spin import (
     _spin_frame,
     collective_ops,
-    collective_spin_matrices,
     squeezing_parameter,
     symmetric_ops,
     xi2_from_moment_arrays,
@@ -72,12 +71,6 @@ def test_zero_spins_rejected():
         collective_ops(0)
 
 
-def test_embedded_spin_matrices_subset():
-    jx, _, jz = collective_spin_matrices((1,), 2)
-    assert np.allclose(jx, np.kron(np.eye(2), qcore.PAULI_X) / 2)
-    assert np.allclose(jz, np.kron(np.eye(2), qcore.PAULI_Z) / 2)
-
-
 # ---------------------------------------------------------------------------
 # squeezing parameter
 
@@ -104,7 +97,7 @@ def test_ghz_register_squeezing_constant():
     from monogamy_lab.hamiltonians import build
 
     ops = collective_ops(4)
-    h = build("ghz", range(4), 4)
+    h = build("ghz", 4)
     for phi in np.linspace(0.0, np.pi / 2, 9):
         psi = qcore.evolve(all_down_state(4), h, phi)
         res = squeezing_parameter(psi, ops)
@@ -120,8 +113,8 @@ def test_subsystem_squeezing_closed_form():
     from monogamy_lab.hamiltonians import build
 
     ops = collective_ops(2)
-    h_ab = build("ghz", range(4), 4)
-    h_a = build("ghz", range(2), 2)
+    h_ab = build("ghz", 4)
+    h_a = build("ghz", 2)
     for phi in (0.1, 0.45, 1.2):
         psi = qcore.evolve(all_down_state(4), h_ab, phi)
         rho_a = qcore.reduced_state_matrix(psi, 4, (0, 1))
