@@ -17,12 +17,9 @@ from .qcore import (
     Partition,
     PureState,
     SpectralPropagator,
-    Spectrum,
     all_down_state,
-    basis_state,
     dm_from_pure,
     evolve,
-    expectation,
     half_partition,
     hermitian_eigen,
     hermitian_eigenvalues,
@@ -55,7 +52,6 @@ from .analytic import (
     nmax_boundary_rank2,
     spectrum_state_2pn,
     threshold_negativity,
-    threshold_state,
     verify_threshold_region,
 )
 from .sampling import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import _spectrum4
-from .qcore import PureState, Spectrum
+from .qcore import PureState
 
 
 def _check_domain(x, lo: float, hi: float, name: str):
@@ -89,22 +89,19 @@ def spectrum_state_2pn(spec, n_b: int) -> PureState:
 
 
 THRESHOLD_NEGATIVITY = 1.0 / 3.0 + math.sqrt(1.0 / 3.0)
-
-
-def threshold_state() -> Spectrum:
-    """The spectrum saturating the no-entanglement-generation threshold."""
-    return Spectrum((0.5, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0))
+# Resolution of the ordered-simplex grid that `verify_threshold_region` sweeps.
+THRESHOLD_GRID_STEP = 1e-3
 
 
 @functools.cache
-def verify_threshold_region(step: float = 1e-3) -> int:
+def verify_threshold_region() -> int:
     """Grid-check that above the threshold no internal entanglement is possible.
 
-    Sweeps the ordered probability simplex with the given resolution and
-    raises if any spectrum with cut negativity above the threshold admits a
-    positive max_negativity. Returns the number of grid points checked.
+    Sweeps the ordered probability simplex at resolution THRESHOLD_GRID_STEP
+    and raises if any spectrum with cut negativity above the threshold admits
+    a positive max_negativity. Returns the number of grid points checked.
     """
-    k = round(1.0 / step)
+    k = round(1.0 / THRESHOLD_GRID_STEP)
     checked = 0
     for k4 in range(0, k // 4 + 1):
         k3_max = (k - k4) // 3

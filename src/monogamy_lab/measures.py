@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qcore
 from .errors import DomainError, is_integer
-from .qcore import DensityMatrix, Partition, PureState, Spectrum
+from .qcore import DensityMatrix, Partition, PureState
 
 _CLIP = 1e-10
 
@@ -186,7 +186,7 @@ def concurrence(rho: DensityMatrix | np.ndarray):
 
 def _spectrum4(spec) -> np.ndarray:
     """Coerce to validated spectra of shape (..., 4), each row descending."""
-    vals = spec.as_array() if isinstance(spec, Spectrum) else np.asarray(spec, dtype=float)
+    vals = np.asarray(spec, dtype=float)
     if vals.ndim == 0 or vals.shape[-1] != 4:
         raise DomainError(f"expected 4 spectrum values, got shape {vals.shape}")
     vals = np.sort(vals, axis=-1)[..., ::-1].copy()

@@ -91,7 +91,7 @@ from .errors import (
 )
 from .analytic import ghz_s_l_from_min_xi2
 from .hamiltonians import HamiltonianKind, _as_kind, _build_symmetric, build
-from .qcore import DensityMatrix, Partition, SpectralPropagator, all_down_state, half_partition
+from .qcore import DensityMatrix, SpectralPropagator, all_down_state, half_partition
 
 MAX_TOTAL_QUBITS = 10
 MAX_SUBSYSTEM_QUBITS = 5
@@ -510,12 +510,9 @@ def sweep(stage: GridStage, kind, tp_grid) -> ProtocolTrace:
     )
 
 
-def run_protocol_multi(cfg: ProtocolConfig, ha_kinds=None) -> dict[HamiltonianKind, ProtocolTrace]:
-    """One ``entangle`` shared by a ``sweep`` per local kind (default: the
-    config's), each on ``cfg.tp_grid``; repeated kinds run once, in
-    first-seen order."""
-    if ha_kinds is None:
-        ha_kinds = [cfg.h_a_kind]
+def run_protocol_multi(cfg: ProtocolConfig, ha_kinds) -> dict[HamiltonianKind, ProtocolTrace]:
+    """One ``entangle`` shared by a ``sweep`` per local kind, each on
+    ``cfg.tp_grid``; repeated kinds run once, in first-seen order."""
     stage = entangle(cfg)
     return {kind: sweep(stage, kind, cfg.tp_grid) for kind in dict.fromkeys(map(_as_kind, ha_kinds))}
 
@@ -679,13 +676,13 @@ def explore_measure_vs_squeezing(
     h_a_kind,
     t_max: float = 100.0,
     steps: int = 2001,
-    split: Partition | None = None,
 ) -> ExplorationTrace:
     """Trajectory of (squeezing, internal negativity) for subsystem A.
 
     A is evolved under the chosen local Hamiltonian; at each time the
     squeezing parameter and the normalized negativity across the internal
-    split (default: first half versus second half) are recorded.
+    split `half_partition(n)` (first half versus second half, the smaller
+    half first for odd n) are recorded.
 
     The input must lie in A's symmetric subspace sym(A), as every reduced
     state of the protocol does; weight outside it raises
@@ -696,9 +693,7 @@ def explore_measure_vs_squeezing(
     t_max = _positive_time("t_max", t_max)
     steps = check_count("steps", steps)
     n = initial_rho_a.n_qubits
-    if split is None:
-        split = half_partition(n)
-    split.check_register(n)
+    split = half_partition(n)
     kind = _as_kind(h_a_kind)
     iso = qcore.symmetric_isometry(n)
     rho_sym = _symmetric_part(initial_rho_a.matrix, iso)

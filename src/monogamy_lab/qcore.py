@@ -146,10 +146,6 @@ class Partition:
         object.__setattr__(self, "qubits_a", qa)
         object.__setattr__(self, "qubits_b", qb)
 
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubits_a) + len(self.qubits_b)
-
     def check_register(self, n_qubits: int) -> None:
         if set(self.qubits_a) | set(self.qubits_b) != set(range(n_qubits)):
             raise InvalidPartitionError(
@@ -167,42 +163,12 @@ def half_partition(n_qubits: int) -> Partition:
     return Partition(tuple(range(k)), tuple(range(k, n_qubits)))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a reduced density matrix, sorted in descending order."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise DomainError("empty spectrum")
-        arr = np.array(vals)
-        if not np.all((arr >= -PSD_TOL) & (arr <= 1.0 + PSD_TOL)):
-            raise DomainError("spectrum values must lie in [0, 1]")
-        if not np.all(np.diff(arr) <= 1e-12):
-            raise DomainError("spectrum values must be non-increasing")
-        if not abs(arr.sum() - 1.0) <= SPECTRUM_SUM_TOL:
-            raise DomainError(f"spectrum sums to {arr.sum()!r}, not 1")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values)
-
-
-def basis_state(n_qubits: int, index: int) -> PureState:
-    n_qubits = check_count("n_qubits", n_qubits)
-    amps = np.zeros(2**n_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return PureState(n_qubits, amps)
-
-
 def all_down_state(n_qubits: int) -> PureState:
     """Product state with every spin down (|1...1> in our convention)."""
-    return basis_state(n_qubits, -1)  # the last basis state
+    n_qubits = check_count("n_qubits", n_qubits)
+    amps = np.zeros(2**n_qubits, dtype=np.complex128)
+    amps[-1] = 1.0  # the last basis state
+    return PureState(n_qubits, amps)
 
 
 def symmetric_isometry(n_qubits: int) -> np.ndarray:
@@ -228,8 +194,7 @@ def symmetric_split_isometry(n_a: int, n_b: int) -> np.ndarray:
     equals kron(symmetric_isometry(n_a), symmetric_isometry(n_b)).T @
     symmetric_isometry(n_a + n_b).
     """
-    if n_a < 1 or n_b < 1:
-        raise DomainError("both sides of the split need at least one qubit")
+    n_a, n_b = check_count("n_a", n_a), check_count("n_b", n_b)
     n = n_a + n_b
     emb = np.zeros((n_a + 1, n_b + 1, n + 1))
     for k_a in range(n_a + 1):
@@ -385,23 +350,12 @@ def evolve(state: PureState, hamiltonian: np.ndarray, t: float) -> PureState:
     return PureState(state.n_qubits, out)
 
 
-def expectation(rho: DensityMatrix | PureState | np.ndarray, observable: np.ndarray) -> float:
-    """Real expectation value of a Hermitian observable."""
-    obs = np.asarray(observable, dtype=np.complex128)
-    if isinstance(rho, PureState):
-        if obs.shape[0] != rho.dim:
-            raise DimensionMismatchError("observable does not match state dimension")
-        return float(np.vdot(rho.amplitudes, obs @ rho.amplitudes).real)
-    m = _as_matrix(rho)
-    if obs.shape != m.shape:
-        raise DimensionMismatchError("observable does not match density-matrix dimension")
-    return float(np.einsum("ij,ji->", m, obs).real)
-
-
 def embed_single_qubit_op(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     """Embed a one-qubit operator at the given index of an n-qubit register."""
-    if not 0 <= qubit < n_qubits:
-        raise DomainError(f"qubit {qubit} outside register of size {n_qubits}")
+    n_qubits = check_count("n_qubits", n_qubits)
+    if not is_integer(qubit) or not 0 <= qubit < n_qubits:
+        raise DomainError(f"qubit must be an integer in [0, {n_qubits}), got {qubit!r}")
+    qubit = int(qubit)
     left = np.eye(2**qubit, dtype=np.complex128)
     right = np.eye(2 ** (n_qubits - qubit - 1), dtype=np.complex128)
     return np.kron(np.kron(left, np.asarray(op, dtype=np.complex128)), right)

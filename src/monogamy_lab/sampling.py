@@ -9,7 +9,9 @@ array stage over the whole stack of samples, with the per-sample bits:
 fig2's reduces and concurrences (one stacked Jacobi solve for C_AB, two
 stacked LAPACK solves inside `measures.concurrence` for C_A1A2), and fig3's
 normalisation, sort and measures. `haar_random_pure` and `random_spectrum`
-draw one sample the same way.
+draw one sample the same way. A spectrum is a float array with a last axis
+of 4, sorted descending: `random_spectrum` returns one read-only (4,) row,
+fig3 a (rows, 4) stack, and the bounds in `measures` take either.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import measures, qcore
 from .errors import DomainError, check_count, is_integer
-from .qcore import Partition, PureState, Spectrum
+from .qcore import Partition, PureState
 
 _NONZERO_EIGENVALUE = 1e-12
 
@@ -76,18 +78,21 @@ def _to_sorted_simplex(spectra: np.ndarray) -> np.ndarray:
     return spectra
 
 
-def random_spectrum(seed, zeros: int = 0) -> Spectrum:
-    """Length-4 spectrum, uniform on the simplex of the non-zero entries.
+def random_spectrum(seed, zeros: int = 0) -> np.ndarray:
+    """Length-4 spectrum, uniform on the simplex of the non-zero entries: a
+    read-only (4,) float array, sorted descending.
 
     ``zeros`` entries (the integer 0, 1, or 2) are pinned to zero; the rest
-    are drawn by the exponential-normalization construction, sorted descending.
+    are drawn by the exponential-normalization construction.
     """
     if not is_integer(zeros) or zeros not in (0, 1, 2):
         raise DomainError(f"zeros must be the integer 0, 1, or 2, got {zeros!r}")
     zeros = int(zeros)
-    vals = np.zeros((1, 4))
-    np.random.default_rng(seed).standard_exponential(4 - zeros, out=vals[0, : 4 - zeros])
-    return Spectrum(tuple(_to_sorted_simplex(vals)[0]))
+    vals = np.zeros(4)
+    np.random.default_rng(seed).standard_exponential(4 - zeros, out=vals[: 4 - zeros])
+    _to_sorted_simplex(vals[None])
+    vals.setflags(write=False)
+    return vals
 
 
 # SampleClass by the count of non-zero eigenvalues, 0..4.

@@ -12,7 +12,6 @@ from monogamy_lab.analytic import (
     nmax_boundary_rank2,
     spectrum_state_2pn,
     threshold_negativity,
-    threshold_state,
     verify_threshold_region,
 )
 from monogamy_lab.errors import DomainError
@@ -111,16 +110,16 @@ def test_spectrum_state_has_requested_spectrum(rng):
 def test_threshold_value_and_state():
     assert abs(THRESHOLD_NEGATIVITY - 0.9106836025229591) < 1e-12
     assert abs(threshold_negativity() - (1 / 3 + np.sqrt(1 / 3))) < 1e-15
-    st = threshold_state()
+    st = np.array([1 / 2, 1 / 6, 1 / 6, 1 / 6])
     assert measures.max_negativity(st) < 1e-15
     assert abs(measures.negativity_2pn_from_spectrum(st) - THRESHOLD_NEGATIVITY) < 1e-12
 
 
 def test_threshold_grid_verification():
-    checked = verify_threshold_region(step=1e-3)
+    checked = verify_threshold_region()
     assert checked > 5_000_000
     # memoized: a second call returns the count without re-sweeping
-    assert verify_threshold_region(step=1e-3) == checked
+    assert verify_threshold_region() == checked
     assert threshold_negativity() == THRESHOLD_NEGATIVITY
 
 
@@ -168,7 +167,7 @@ def test_ghz_analytics_vs_reduced_two_level_simulation():
 
     h = build("ghz", 4)
     for phi in (0.2, 0.8, 1.4):
-        psi = qcore.evolve(qcore.basis_state(4, 0), h, phi)
+        psi = qcore.evolve(qcore.PureState(4, np.eye(16)[0]), h, phi)
         amps = psi.amplitudes
         two = np.array(
             [[amps[0] * amps[0].conj(), amps[0] * amps[15].conj()],

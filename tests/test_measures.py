@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from monogamy_lab import measures, qcore
+from monogamy_lab import analytic, measures, qcore
 from monogamy_lab.errors import DomainError
 from monogamy_lab.measures import (
     concurrence,
@@ -111,7 +111,7 @@ def test_linear_entropy_ghz_evolved_value():
     from monogamy_lab.hamiltonians import build
 
     h = build("ghz", 4)
-    psi = qcore.evolve(qcore.basis_state(4, 0), h, np.pi / 8)
+    psi = qcore.evolve(PureState(4, np.eye(16)[0]), h, np.pi / 8)
     rho_a = qcore.reduced_state_matrix(psi, 4, (0, 1))
     assert abs(linear_entropy(rho_a) - 1.0 / 3.0) < 1e-12
 
@@ -321,6 +321,20 @@ def test_spectrum_bounds_invalid_input():
         for fn in (max_concurrence, max_negativity, negativity_2pn_from_spectrum):
             with pytest.raises(DomainError):
                 fn(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0.2, 0.8), (0.5, 0.3, 0.2, 0.1, 0.0), (np.nan, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0),
+     (1.0, 0.0, 0.0, -np.inf), (0.9, 0.3, 0.0, 0.0)],
+    ids=["length-2", "length-5", "nan", "inf", "-inf", "sum"],
+)
+def test_spectrum_validation(bad):
+    # one validator for every spectrum: wrong length, non-finite values and a
+    # bad sum raise, for the bounds and for the analytic eigenvalues alike
+    for fn in (max_negativity, analytic.negative_eigs_2pn):
+        with pytest.raises(DomainError):
+            fn(np.array(bad))
 
 
 def _random_spectra(n: int, seed: int) -> np.ndarray:

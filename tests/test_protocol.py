@@ -40,7 +40,7 @@ from monogamy_lab.protocol import (
     state_at,
     sweep,
 )
-from monogamy_lab.qcore import DensityMatrix, Partition, SpectralPropagator, all_down_state
+from monogamy_lab.qcore import DensityMatrix, SpectralPropagator, all_down_state
 from monogamy_lab.spin import (
     _spin_frame,
     collective_ops,
@@ -448,17 +448,6 @@ def test_explore_records_metadata_and_ranges(rng):
     assert tr.min_xi2 <= tr.xi2_a[0] + 1e-12
 
 
-def test_explore_custom_split():
-    cfg = ProtocolConfig(
-        2, 2, "oat", "tf",
-        t_grid=np.linspace(0, np.pi, 5),
-        tp_grid=np.linspace(0, 10, 50),
-    )
-    rho = reduced_a_at(cfg, 0.4)
-    tr = explore_measure_vs_squeezing(rho, "oat", t_max=5.0, steps=41, split=Partition((1,), (0,)))
-    assert tr.metadata["split"] == {"a": [1], "b": [0]}
-
-
 def test_explore_block_dynamics_negativity_endpoints():
     # a reduced state diagonal in the {|00>, |11>} block is separable across
     # the internal split, and the block flip returns it to diagonal at pi/2
@@ -476,14 +465,11 @@ def _symmetric_density(n, rng):
     return DensityMatrix(n, iso @ random_density(n + 1, rng, rank=2) @ iso.T)
 
 
-def _assert_explore_matches_dense(rho, kind, split):
-    tr = explore_measure_vs_squeezing(rho, kind, t_max=10.0, steps=41, split=split)
+def _assert_explore_matches_dense(rho, kind):
+    tr = explore_measure_vs_squeezing(rho, kind, t_max=10.0, steps=41)
     n = rho.n_qubits
     ops = collective_ops(n)
-    xi2, n_a = explore_dense(
-        rho.matrix, build(kind, n), (ops.jx, ops.jy, ops.jz), tr.tp,
-        split.qubits_a if split else tuple(range(n // 2)),
-    )
+    xi2, n_a = explore_dense(rho.matrix, build(kind, n), (ops.jx, ops.jy, ops.jz), tr.tp, tuple(range(n // 2)))
     assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-10
     assert np.max(np.abs(tr.n_a - n_a)) <= 1e-10
     assert np.max(n_a) > 0.01  # the negativity comparison is not vacuous
@@ -492,16 +478,7 @@ def _assert_explore_matches_dense(rho, kind, split):
 @pytest.mark.parametrize("kind", ["oat", "tf", "tat", "ghz"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_symmetric_explore_matches_dense_route(n, kind, rng):
-    _assert_explore_matches_dense(_symmetric_density(n, rng), kind, None)
-
-
-@pytest.mark.parametrize(
-    "split", [Partition((1,), (0,)), Partition((0, 2), (1,)), Partition((3, 1), (0, 2, 4))]
-)
-def test_symmetric_explore_matches_dense_route_on_custom_splits(split, rng):
-    rho = _symmetric_density(split.n_qubits, rng)
-    for kind in ("oat", "tf"):
-        _assert_explore_matches_dense(rho, kind, split)
+    _assert_explore_matches_dense(_symmetric_density(n, rng), kind)
 
 
 def test_explore_rejects_weight_outside_symmetric_subspace(rng):

@@ -13,12 +13,9 @@ from monogamy_lab.qcore import (
     Partition,
     PureState,
     SpectralPropagator,
-    Spectrum,
     all_down_state,
-    basis_state,
     dm_from_pure,
     evolve,
-    expectation,
     hermitian_eigen,
     hermitian_eigenvalues,
     partial_trace,
@@ -42,7 +39,7 @@ def test_pure_state_validation():
         PureState(2, np.array([1.0, 0.0]))
     with pytest.raises(ContractViolationError):
         PureState(1, np.array([1.0, 1.0]))
-    s = basis_state(3, 5)
+    s = PureState(3, np.eye(8)[5])
     assert s.dim == 8
     assert not s.amplitudes.flags.writeable
 
@@ -98,22 +95,13 @@ def test_partition_validation():
     assert all(type(i) is int for i in p.qubits_a + p.qubits_b)
 
 
-def test_spectrum_validation():
-    with pytest.raises(DomainError):
-        Spectrum((0.2, 0.8))
-    with pytest.raises(DomainError):
-        Spectrum((0.9, 0.3))
-    for bad in ((np.nan, 0.0, 0.0, 0.0), (1.0, np.nan), (np.inf, 0.0), (1.0, 0.0, -np.inf)):
-        with pytest.raises(DomainError):
-            Spectrum(bad)
-
-
 # ---------------------------------------------------------------------------
 # composition and reduction
 
 
 def test_tensor_product_basis_cases():
-    zero = basis_state(1, 0)
+    # qubit 0 is the most significant bit: a's qubit leads
+    zero = PureState(1, np.array([1, 0]))
     plus = PureState(1, np.array([1, 1]) / np.sqrt(2))
     assert np.allclose(tensor_product(zero, zero).amplitudes, [1, 0, 0, 0])
     assert np.allclose(tensor_product(zero, plus).amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
@@ -147,7 +135,7 @@ def test_partial_trace_ghz_evolved_reduced_state():
 
     h = build("ghz", 4)
     for phi in (0.2, 0.9, np.pi / 8):
-        psi = evolve(basis_state(4, 0), h, phi)
+        psi = evolve(PureState(4, np.eye(16)[0]), h, phi)
         rho_a = partial_trace(dm_from_pure(psi), Partition((0, 1), (2, 3)))
         expected = np.diag([(1 + np.cos(2 * phi)) / 2, 0, 0, (1 - np.cos(2 * phi)) / 2])
         assert np.allclose(rho_a.matrix, expected, atol=1e-12)
@@ -385,7 +373,7 @@ def test_evolve_ghz_generator_formula():
 
     h = build("ghz", 4)
     for t in (0.3, 1.1, 2.7):
-        out = evolve(basis_state(4, 0), h, t)
+        out = evolve(PureState(4, np.eye(16)[0]), h, t)
         expected = np.zeros(16, dtype=complex)
         expected[0] = np.cos(t)
         expected[15] = -1j * np.sin(t)
@@ -396,11 +384,15 @@ def test_evolve_conserves_energy_and_norm(rng):
     h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     h = h + h.conj().T
     psi0 = PureState(3, random_state(8, rng))
-    e0 = expectation(psi0, h)
+
+    def energy(psi):
+        return np.vdot(psi.amplitudes, h @ psi.amplitudes).real
+
+    e0 = energy(psi0)
     for t in np.linspace(0.0, 5.0, 7):
         psi = evolve(psi0, h, t)
         assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-10
-        assert abs(expectation(psi, h) - e0) < 1e-9
+        assert abs(energy(psi) - e0) < 1e-9
 
 
 def test_evolve_composition(rng):
@@ -414,7 +406,7 @@ def test_evolve_composition(rng):
 
 def test_evolve_dimension_mismatch(rng):
     with pytest.raises(DimensionMismatchError):
-        evolve(basis_state(2, 0), np.eye(8), 1.0)
+        evolve(PureState(2, np.eye(4)[0]), np.eye(8), 1.0)
 
 
 def test_spectral_propagator_matches_evolve(rng):
@@ -432,17 +424,10 @@ def test_spectral_propagator_matches_evolve(rng):
 
 
 def test_dm_from_pure_is_projector(rng):
-    psi = basis_state(2, 3)
+    psi = PureState(2, np.eye(4)[3])
     rho = dm_from_pure(psi)
     assert np.allclose(rho.matrix @ rho.matrix, rho.matrix, atol=1e-12)
     assert abs(np.trace(rho.matrix) - 1) < 1e-12
-
-
-def test_expectation_jz_all_down():
-    from monogamy_lab.spin import collective_ops
-
-    ops = collective_ops(4)
-    assert abs(expectation(all_down_state(4), ops.jz) + 2.0) < 1e-12
 
 
 def test_apply_local_unitary_matches_embedding(rng):
@@ -485,3 +470,24 @@ def test_symmetric_split_isometry_needs_two_nonempty_sides():
     for n_a, n_b in ((0, 2), (2, 0), (-1, 3)):
         with pytest.raises(DomainError):
             qcore.symmetric_split_isometry(n_a, n_b)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", 0])
+def test_split_sizes_and_qubit_indices_are_integers(bad):
+    # a size is an integer >= 1 and a qubit index an integer in range: no
+    # float is rounded, no bool read as 1, no string compared
+    with pytest.raises(DomainError):
+        qcore.symmetric_split_isometry(bad, 1)
+    with pytest.raises(DomainError):
+        qcore.symmetric_split_isometry(1, bad)
+    with pytest.raises(DomainError):
+        qcore.embed_single_qubit_op(qcore.PAULI_X, 0, bad)
+    if bad != 0:  # 0 is a valid qubit index
+        with pytest.raises(DomainError):
+            qcore.embed_single_qubit_op(qcore.PAULI_X, bad, 2)
+    # numpy integers are integers
+    assert np.array_equal(qcore.symmetric_split_isometry(np.int64(2), np.uint8(1)), qcore.symmetric_split_isometry(2, 1))
+    assert np.array_equal(
+        qcore.embed_single_qubit_op(qcore.PAULI_X, np.int64(1), np.uint8(2)),
+        qcore.embed_single_qubit_op(qcore.PAULI_X, 1, 2),
+    )
