@@ -237,11 +237,14 @@ def _cmd_fig2(args) -> int:
     violations = int(np.count_nonzero(violation))
 
     out = Path(args.out)
+    tick = time.perf_counter()
     count = _write_csv(out, {"c_ab": ds.x, "c_a1a2": ds.y, "bound": bound, "violation": violation})
+    stage_wall_s = {**ds.stage_wall_s, "write": time.perf_counter() - tick}
     config = {**_options(args, "samples", "seed"),
               "corrupt_bound_test_hook": args.test_corrupt_bound, **ds.metadata}
     _write_manifest(out, "fig2", config, {out: count}, started,
-                    extra={"seed": args.seed, "violations": violations})
+                    extra={"seed": args.seed, "violations": violations,
+                           "stage_wall_s": stage_wall_s})
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
@@ -252,11 +255,14 @@ def _cmd_fig3(args) -> int:
     violations = int(np.count_nonzero((ds.x > threshold + VIOLATION_SLACK) & (ds.y > 1e-12)))
 
     out = Path(args.out)
+    tick = time.perf_counter()
     count = _write_csv(out, {**dict(zip(("l1", "l2", "l3", "l4"), ds.spectra.T)),
                              "n_ab": ds.x, "n_max": ds.y, "class": ds.cls})
+    stage_wall_s = {**ds.stage_wall_s, "write": time.perf_counter() - tick}
     config = {**_options(args, "samples", "seed"), **ds.metadata}
     _write_manifest(out, "fig3", config, {out: count}, started,
-                    extra={"seed": args.seed, "threshold": threshold, "violations": violations})
+                    extra={"seed": args.seed, "threshold": threshold, "violations": violations,
+                           "stage_wall_s": stage_wall_s})
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 

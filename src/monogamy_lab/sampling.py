@@ -1,22 +1,28 @@
 """Random-state and random-spectrum generation plus the bound-region datasets.
 
-Sampling is deterministic given an integer seed. Sample i of a dataset draws
-from its own generator, seeded by ``SeedSequence(seed, spawn_key=(i,))``
-(child i of ``SeedSequence(seed).spawn(n)``), so it depends only on the seed
-and i. Only the draws run per sample, straight into a preallocated array
-(fig2 also normalises each state there); everything after them is one
-array stage over the whole stack of samples, with the per-sample bits:
-fig2's reduces and concurrences (one stacked Jacobi solve for C_AB, two
-stacked LAPACK solves inside `measures.concurrence` for C_A1A2), and fig3's
-normalisation, sort and measures. `haar_random_pure` and `random_spectrum`
-draw one sample the same way. A spectrum is a float array with a last axis
-of 4, sorted descending: `random_spectrum` returns one read-only (4,) row,
-fig3 a (rows, 4) stack, and the bounds in `measures` take either.
+Sampling is deterministic given an integer seed >= 0. Sample i of a dataset
+draws from its own generator, bit for bit
+``default_rng(SeedSequence(seed, spawn_key=(i,)))`` (child i of
+``SeedSequence(seed).spawn(n)``), so it depends only on the seed and i.
+`_seeds.sample_rngs` builds those generators without a ``SeedSequence`` per
+sample: it hashes the spawn keys of a block of samples at once, as numpy
+would, and hands each sample's 4 words to PCG64. Only the draws run per
+sample, straight into a preallocated array (fig2 also normalises each state
+there); everything after them is one array stage over the whole stack of
+samples, with the per-sample bits: fig2's reduces and concurrences (one
+stacked Jacobi solve for C_AB, two stacked LAPACK solves inside
+`measures.concurrence` for C_A1A2), and fig3's normalisation, sort and
+measures. Each dataset records the wall time of its two stages, draw and
+measures. `haar_random_pure` and `random_spectrum` draw one sample from
+``default_rng(seed)``. A spectrum is a float array with a last axis of 4,
+sorted descending: `random_spectrum` returns one read-only (4,) row, fig3 a
+(rows, 4) stack, and the bounds in `measures` take either.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,21 +44,26 @@ class SampleClass(enum.Enum):
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """One row per sample: the plotted pair ``(x, y)``; fig3 also carries the
-    reduced spectra (rows, 4) and each row's ``SampleClass``."""
+    reduced spectra (rows, 4) and each row's ``SampleClass``.
+    ``stage_wall_s`` holds the seconds spent drawing and in the measures."""
 
     x: np.ndarray
     y: np.ndarray
     metadata: dict = field(default_factory=dict)
     spectra: np.ndarray | None = None
     cls: np.ndarray | None = None
+    stage_wall_s: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.x.size
 
 
-def _sample_rng(seed: int, i: int) -> np.random.Generator:
-    """Generator of sample i: child i of ``SeedSequence(seed).spawn(n)``, built directly."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+def _check_seed(seed) -> int:
+    """seed as an int; DomainError unless it is an integer >= 0 (bools and
+    floats are refused, numpy integers accepted)."""
+    if not is_integer(seed) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -138,15 +149,21 @@ def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     states (`qcore.hermitian_eigenvalues`), C_A1A2 from `measures.concurrence`,
     whose two 4x4 stacked solves run on LAPACK.
     """
+    from ._seeds import sample_rngs
+
     n_samples = check_count("n_samples", n_samples)
+    seed = _check_seed(seed)
+    start = time.perf_counter()
     psi = np.empty((n_samples, 8), dtype=np.complex128)
-    for i in range(n_samples):
-        psi[i] = _haar_amplitudes(_sample_rng(seed, i), 8)
+    for i, rng in enumerate(sample_rngs(seed, n_samples)):
+        psi[i] = _haar_amplitudes(rng, 8)
+    drawn = time.perf_counter()
     x = _schmidt_concurrences(psi, 3, FIG2_PARTITION)
     y = measures.concurrence(qcore.reduced_state_matrix(psi, 3, FIG2_PARTITION.qubits_a))
     return Dataset(
         x,
         y,
+        stage_wall_s={"draw": drawn - start, "measures": time.perf_counter() - drawn},
         metadata={
             "n_samples": n_samples,
             "seed": seed,
@@ -174,11 +191,16 @@ def fig3_dataset(n_samples: int, seed: int) -> Dataset:
     zero-filled spectra array; the rows are then normalised and sorted at
     once.
     """
+    from ._seeds import sample_rngs
+
     n_samples = check_count("n_samples", n_samples)
+    seed = _check_seed(seed)
+    start = time.perf_counter()
     spectra = np.zeros((n_samples + 4, 4))
-    for i in range(n_samples):
+    for i, rng in enumerate(sample_rngs(seed, n_samples)):
         k = 2 + i % 3  # (2, 1, 0)[i % 3] zeros
-        _sample_rng(seed, i).standard_exponential(k, out=spectra[i, :k])
+        rng.standard_exponential(k, out=spectra[i, :k])
+    drawn = time.perf_counter()
     _to_sorted_simplex(spectra[:n_samples])
     spectra[n_samples:] = MARKER_SPECTRA
     cls = _CLASS_BY_NONZERO[np.count_nonzero(spectra > _NONZERO_EIGENVALUE, axis=1)]
@@ -188,6 +210,7 @@ def fig3_dataset(n_samples: int, seed: int) -> Dataset:
         measures.max_negativity(spectra),
         spectra=spectra,
         cls=cls,
+        stage_wall_s={"draw": drawn - start, "measures": time.perf_counter() - drawn},
         metadata={
             "n_samples": n_samples,
             "seed": seed,

@@ -135,6 +135,25 @@ def test_protocol_manifest_records_stage_wall_times(tmp_path):
     assert sum(times) <= manifest["wall_time_s"]
 
 
+@pytest.mark.parametrize("command", ["fig2", "fig3"])
+def test_dataset_manifests_record_stage_wall_times(tmp_path, command):
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--samples", "50", "--seed", "2", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / f"{command}.csv.manifest.json").read_text())
+    stages = manifest["stage_wall_s"]
+    assert set(stages) == {"draw", "measures", "write"}
+    assert all(s >= 0.0 for s in stages.values())
+    assert sum(stages.values()) <= manifest["wall_time_s"]
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3"])
+def test_negative_seed_is_a_usage_error(tmp_path, command, capsys):
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--samples", "5", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ha", ["ghz", "tf"])
 def test_protocol_entangles_once_per_run(tmp_path, monkeypatch, ha):
     # under --ha ghz the kinds once ran in two groups by tp grid, each with

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from monogamy_lab import analytic, measures, qcore
+import monogamy_lab
+from monogamy_lab import _seeds, analytic, measures, qcore
 from monogamy_lab.errors import DomainError
 from monogamy_lab.sampling import (
     FIG2_PARTITION,
@@ -128,7 +134,7 @@ def test_fig2_product_state_point(rng):
     assert abs(analytic.cmax_boundary(0.0) - 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("seed, n", [(7, 1), (7, 120), (0, 60)])
+@pytest.mark.parametrize("seed, n", [(7, 1), (7, 120), (0, 60), (3, 2500)])
 def test_fig2_is_bytewise_the_per_sample_route(seed, n):
     data = fig2_dataset(n, seed)
     x, y = [], []
@@ -197,11 +203,40 @@ def test_fig3_deterministic():
     assert np.array_equal(a.spectra, b.spectra) and np.array_equal(a.cls, b.cls)
 
 
-def test_fig3_rows_are_the_random_spectrum_draws():
-    ds = fig3_dataset(30, seed=8)
-    children = np.random.SeedSequence(8).spawn(30)
+@pytest.mark.parametrize("n", [30, 2500])
+def test_fig3_rows_are_the_random_spectrum_draws(n):
+    ds = fig3_dataset(n, seed=8)
+    children = np.random.SeedSequence(8).spawn(n)
     drawn = [random_spectrum(c, zeros=(2, 1, 0)[i % 3]) for i, c in enumerate(children)]
-    assert np.array_equal(ds.spectra[:30], drawn)
+    assert ds.spectra[:n].tobytes() == np.array(drawn).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# per-sample seed streams
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3])
+def test_spawn_words_are_the_child_seed_sequences_state(seed):
+    n = 2 * _seeds._BLOCK + 37  # three blocks, the last one short
+    words = np.concatenate(list(_seeds.spawn_words(seed, n)))
+    want = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64) for i in range(n)]
+    assert words.dtype == np.uint64 and words.shape == (n, 4)
+    assert np.array_equal(words, want)
+
+
+def test_sample_rngs_are_the_child_generators():
+    rngs = list(_seeds.sample_rngs(2**70, 5))
+    for i, rng in enumerate(rngs):
+        child = np.random.default_rng(np.random.SeedSequence(2**70, spawn_key=(i,)))
+        assert rng.bit_generator.state == child.bit_generator.state
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    src = str(Path(monogamy_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, monogamy_lab; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +255,19 @@ def test_sample_counts_accept_numpy_integers():
         a, b = dataset(np.int64(3), 0), dataset(3, 0)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
         assert a.metadata == b.metadata
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 3.0, -1, "3", None])
+def test_seeds_must_be_integers_of_at_least_zero(seed):
+    # a bool seed once ran as 0 or 1, and a float one raised a bare TypeError
+    for dataset in (fig2_dataset, fig3_dataset):
+        with pytest.raises(DomainError, match="seed"):
+            dataset(3, seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.uint8(5)])
+def test_seeds_accept_numpy_integers(seed):
+    for dataset in (fig2_dataset, fig3_dataset):
+        a, b = dataset(4, seed), dataset(4, 5)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+        assert a.metadata == b.metadata and type(a.metadata["seed"]) is int
