@@ -5,10 +5,29 @@ runs on the same input produce identical output. Each rotation updates
 whole rows and columns with numpy, without copies: both new members of a
 pair are computed from views of the old ones into preallocated scratch, then
 written. The eigenvector accumulator holds eigenvector i in row i, so its
-update runs over two contiguous rows; ``jacobi_eigh`` transposes it once,
-when it orders the output. The rotation keeps the bits of the plain
+update runs over two contiguous rows; it is transposed once, when the
+output is ordered. The rotation keeps the bits of the plain
 ``c * x + suc * y`` form by two rules (see ``_rotate``): coefficient-first
 products, and numpy-scalar coefficients.
+
+One (d, d) matrix is solved by the connected components of its nonzero
+pattern. Every generator in the package keeps Z-parity, so its 2^n matrix
+falls into two blocks (2^(n-1) 2x2 blocks for GHZ). A rotation in the
+(p, q) plane of one block reads and writes only that block's entries:
+every other entry of rows and columns p and q is a pair of zeros, and it
+stays zero. So the rotations of different blocks commute, and the cyclic
+order over the whole matrix, restricted to one block's ascending indices,
+is that block's own cyclic order. Each block is rotated alone with the
+whole matrix's tolerance and threshold (from the whole norm and the whole
+d), and every block is swept until the whole matrix's off-diagonal norm,
+summed in the order ``_off_norms`` sums it, is at most the tolerance; each
+block then gets the bits that the whole-matrix rotation gives it. The
+off-block eigenvector entries stay +0 there too, since each new entry adds
+c > 0 times a +0. Blocks whose entries are
+byte-identical (so -0.0 and 0.0 differ) go through identical arithmetic,
+so each is solved once: under OAT, sigma_x on the last qubit maps the even
+parity block onto the odd one, in order, and all of GHZ's 2x2 blocks are
+one matrix.
 
 A (..., d, d) stack is solved in one call, with the members on the last
 axis of a (d, d, k) working array: each (p, q) step rotates, at once, every
@@ -179,6 +198,73 @@ def _kernel(a, v, tol):
     raise ContractViolationError("Jacobi eigensolver failed to converge")
 
 
+def _components(m):
+    """The connected components of a (d, d) matrix's nonzero pattern, each
+    an ascending index array, in the order of their smallest index."""
+    linked = (m != 0) | (m.T != 0)
+    d = m.shape[0]
+    seen = np.zeros(d, dtype=bool)
+    out = []
+    for start in range(d):
+        if seen[start]:
+            continue
+        member = np.zeros(d, dtype=bool)
+        member[start] = True
+        reached = member
+        while reached.any():
+            reached = linked[reached].any(axis=0) & ~member
+            member |= reached
+        seen |= member
+        out.append(np.flatnonzero(member))
+    return out
+
+
+def _solve(m, compute_vectors):
+    """Diagonalize one (d, d) matrix block by block, as ``jacobi_eigh``
+    does. Each distinct block (by bytes, so signed zeros count) is swept
+    once per sweep with the whole matrix's threshold, and every block is
+    swept until the whole matrix's off-diagonal norm, summed as
+    ``_off_norms`` sums it, is at most the whole matrix's tol."""
+    d = m.shape[0]
+    tol = _REL_TOL * max(1e-300, np.linalg.norm(m))
+    thresh = tol / (2.0 * d)
+    blocks = {}  # bytes -> (block, its eigenvector rows or None, its index arrays)
+    for idx in _components(m):
+        a = m[np.ix_(idx, idx)]
+        key = a.tobytes()
+        if key not in blocks:
+            blocks[key] = (a, np.eye(idx.size, dtype=a.dtype) if compute_vectors else None, [])
+        blocks[key][2].append(idx)
+    sq = np.zeros((d, d))  # |a_pq|^2 above the diagonal, 0 elsewhere
+    for _ in range(_MAX_SWEEPS):
+        for a, _, copies in blocks.values():
+            a_sq = np.abs(a) ** 2
+            a_sq[np.tril_indices(a.shape[0])] = 0.0
+            for idx in copies:
+                sq[np.ix_(idx, idx)] = a_sq
+        if np.sqrt(2.0 * np.sum(sq.reshape(1, d * d), axis=-1)) <= tol:
+            break
+        for a, v, _ in blocks.values():
+            _sweep_one(a, v, thresh)
+    else:
+        raise ContractViolationError("Jacobi eigensolver failed to converge")
+
+    w = np.empty(d)
+    for a, _, copies in blocks.values():
+        for idx in copies:
+            w[idx] = np.real(np.diagonal(a))
+    order = np.argsort(-w, kind="stable")
+    if not compute_vectors:
+        return w[order], None
+    column = np.empty(d, dtype=np.intp)  # eigenvector i goes to column[i]
+    column[order] = np.arange(d)
+    vecs = np.zeros((d, d), dtype=m.dtype)
+    for _, v, copies in blocks.values():
+        for idx in copies:
+            vecs[np.ix_(idx, column[idx])] = v.T
+    return w[order], vecs
+
+
 def jacobi_eigh(
     matrix: np.ndarray,
     compute_vectors: bool = True,
@@ -196,6 +282,8 @@ def jacobi_eigh(
     n = m.shape[-1]
     if n > MAX_DIM:
         raise ResourceCapError(f"matrix dimension {n} exceeds cap {MAX_DIM}")
+    if m.ndim == 2:
+        return _solve(np.ascontiguousarray(m), compute_vectors)
     lead = m.shape[:-2]
     members = np.ascontiguousarray(m.reshape(-1, n, n))
     a = np.moveaxis(members, 0, -1).copy()  # (d, d, k)

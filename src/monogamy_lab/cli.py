@@ -75,6 +75,7 @@ def _write_manifest(out_path: Path, command: str, config: dict, outputs: dict[Pa
         "command": command,
         "config": config,
         "library_version": __version__,
+        "numpy_version": np.__version__,
         "wall_time_s": time.perf_counter() - started,
         "outputs": [
             {"path": str(p), "sha256": _sha256(p), "rows": rows} for p, rows in outputs.items()
@@ -276,7 +277,7 @@ def _cmd_protocol(args) -> int:
                                   tp_grid=protocol.default_tp_grid(ha, args.tp_steps))
     tick = time.perf_counter()
     stage = protocol.entangle(cfg)
-    stage_wall_s = {"entangle": time.perf_counter() - tick, "sweep": {}}
+    stage_wall_s = {"entangle": time.perf_counter() - tick, **stage.stage_wall_s, "sweep": {}}
     traces = {}
     for kind in dict.fromkeys(map(HamiltonianKind, (args.ha, "oat", "tat", "tf"))):
         tick = time.perf_counter()
@@ -285,11 +286,13 @@ def _cmd_protocol(args) -> int:
     trace = traces[ha]
 
     out = Path(args.out)
+    tick = time.perf_counter()
     count = _write_csv(out, {
         "t": trace.t, "s_l_ab": trace.s_l_ab, "xi2_ab": trace.xi2_ab,
         "min_xi2_a": trace.min_xi2_a, "argmin_tp": trace.argmin_tp,
         "nonmonotone_flag": trace.nonmonotone,
     })
+    stage_wall_s["write"] = time.perf_counter() - tick
 
     scores = {}
     for kind, tr in traces.items():

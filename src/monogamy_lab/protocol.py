@@ -37,8 +37,10 @@ Which stages use LAPACK and which stay on the package's Jacobi solver
 (`qcore.hermitian_eigen`) follows from what the benchmark's stored
 references pin. On rows where xi2_A is flat over the local time, the
 reported argmin_tp is set by rounding noise from every stage upstream of it:
-the entangler's 2^n eigensolve, the dense reduce, A's engine, the sweep and
-the refine, and the 3x3 covariance solves at degenerate mean spin. Those
+the entangler's 2^n eigensolve (by Z-parity block, one solve for OAT's two
+identical blocks; `entangle` records its seconds), the dense reduce, A's
+engine, the sweep and the refine, and the 3x3 covariance solves at
+degenerate mean spin. Those
 stay on Jacobi and dense, bit for bit; the degenerate solves of one
 `spin.xi2_from_moment_arrays` call are one stacked Jacobi call, with each
 point's bits. The spectra that feed no stored
@@ -75,6 +77,7 @@ steps' partial transposes form one (steps, d, d) stack.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -176,6 +179,7 @@ class GridStage:
     """The protocol's stages that do not depend on the local kind, over the
     t-grid of ``config``: rho_A (T, 2^n_A, 2^n_A), the coefficient matrices
     C(t) on sym(A) (x) sym(B) (T, n_A+1, n_B+1), S_L,AB and xi2_AB (T,).
+    ``stage_wall_s`` holds the seconds spent in the entangler's eigensolve.
 
     It keeps no 2^n state stack, so holding it costs A-sized memory only.
     """
@@ -185,6 +189,7 @@ class GridStage:
     coeffs: np.ndarray
     s_l_ab: np.ndarray
     xi2_ab: np.ndarray
+    stage_wall_s: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,7 +447,10 @@ def entangle(cfg: ProtocolConfig) -> GridStage:
     """Stage one over the whole t-grid: entangle, reduce to rho_A, and take
     C(t), S_L,AB and xi2_AB. ``cfg``'s local kind and tp grid are not used."""
     n = cfg.n_a + cfg.n_b
-    prop = SpectralPropagator(build(cfg.h_ab_kind, n))
+    h = build(cfg.h_ab_kind, n)
+    start = time.perf_counter()
+    prop = SpectralPropagator(h)
+    eigensolve = time.perf_counter() - start
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
     psi = np.ascontiguousarray(states.T)  # (T, d)
     rho_a = qcore.reduced_state_matrix(psi, n, tuple(range(cfg.n_a)))
@@ -454,7 +462,8 @@ def entangle(cfg: ProtocolConfig) -> GridStage:
     xi2_ab, _ = spin.xi2_from_moment_arrays(moments, n)
     coeffs = _split_coefficients(psi_sym, cfg.n_a, cfg.n_b)
     s_l_ab = _cut_linear_entropy(coeffs, cfg.n_a)
-    return GridStage(config=cfg, rho_a=rho_a, coeffs=coeffs, s_l_ab=s_l_ab, xi2_ab=xi2_ab)
+    return GridStage(config=cfg, rho_a=rho_a, coeffs=coeffs, s_l_ab=s_l_ab, xi2_ab=xi2_ab,
+                     stage_wall_s={"eigensolve": eigensolve})
 
 
 def sweep(stage: GridStage, kind, tp_grid) -> ProtocolTrace:

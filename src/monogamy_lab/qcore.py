@@ -31,6 +31,10 @@ Conventions used throughout the package:
     Jacobi solver (``_jacobi``); each stack member keeps its own tolerance,
     from its own norm, and its own ``math.atan2`` rotation angles, because
     a stack-wide norm or ``np.arctan2`` round differently in the last bit.
+    One matrix is solved by the connected components of its nonzero
+    pattern, with the whole matrix's tolerance, threshold and sweep count,
+    and byte-identical blocks once, which keeps every bit: the 2^n
+    entanglers fall into two Z-parity blocks, identical under OAT.
     The protocol's 2^n entangler, its dense engine and the degenerate 3x3
     covariances in ``spin`` stay here: on rows where xi2_A is flat over the
     local time, the benchmark's stored argmin_tp is set by their rounding,

@@ -14,9 +14,10 @@ stacked Jacobi solve for C_AB, two stacked LAPACK solves inside
 `measures.concurrence` for C_A1A2), and fig3's normalisation, sort and
 measures. Each dataset records the wall time of its two stages, draw and
 measures. `haar_random_pure` and `random_spectrum` draw one sample from
-``default_rng(seed)``. A spectrum is a float array with a last axis of 4,
-sorted descending: `random_spectrum` returns one read-only (4,) row, fig3 a
-(rows, 4) stack, and the bounds in `measures` take either.
+``default_rng(seed)``, where seed is an integer >= 0 or a ``SeedSequence``
+(such as a dataset sample's child). A spectrum is a float array with a last
+axis of 4, sorted descending: `random_spectrum` returns one read-only (4,)
+row, fig3 a (rows, 4) stack, and the bounds in `measures` take either.
 """
 
 from __future__ import annotations
@@ -66,6 +67,14 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _one_sample_rng(seed) -> np.random.Generator:
+    """``default_rng(seed)`` for a one-sample draw: seed is an integer >= 0,
+    as `_check_seed` takes it, or a ``SeedSequence``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _check_seed(seed)
+    return np.random.default_rng(seed)
+
+
 def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Unit vector of dim complex-Gaussian amplitudes: real parts, then
     imaginary parts, normalised by the vector's own norm. One row at a time:
@@ -78,7 +87,7 @@ def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
 def haar_random_pure(n_qubits: int, seed) -> PureState:
     """Haar-distributed pure state: normalized complex-Gaussian amplitudes."""
     n_qubits = check_count("n_qubits", n_qubits)
-    return PureState(n_qubits, _haar_amplitudes(np.random.default_rng(seed), 2**n_qubits))
+    return PureState(n_qubits, _haar_amplitudes(_one_sample_rng(seed), 2**n_qubits))
 
 
 def _to_sorted_simplex(spectra: np.ndarray) -> np.ndarray:
@@ -100,7 +109,7 @@ def random_spectrum(seed, zeros: int = 0) -> np.ndarray:
         raise DomainError(f"zeros must be the integer 0, 1, or 2, got {zeros!r}")
     zeros = int(zeros)
     vals = np.zeros(4)
-    np.random.default_rng(seed).standard_exponential(4 - zeros, out=vals[: 4 - zeros])
+    _one_sample_rng(seed).standard_exponential(4 - zeros, out=vals[: 4 - zeros])
     _to_sorted_simplex(vals[None])
     vals.setflags(write=False)
     return vals

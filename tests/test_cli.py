@@ -128,10 +128,10 @@ def test_protocol_manifest_records_stage_wall_times(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
     stages = manifest["stage_wall_s"]
-    assert set(stages) == {"entangle", "sweep"}
+    assert set(stages) == {"entangle", "eigensolve", "sweep", "write"}
     assert set(stages["sweep"]) == {"ghz", "oat", "tat", "tf"}
-    times = [stages["entangle"], *stages["sweep"].values()]
-    assert all(s >= 0.0 for s in times)
+    times = [stages["entangle"], *stages["sweep"].values(), stages["write"]]
+    assert all(s >= 0.0 for s in times) and 0.0 <= stages["eigensolve"] <= stages["entangle"]
     assert sum(times) <= manifest["wall_time_s"]
 
 
@@ -339,6 +339,14 @@ def _count_runs(tmp_path):
         "invert": ["invert", "--curve", str(curve), "--xi2", "0.5",
                    "--out", str(tmp_path / "inv.json")],
     }
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3", "protocol", "explore", "appendix-b"])
+def test_every_manifest_records_the_numpy_version(tmp_path, command):
+    # Output bits depend on numpy's SIMD loops. invert writes no manifest.
+    assert main(_count_runs(tmp_path)[command]) == 0
+    [path] = tmp_path.glob("*.manifest.json")
+    assert json.loads(path.read_text())["numpy_version"] == np.__version__
 
 
 def test_counts_below_one_rejected_by_every_subcommand(tmp_path, capsys):

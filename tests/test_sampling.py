@@ -259,10 +259,19 @@ def test_sample_counts_accept_numpy_integers():
 
 @pytest.mark.parametrize("seed", [True, False, 1.5, 3.0, -1, "3", None])
 def test_seeds_must_be_integers_of_at_least_zero(seed):
-    # a bool seed once ran as 0 or 1, and a float one raised a bare TypeError
-    for dataset in (fig2_dataset, fig3_dataset):
+    # a bool seed once ran as 0 or 1, a float one raised a bare TypeError, and
+    # in the one-sample draws None drew fresh OS entropy
+    draws = (lambda s: fig2_dataset(3, s), lambda s: fig3_dataset(3, s),
+             random_spectrum, lambda s: haar_random_pure(2, s))
+    for draw in draws:
         with pytest.raises(DomainError, match="seed"):
-            dataset(3, seed)
+            draw(seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.uint8(5), np.random.SeedSequence(5)])
+def test_one_sample_draws_accept_numpy_integers_and_seed_sequences(seed):
+    assert random_spectrum(seed).tobytes() == random_spectrum(5).tobytes()
+    assert haar_random_pure(2, seed).amplitudes.tobytes() == haar_random_pure(2, 5).amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.uint8(5)])
