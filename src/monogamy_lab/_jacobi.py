@@ -37,8 +37,11 @@ for one matrix (Python-scalar coefficients) and a stack ((k,) coefficient
 arrays), and every member goes through exactly the arithmetic it would go
 through alone, bit for bit:
 
-* each member's tolerance comes from its own ``np.linalg.norm`` (a norm over
-  the whole stack, or numpy's axis-wise norm, rounds differently);
+* each member's tolerance comes from its own norm, ``row_norms`` of its
+  flattened entries: the BLAS dot that ``np.linalg.norm`` takes of the real
+  and of the imaginary parts, one (1, d^2) @ (d^2, 1) matmul per member (a
+  norm over the whole stack, or numpy's axis-wise norm, rounds
+  differently);
 * each member's rotation angle comes from ``math.atan2``, ``math.cos`` and
   ``math.sin`` element by element (``np.arctan2`` differs from ``math.atan2``
   in the last bit on some inputs);
@@ -56,6 +59,22 @@ from .errors import ContractViolationError, ResourceCapError
 MAX_DIM = 1024
 _MAX_SWEEPS = 64
 _REL_TOL = 1e-14
+
+
+def row_norms(z):
+    """``np.linalg.norm`` of each row of a C-contiguous complex (..., n)
+    array, bit for bit, without a Python call per row.
+
+    The norm of one row is sqrt(re . re + im . im), each dot a BLAS ``dot``
+    over the row's real or imaginary view, whose stride is two doubles.
+    numpy's matmul sends a (1, n) @ (n, 1) product to the same ``dot``,
+    with the same strides, so each row's squared norm is the norm's own.
+    The strides matter: over the unit-stride halves of a real buffer,
+    OpenBLAS sums in another order and moves a seventh to a third of
+    the rows."""
+    re, im = z.real, z.imag
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(sq[..., 0, 0])
 
 
 def _cos_sin(y, x):
@@ -226,7 +245,7 @@ def _solve(m, compute_vectors):
     swept until the whole matrix's off-diagonal norm, summed as
     ``_off_norms`` sums it, is at most the whole matrix's tol."""
     d = m.shape[0]
-    tol = _REL_TOL * max(1e-300, np.linalg.norm(m))
+    tol = _REL_TOL * max(1e-300, row_norms(m.reshape(-1)))
     thresh = tol / (2.0 * d)
     blocks = {}  # bytes -> (block, its eigenvector rows or None, its index arrays)
     for idx in _components(m):
@@ -291,7 +310,7 @@ def jacobi_eigh(
     if compute_vectors:
         v = np.zeros_like(a)
         v[np.arange(n), np.arange(n)] = 1.0
-    tol = _REL_TOL * np.maximum(1e-300, [np.linalg.norm(x) for x in members])
+    tol = _REL_TOL * np.maximum(1e-300, row_norms(members.reshape(-1, n * n)))
 
     diag = _kernel(a, v, tol)
 

@@ -3,8 +3,9 @@
 Every subcommand is deterministic given its flags, emits CSV files with
 frozen column schemas, and writes a JSON manifest (``<out>.manifest.json``)
 recording the resolved configuration, version, wall time, and a sha256
-digest of each output file. Only the sampled datasets (``fig2``, ``fig3``)
-take ``--seed``, and their manifests record it.
+digest of each output file (``invert`` writes one only with ``--out``, and
+records the curve's digest too). Only the sampled datasets (``fig2``,
+``fig3``) take ``--seed``, and their manifests record it.
 
 Exit codes: 0 success; 1 property violation in the generated data; 2 I/O,
 parse, configuration, or query errors; 3 resource cap exceeded; 4 ambiguous
@@ -69,7 +70,8 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(out_path: Path, command: str, config: dict, outputs: dict[Path, int],
                     started: float, extra: dict | None = None) -> None:
-    """Write ``<out_path>.manifest.json``; ``outputs`` maps each file to its row count."""
+    """Write ``<out_path>.manifest.json``; ``outputs`` maps each file to its
+    row count (for invert's JSON, its candidate count)."""
     payload = {
         "schema_version": 1,
         "command": command,
@@ -305,6 +307,8 @@ def _cmd_protocol(args) -> int:
                     extra={"monotonicity_scores": scores,
                            "stage_wall_s": stage_wall_s,
                            "p_states": trace.metadata["p_states"],
+                           "flagged_rows": {kind.value: int(np.count_nonzero(tr.nonmonotone))
+                                            for kind, tr in traces.items()},
                            "max_negativity_drift": max(
                                tr.metadata["max_negativity_drift"] for tr in traces.values())})
     return EXIT_OK
@@ -368,6 +372,7 @@ def _read_curve_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_invert(args) -> int:
+    started = time.perf_counter()
     if not args.merge_tol >= 0.0:
         raise ValueError("--merge-tol must be >= 0")
     curve_path = Path(args.curve)
@@ -391,7 +396,11 @@ def _cmd_invert(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        out = Path(args.out)
+        out.write_text(text + "\n", encoding="utf-8")
+        config = {"curve": str(curve_path), **_options(args, "xi2", "merge_tol")}
+        _write_manifest(out, "invert", config, {out: len(result.candidates)}, started,
+                        extra={"curve_sha256": _sha256(curve_path)})
     return EXIT_AMBIGUOUS if result.ambiguous else EXIT_OK
 
 

@@ -7,12 +7,14 @@ draws from its own generator, bit for bit
 `_seeds.sample_rngs` builds those generators without a ``SeedSequence`` per
 sample: it hashes the spawn keys of a block of samples at once, as numpy
 would, and hands each sample's 4 words to PCG64. Only the draws run per
-sample, straight into a preallocated array (fig2 also normalises each state
-there); everything after them is one array stage over the whole stack of
-samples, with the per-sample bits: fig2's reduces and concurrences (one
-stacked Jacobi solve for C_AB, two stacked LAPACK solves inside
-`measures.concurrence` for C_A1A2), and fig3's normalisation, sort and
-measures. Each dataset records the wall time of its two stages, draw and
+sample, one generator call each, straight into a preallocated array;
+everything after them is one array stage over the whole stack of samples,
+with the per-sample bits: fig2's normalisation (each row divided by its own
+``np.linalg.norm``, taken for every row at once by the same BLAS dot, see
+`_haar_amplitudes`), reduces and concurrences (one stacked Jacobi solve for
+C_AB, two stacked LAPACK solves inside `measures.concurrence` for C_A1A2),
+and fig3's normalisation, sort and measures. Each dataset records the
+wall time of its two stages, draw (for fig2 with the normalisation) and
 measures. `haar_random_pure` and `random_spectrum` draw one sample from
 ``default_rng(seed)``, where seed is an integer >= 0 or a ``SeedSequence``
 (such as a dataset sample's child). A spectrum is a float array with a last
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures, qcore
+from ._jacobi import row_norms
 from .errors import DomainError, check_count, is_integer
 from .qcore import Partition, PureState
 
@@ -75,19 +78,23 @@ def _one_sample_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Unit vector of dim complex-Gaussian amplitudes: real parts, then
-    imaginary parts, normalised by the vector's own norm. One row at a time:
-    numpy's axis-wise norm sums in another order and moves about one row in
-    seven by an ulp."""
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return amps / np.linalg.norm(amps)
+def _haar_amplitudes(normals: np.ndarray) -> np.ndarray:
+    """Unit rows of complex-Gaussian amplitudes from a (..., 2 dim) array of
+    standard normals, each row's real parts then its imaginary parts. Each
+    row is divided by its own ``np.linalg.norm``, taken for all rows at once
+    by `_jacobi.row_norms` (numpy's axis-wise norm sums in another order and
+    moves about one row in seven by an ulp)."""
+    dim = normals.shape[-1] // 2
+    amps = normals[..., :dim] + 1j * normals[..., dim:]
+    amps /= row_norms(amps)[..., None]
+    return amps
 
 
 def haar_random_pure(n_qubits: int, seed) -> PureState:
     """Haar-distributed pure state: normalized complex-Gaussian amplitudes."""
     n_qubits = check_count("n_qubits", n_qubits)
-    return PureState(n_qubits, _haar_amplitudes(_one_sample_rng(seed), 2**n_qubits))
+    normals = _one_sample_rng(seed).standard_normal(2 * 2**n_qubits)
+    return PureState(n_qubits, _haar_amplitudes(normals))
 
 
 def _to_sorted_simplex(spectra: np.ndarray) -> np.ndarray:
@@ -151,8 +158,10 @@ FIG2_PARTITION = Partition((0, 1), (2,))
 def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     """Concurrence pairs (C_AB, C_A1A2) for Haar-random three-qubit states.
 
-    Sample i is drawn from its own generator, as `haar_random_pure` draws
-    it, into row i of an (N, 8) amplitude array. The reduces and both
+    Sample i draws its 16 standard normals from its own generator in one
+    call, as `haar_random_pure` draws them, into row i of an (N, 16) array;
+    one 16-value draw gives the bits of two 8-value draws. The rows are
+    normalised into (N, 8) amplitudes at once, and the reduces and both
     concurrences then run once over the stack, with the per-sample results
     bit for bit: C_AB from one stacked Jacobi solve of the 2x2 reduced
     states (`qcore.hermitian_eigenvalues`), C_A1A2 from `measures.concurrence`,
@@ -163,9 +172,10 @@ def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     n_samples = check_count("n_samples", n_samples)
     seed = _check_seed(seed)
     start = time.perf_counter()
-    psi = np.empty((n_samples, 8), dtype=np.complex128)
+    normals = np.empty((n_samples, 16))
     for i, rng in enumerate(sample_rngs(seed, n_samples)):
-        psi[i] = _haar_amplitudes(rng, 8)
+        rng.standard_normal(out=normals[i])
+    psi = _haar_amplitudes(normals)
     drawn = time.perf_counter()
     x = _schmidt_concurrences(psi, 3, FIG2_PARTITION)
     y = measures.concurrence(qcore.reduced_state_matrix(psi, 3, FIG2_PARTITION.qubits_a))

@@ -1,10 +1,12 @@
 """Independent reference implementations used only to check the package.
 
 Everything here goes through numpy's LAPACK-backed linear algebra, not the
-package's own eigensolver, so the two routes stay independent. Two earlier
+package's own eigensolver, so the two routes stay independent. Three earlier
 package routes are kept as bit-for-bit references of their replacements:
-`jacobi_eigh_one`, the one-matrix Jacobi solver behind the stacked one, and
-`write_csv_reference`, the per-cell CSV writer behind `cli._write_csv`.
+`jacobi_eigh_one`, the one-matrix Jacobi solver behind the stacked one,
+`write_csv_reference`, the per-cell CSV writer behind `cli._write_csv`, and
+`haar_amplitudes_reference`, the one-state Haar draw behind the batched
+normalisation in `sampling`.
 """
 
 import math
@@ -17,6 +19,14 @@ from monogamy_lab.errors import ContractViolationError
 def random_state(dim, rng):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def haar_amplitudes_reference(rng, dim):
+    """One Haar state's amplitudes, drawn and normalised one state at a
+    time: two ``standard_normal(dim)`` calls, real parts then imaginary
+    parts, divided by the vector's ``np.linalg.norm``."""
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return amps / np.linalg.norm(amps)
 
 
 def random_density(dim, rng, rank=None):

@@ -1,10 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monogamy_lab
 from monogamy_lab import analytic, protocol
 from monogamy_lab.cli import _write_csv, main
 from monogamy_lab.hamiltonians import HamiltonianKind
@@ -45,6 +50,30 @@ def test_fig2_determinism_across_runs_and_threads(tmp_path):
     main(["fig2", "--samples", "60", "--seed", "5", "--out", str(b), "--threads", "1"])
     main(["fig2", "--samples", "60", "--seed", "5", "--out", str(c), "--threads", "4"])
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+def _run_cli_process(argv, blas_threads):
+    """Run the CLI in a fresh process with OpenBLAS pinned to blas_threads."""
+    src = str(Path(monogamy_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from monogamy_lab.cli import main; sys.exit(main())"
+    subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--samples", "400", "--seed", "3"],
+    ["protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", "tf",
+     "--t-steps", "21", "--tp-steps", "200"],
+], ids=["fig2", "protocol"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # --threads selects nothing; the BLAS threads are the ones that can run.
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"{threads}.csv"
+        _run_cli_process([*argv, "--out", str(out)], threads)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_fig2_corrupted_bound_hook_flags_violations(tmp_path):
@@ -117,6 +146,18 @@ def test_protocol_manifest_drift_is_the_worst_over_every_kind(tmp_path, monkeypa
     assert code == 0
     manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
     assert manifest["max_negativity_drift"] == 5e-10
+
+
+@pytest.mark.parametrize("ha", ["tf", "ghz"])
+def test_protocol_manifest_counts_the_flagged_rows_of_every_kind(tmp_path, ha):
+    out = tmp_path / "p.csv"
+    assert main(["protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", ha,
+                 "--t-steps", "41", "--tp-steps", "200", "--out", str(out)]) == 0
+    flagged = json.loads((tmp_path / "p.csv.manifest.json").read_text())["flagged_rows"]
+    assert set(flagged) == {ha, "oat", "tat", "tf"} and flagged["tf"] > 0
+    assert all(type(n) is int and 0 <= n <= 41 for n in flagged.values())
+    column = np.genfromtxt(out, delimiter=",", names=True)["nonmonotone_flag"]
+    assert flagged[ha] == int(column.sum())
 
 
 def test_protocol_manifest_records_stage_wall_times(tmp_path):
@@ -248,6 +289,29 @@ def test_invert_ghz_curve(tmp_path):
     assert payload["ambiguous"] is False
 
 
+def test_invert_out_writes_a_manifest_with_the_curve_and_output_digests(tmp_path):
+    curve = tmp_path / "curve.csv"
+    main(["protocol", "--na", "2", "--nb", "2", "--hab", "ghz", "--ha", "ghz",
+          "--t-steps", "41", "--tp-steps", "300", "--out", str(curve)])
+    assert main(["invert", "--curve", str(curve), "--xi2", "1.0"]) == 0
+    # no --out: no output and no manifest beside the curve's own
+    assert [p.name for p in tmp_path.glob("*.json")] == ["curve.csv.manifest.json"]
+    out = tmp_path / "res.json"
+    assert main(["invert", "--curve", str(curve), "--xi2", "1.0", "--merge-tol", "0.01",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "res.json.manifest.json").read_text())
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert manifest["command"] == "invert"
+    assert manifest["config"] == {"curve": str(curve), "xi2": 1.0, "merge_tol": 0.01}
+    assert manifest["curve_sha256"] == sha256(curve)
+    assert manifest["outputs"] == [{"path": str(out), "sha256": sha256(out), "rows": 1}]
+    assert manifest["library_version"] == monogamy_lab.__version__
+    assert manifest["wall_time_s"] >= 0.0
+
+
 def test_invert_ambiguous_curve(tmp_path):
     curve = tmp_path / "fold.csv"
     lines = ["t,s_l_ab,xi2_ab,min_xi2_a,argmin_tp,nonmonotone_flag"]
@@ -341,9 +405,9 @@ def _count_runs(tmp_path):
     }
 
 
-@pytest.mark.parametrize("command", ["fig2", "fig3", "protocol", "explore", "appendix-b"])
+@pytest.mark.parametrize("command", ["fig2", "fig3", "protocol", "explore", "appendix-b", "invert"])
 def test_every_manifest_records_the_numpy_version(tmp_path, command):
-    # Output bits depend on numpy's SIMD loops. invert writes no manifest.
+    # Output bits depend on numpy's SIMD loops.
     assert main(_count_runs(tmp_path)[command]) == 0
     [path] = tmp_path.glob("*.manifest.json")
     assert json.loads(path.read_text())["numpy_version"] == np.__version__

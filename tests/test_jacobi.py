@@ -94,6 +94,18 @@ def test_each_member_converges_against_its_own_tolerance(rng):
     _assert_members_match_one_by_one(stack)
 
 
+@pytest.mark.parametrize("n", [4, 8, 9, 16, 81, 256])
+def test_row_norms_are_numpys_norm_of_each_row(rng, n):
+    # Over unit-stride copies of the real and imaginary parts, OpenBLAS's
+    # dot sums in another order: a seventh to a third of the rows differ.
+    for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+        z = scale * (rng.standard_normal((3, 100, n)) + 1j * rng.standard_normal((3, 100, n)))
+        z[0, 0] = 0.0
+        want = np.array([[np.linalg.norm(row) for row in rows] for rows in z])
+        assert _jacobi.row_norms(z).tobytes() == want.tobytes()
+        assert _jacobi.row_norms(z[1, 7]).tobytes() == want[1, 7].tobytes()
+
+
 def test_stacks_rotate_partial_sets_and_shrink_as_members_converge(rng, monkeypatch):
     events = []
     off_norms, rotate = _jacobi._off_norms, _jacobi._rotate

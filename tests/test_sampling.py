@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import monogamy_lab
-from monogamy_lab import _seeds, analytic, measures, qcore
+from monogamy_lab import _seeds, analytic, measures, qcore, sampling
 from monogamy_lab.errors import DomainError
 from monogamy_lab.sampling import (
     FIG2_PARTITION,
@@ -19,7 +19,7 @@ from monogamy_lab.sampling import (
     schmidt_concurrence,
 )
 
-from oracle_utils import random_unitary
+from oracle_utils import haar_amplitudes_reference, random_unitary
 
 
 def test_haar_states_normalized():
@@ -40,6 +40,13 @@ def test_haar_deterministic():
 def test_haar_random_pure_rejects_a_bad_qubit_count(n_qubits):
     with pytest.raises(DomainError, match="n_qubits"):
         haar_random_pure(n_qubits, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**70])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, 8])
+def test_haar_random_pure_is_the_one_state_reference(seed, n_qubits):
+    want = haar_amplitudes_reference(np.random.default_rng(seed), 2**n_qubits)
+    assert haar_random_pure(n_qubits, seed).amplitudes.tobytes() == want.tobytes()
 
 
 def test_haar_single_qubit_mean_sz():
@@ -144,6 +151,21 @@ def test_fig2_is_bytewise_the_per_sample_route(seed, n):
         y.append(measures.concurrence(qcore.reduced_state_matrix(state, 3, FIG2_PARTITION.qubits_a)))
     assert data.x.tobytes() == np.array(x).tobytes()
     assert data.y.tobytes() == np.array(y).tobytes()
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (3, 200), (11, 3000), (2**70, 1000)])
+def test_fig2_rows_are_the_one_state_reference(monkeypatch, seed, n):
+    # The per-sample route above shares fig2's normalisation; this pins the
+    # amplitudes themselves to the one-state draw, row by row.
+    rows = []
+    normalise = sampling._haar_amplitudes
+    monkeypatch.setattr(sampling, "_haar_amplitudes", lambda z: rows.append(normalise(z)) or rows[-1])
+    fig2_dataset(n, seed)
+    [psi] = rows
+    children = np.random.SeedSequence(seed).spawn(n)
+    want = np.array([haar_amplitudes_reference(np.random.default_rng(c), 8) for c in children])
+    assert psi.shape == (n, 8)
+    assert psi.tobytes() == want.tobytes()
 
 
 def test_fig2_makes_one_eigensolver_call_per_stack(monkeypatch):
