@@ -127,8 +127,9 @@ def verify_threshold_region() -> int:
 
 
 def threshold_negativity() -> float:
-    """Cut negativity above which subsystem A admits no internal entanglement
-    (`verify_threshold_region` checks the claim on a grid)."""
+    """Cut negativity above which subsystem A admits no internal entanglement,
+    reached by the spectrum (1/2, 1/6, 1/6, 1/6) (`verify_threshold_region`
+    checks the claim on a grid)."""
     return THRESHOLD_NEGATIVITY
 
 

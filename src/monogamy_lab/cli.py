@@ -7,9 +7,8 @@ digest of each output file (``invert`` writes one only with ``--out``, and
 records the curve's digest too). Only the sampled datasets (``fig2``,
 ``fig3``) take ``--seed``, and their manifests record it.
 
-Exit codes: 0 success; 1 property violation in the generated data; 2 I/O,
-parse, configuration, or query errors; 3 resource cap exceeded; 4 ambiguous
-inversion.
+Exit codes are the ``EXIT_*`` constants below; the README says when each
+is returned, and a test keeps the two in step.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ class ContractViolationError(MonogamyLabError, ValueError):
 
 
 class ResourceCapError(MonogamyLabError, RuntimeError):
-    """A request exceeds a size cap: the dense register caps, the
+    """A request exceeds a size cap: the per-side register cap, the
     symmetric-subspace cap, or the eigensolver's matrix-size cap."""
 
 

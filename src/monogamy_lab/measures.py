@@ -81,7 +81,8 @@ def _negative_sum(eigenvalues: np.ndarray):
 
 
 def negativity_raw(rho: DensityMatrix, p: Partition) -> float:
-    """Sum of |negative eigenvalues| of the partially transposed matrix."""
+    """Sum of |negative eigenvalues| of the partially transposed matrix; the
+    same for ``Partition(b, a)``, whose transpose is the full transpose of it."""
     pt = qcore.partial_transpose(rho, p)
     return _negative_sum(qcore.hermitian_eigenvalues(pt))
 

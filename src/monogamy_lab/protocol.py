@@ -10,68 +10,22 @@ are in units of the inverse coupling.
 
 The two stages are two functions. `entangle` runs everything that does not
 depend on A's local kind, once over the whole t-grid, and returns a
-`GridStage`: rho_A, C(t), S_L,AB and xi2_AB, without the 2^n state stack.
-`sweep` runs stage two for one local kind on its own tp grid and returns
-that kind's `ProtocolTrace`, so kinds with different tp grids share one
-grid stage. `run_protocol` and `run_protocol_multi` compose the two. A
-trace holds its config; its metadata holds only what the run found: the
-worst negativity drift and the p-state rows. An exploration trace's
-metadata holds only its internal split.
+`GridStage` that every kind shares. `sweep` runs stage two for one local
+kind on its own tp grid and returns that kind's `ProtocolTrace`.
+`run_protocol` and `run_protocol_multi` compose the two. A trace holds its
+config; its metadata holds only what the run found: the worst negativity
+drift and the p-state rows (an exploration trace's, its internal split).
 
-Local evolution cannot move entanglement across the A|B cut, and every run
-verifies this: the cut negativity is probed at NEGATIVITY_PROBES local times
-along each sweep and must stay constant to 1e-9. The start state and every
-generator are symmetric under permutations of the qubits, so the register
-state psi(t) lives in the (n+1)-dimensional symmetric subspace sym(n). The
-protocol projects psi(t) there once, failing loudly on any weight outside,
-and splits it into coefficient matrices C(t) on sym(A) (x) sym(B), of shape
-(T, n_A+1, n_B+1). S_L,AB is the linear entropy of rho_A = C C^dagger,
-from its purity. Each local kind's probes evolve the whole C stack with
-A's propagator restricted to sym(A) and take the negativity from the
-singular values of U_A C, one batched SVD per kind
-(`measures.negativity_from_coefficients`). xi2_AB takes its moments from
-the same sym(n) amplitudes, with the spin-j operators of
-`spin.symmetric_ops`.
-
-Which stages use LAPACK and which stay on the package's Jacobi solver
-(`qcore.hermitian_eigen`) follows from what the benchmark's stored
-references pin. On rows where xi2_A is flat over the local time, the
-reported argmin_tp is set by rounding noise from every stage upstream of it:
-the entangler's 2^n eigensolve (by Z-parity block, one solve for OAT's two
-identical blocks; `entangle` records its seconds), the dense reduce, A's
-engine, the sweep and the refine, and the 3x3 covariance solves at
-degenerate mean spin. Those
-stay on Jacobi and dense, bit for bit; the degenerate solves of one
-`spin.xi2_from_moment_arrays` call are one stacked Jacobi call, with each
-point's bits. The spectra that feed no stored
-argmin use LAPACK: the probes (one batched SVD per kind) and explore's
-internal negativities (one stacked `np.linalg.eigvalsh`, kept in numpy's
-ascending order: summing the negative eigenvalues in descending order, as
-`qcore.lapack_eigenvalues` returns them, moves explore.csv at 4+4 over
-201 steps by 2.8e-17).
-They, and xi2_AB from its sym(n) moments, differ from the dense Jacobi
-route by about 1e-15 at most. Outside the protocol, fig2's C_A1A2 uses
-LAPACK too (`measures.concurrence` calls `qcore.lapack_eigen`). Moving the pinned stages to
-LAPACK moves more than the flat rows: it also puts the appendix-b OAT
-study's xi2_A at size 40 2.2e-11 from its closed form, against a 1e-11
-bound. The sweep and refine run per kind, each row: `sweep` builds the
-kind's engine once, then fills its rows' min xi2_A and argmin_tp in a loop.
-
-`state_at`, `appendix_b_study` and `explore_measure_vs_squeezing` take
-their generators on the symmetric subspace from
-`hamiltonians._build_symmetric`, formed there from spin-j matrices; no 2^n
-generator is built on their paths. `state_at` evolves the all-down state in
-sym(n) and embeds the result. `appendix_b_study` builds no 2^n array at
-all: it takes its xi2 moments from the sym(n) amplitudes with
-`spin.symmetric_ops` and its S_L from the half/half coefficient matrices,
-as the protocol does, so its sizes are capped by MAX_SYMMETRIC_QUBITS
-rather than by the dense caps. `explore_measure_vs_squeezing` runs in
-sym(A): it restricts its input there (rejecting weight outside), sweeps
-with A's generator on sym(A) and the sym(A) moment operators, and takes the
-internal negativities from the partial transposes on sym(A_1) (x) sym(A_2)
-given by `qcore.symmetric_split_isometry`, a local isometry, so the
-negativity and its qubit normalisation are those of the qubit cut. All
-steps' partial transposes form one (steps, d, d) stack.
+Every run keeps two invariants. Local evolution cannot move entanglement
+across the A|B cut: the cut negativity is probed at NEGATIVITY_PROBES local
+times along each sweep and must stay constant to NEGATIVITY_DRIFT_TOL. And
+the start state and every generator are symmetric under permutations of
+the qubits, so psi(t) lies in the symmetric subspace sym(n) and A's state
+in sym(A): the protocol projects psi(t) there once, and explore restricts
+its input there, each failing loudly on any weight outside. The routes
+that hold no 2^n array (`appendix_b_study`) are capped by
+MAX_SYMMETRIC_QUBITS; the rest by MAX_SUBSYSTEM_QUBITS per side. Which
+eigensolver each stage uses, and why, is stated once in `qcore`.
 """
 
 from __future__ import annotations
@@ -96,7 +50,10 @@ from .analytic import ghz_s_l_from_min_xi2
 from .hamiltonians import HamiltonianKind, _as_kind, _build_symmetric, build
 from .qcore import DensityMatrix, SpectralPropagator, all_down_state, half_partition
 
-MAX_TOTAL_QUBITS = 10
+# Qubits per side, A or B, of the routes that hold 2^n arrays: the
+# protocol's entangler and reduce, A's dense engine, state_at and explore.
+# Two full sides make 2^10 states, `_jacobi.MAX_DIM`, the largest matrix
+# the entangler's Jacobi solve takes.
 MAX_SUBSYSTEM_QUBITS = 5
 # Size cap of the routes that hold no 2^n array, only sym(n) (appendix-b).
 # Set from a time budget: appendix-b's 3 default kinds x 2001 steps take
@@ -110,6 +67,11 @@ MERGE_TOL = 1e-3
 # Share of the observed S_L range above which calibration branches count as
 # distinct when flagging nonmonotone rows (never below MERGE_TOL).
 FLAG_REL = 0.05
+# Gap up to which sorted calibration values share a rank. Rows equal by a
+# symmetry of the dynamics differ by at most 2e-13 (min xi2_A) and 3.3e-15
+# (S_L,AB) on the 8-qubit OAT-entangler fixture; every S_L gap there that
+# is not such a pair is at least 2.3e-5.
+RANK_TIE_TOL = 1e-12
 # Cut-negativity probes per local sweep: evenly spaced grid times plus the
 # refined minimum.
 NEGATIVITY_PROBES = 3
@@ -152,10 +114,6 @@ class ProtocolConfig:
         object.__setattr__(self, "h_a_kind", _as_kind(self.h_a_kind))
         object.__setattr__(self, "n_a", check_count("n_a", self.n_a))
         object.__setattr__(self, "n_b", check_count("n_b", self.n_b))
-        if self.n_a + self.n_b > MAX_TOTAL_QUBITS:
-            raise ResourceCapError(
-                f"{self.n_a + self.n_b} qubits exceed the cap of {MAX_TOTAL_QUBITS}"
-            )
         if max(self.n_a, self.n_b) > MAX_SUBSYSTEM_QUBITS:
             raise ResourceCapError(
                 f"per-subsystem size is capped at {MAX_SUBSYSTEM_QUBITS} qubits"
@@ -445,7 +403,16 @@ def _min_over_tp(
 
 def entangle(cfg: ProtocolConfig) -> GridStage:
     """Stage one over the whole t-grid: entangle, reduce to rho_A, and take
-    C(t), S_L,AB and xi2_AB. ``cfg``'s local kind and tp grid are not used."""
+    C(t), S_L,AB and xi2_AB. ``cfg``'s local kind and tp grid are not used.
+
+    Its stages: psi(t) for all T rows (dense, (2^n, T)); rho_A, one stacked
+    `qcore.reduced_state_matrix` call, (T, 2^n_A, 2^n_A); psi(t) in sym(n),
+    (T, n+1), whose spin-j moments give xi2_AB in one
+    `spin.xi2_from_moment_arrays` call; and its coefficient matrices C(t)
+    on sym(A) (x) sym(B), (T, n_A+1, n_B+1), whose purity C C^dagger gives
+    S_L,AB. The sym(n) quantities differ from the dense route by about
+    1e-15 at most.
+    """
     n = cfg.n_a + cfg.n_b
     h = build(cfg.h_ab_kind, n)
     start = time.perf_counter()
@@ -551,7 +518,8 @@ def _select_p_states(s_l: np.ndarray, flags: np.ndarray, t: np.ndarray) -> dict:
 
 
 def state_at(cfg: ProtocolConfig, t: float) -> qcore.PureState:
-    """Register state after the entangling stage at time t."""
+    """Register state after the entangling stage at time t, evolved in sym(n)
+    under `hamiltonians._build_symmetric` and embedded in the register."""
     if not math.isfinite(t):
         raise DomainError(f"entangling time must be finite, got {t}")
     n = cfg.n_a + cfg.n_b
@@ -650,18 +618,22 @@ def invert(curve: CalibrationCurve, measured_min_xi2: float) -> InversionResult:
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks of a, ties sharing the mean of the ranks they span."""
-    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
-    below = np.cumsum(counts) - counts  # entries strictly less than each distinct value
-    return (below + 0.5 * (counts - 1) + 1.0)[inverse]
+    """1-based ranks of a; each run of sorted values whose gaps to the next
+    are at most RANK_TIE_TOL is one tie and shares the mean of its ranks."""
+    order = np.argsort(a, kind="stable")
+    starts = np.flatnonzero(np.diff(a[order], prepend=-np.inf) > RANK_TIE_TOL)
+    counts = np.diff(starts, append=a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(starts + 0.5 * (counts - 1) + 1.0, counts)
+    return ranks
 
 
 def monotonicity_score(curve: CalibrationCurve) -> float:
     """Spearman rank correlation between min xi2_A and S_L,AB over the trace.
 
-    Exact ties share the mean of their ranks. Rows that are equal by
-    symmetry (such as t and pi - t under the OAT entangler) tie or not by a
-    last-bit rounding, and that alone can move the score by about 1e-3.
+    Values within RANK_TIE_TOL of each other tie and share the mean of their
+    ranks, so rows that are equal by symmetry (such as t and pi - t under
+    the OAT entangler) tie however their last bits round.
     """
     if curve.x.size < 3:
         raise UndefinedScoreError("need at least three points")
@@ -695,9 +667,11 @@ def explore_measure_vs_squeezing(
 
     The input must lie in A's symmetric subspace sym(A), as every reduced
     state of the protocol does; weight outside it raises
-    ContractViolationError. The sweep runs on sym(A), and each negativity
-    comes from the partial transpose on sym(A_1) (x) sym(A_2), a local
-    isometric image of the qubit one with the same negativity.
+    ContractViolationError. The sweep runs on sym(A), with A's generator
+    and moment operators formed there, and each negativity comes from the
+    partial transpose on sym(A_1) (x) sym(A_2) given by
+    `qcore.symmetric_split_isometry`, a local isometric image of the qubit
+    one with the same negativity; all steps' transposes form one stack.
     """
     t_max = _positive_time("t_max", t_max)
     steps = check_count("steps", steps)
@@ -716,7 +690,7 @@ def explore_measure_vs_squeezing(
     d = emb.shape[0]
     rho_12 = emb @ eng.densities(rho_eig, tp) @ emb.T  # (steps, d, d)
     pt = rho_12.reshape(-1, n_1 + 1, n_2 + 1, n_1 + 1, n_2 + 1).transpose(0, 3, 2, 1, 4).reshape(-1, d, d)
-    neg = measures._negative_sum(np.linalg.eigvalsh(pt))
+    neg = measures._negative_sum(qcore.lapack_eigenvalues(pt))
     n_a = measures._clip01(neg / measures._normalization(split))
     return ExplorationTrace(
         tp=tp,
@@ -742,6 +716,11 @@ def appendix_b_study(
     Hamiltonian; the linear entropy of the half/half split and the squeezing
     parameter are recorded along the trajectory. Repeated sizes and kinds
     run once, in first-seen order.
+
+    It builds no 2^n array, so its sizes are capped by MAX_SYMMETRIC_QUBITS:
+    each trajectory evolves in sym(n), its xi2 moments come from the sym(n)
+    amplitudes with `spin.symmetric_ops`, and its S_L, as the protocol's,
+    from the purity of the half/half coefficient matrices.
     """
     sizes = list(dict.fromkeys(check_count("sizes", size) for size in sizes))
     kinds = list(dict.fromkeys(_as_kind(k) for k in h_a_kinds))

@@ -21,26 +21,33 @@ Conventions used throughout the package:
   order; a non-finite entry raises DomainError naming the stack member, and
   a non-Hermitian input ContractViolationError, before any solve. Either
   route solves a stack in one call and gives each member the bits it gets
-  alone.
+  alone. This is the one place that says which stage uses which route.
 
   - ``lapack_eigen`` and ``lapack_eigenvalues`` are ``np.linalg.eigh`` and
-    ``eigvalsh``, reversed. ``measures.concurrence`` uses them for its two
-    4x4 stacked solves (the PSD square root and the Wootters spectrum),
-    which carry the fig2 dataset's C_A1A2.
+    ``eigvalsh``, reversed. They take the spectra that no stored output
+    pins: ``measures.concurrence``'s two 4x4 stacks (fig2's C_A1A2) and
+    explore's stack of internal partial transposes. The protocol's
+    cut-negativity probes take singular values, one ``np.linalg.svd`` per
+    local kind.
   - ``hermitian_eigen`` and ``hermitian_eigenvalues`` run the package's
-    Jacobi solver (``_jacobi``); each stack member keeps its own tolerance,
-    from its own norm, and its own ``math.atan2`` rotation angles, because
-    a stack-wide norm or ``np.arctan2`` round differently in the last bit.
-    One matrix is solved by the connected components of its nonzero
-    pattern, with the whole matrix's tolerance, threshold and sweep count,
-    and byte-identical blocks once, which keeps every bit: the 2^n
-    entanglers fall into two Z-parity blocks, identical under OAT.
-    The protocol's 2^n entangler, its dense engine and the degenerate 3x3
-    covariances in ``spin`` stay here: on rows where xi2_A is flat over the
-    local time, the benchmark's stored argmin_tp is set by their rounding,
-    and LAPACK moves it (see ``protocol``). So do fig2's 2x2 Schmidt
-    spectra: about a tenth of its Jacobi time, and they keep its C_AB and
-    bound columns bit for bit.
+    Jacobi solver (``_jacobi``, which holds the rotation mechanics). They
+    take the protocol's 2^n entangler, its dense engine (sweep and refine),
+    the degenerate 3x3 covariances of ``spin``, every sym(n) propagator,
+    and fig2's 2x2 Schmidt spectra.
+
+  Those stay on Jacobi for three measured reasons. (1) On rows where xi2_A
+  is flat over the local time, the reported argmin_tp is set by the
+  rounding of every stage upstream of it, and the benchmark's stored
+  references pin it: the dense engine on LAPACK moves the warm 2+2 flat
+  row's argmin_tp by 70.4, the degenerate 3x3 solves by 3.52, and an
+  entangle through sym(n) or a closed form moves it too. Only the
+  entangler alone passes on LAPACK. (2) But ``np.linalg.eigh`` gives
+  different bits under one and two OpenBLAS threads from d = 256 (the
+  8-qubit entangler; its Z-parity blocks from 9 qubits), so that swap
+  would make the 4+4 outputs depend on the thread count. (3) On LAPACK the
+  appendix-b OAT study's xi2_A at size 40 lies 2.2e-11 from its closed
+  form, against a 1e-11 bound. fig2's 2x2 spectra are about a tenth of its
+  Jacobi time, and keep its C_AB and bound columns bit for bit.
 """
 
 from __future__ import annotations

@@ -11,13 +11,12 @@ sample, one generator call each, straight into a preallocated array;
 everything after them is one array stage over the whole stack of samples,
 with the per-sample bits: fig2's normalisation (each row divided by its own
 ``np.linalg.norm``, taken for every row at once by the same BLAS dot, see
-`_haar_amplitudes`), reduces and concurrences (one stacked Jacobi solve for
-C_AB, two stacked LAPACK solves inside `measures.concurrence` for C_A1A2),
-and fig3's normalisation, sort and measures. Each dataset records the
-wall time of its two stages, draw (for fig2 with the normalisation) and
-measures. `haar_random_pure` and `random_spectrum` draw one sample from
-``default_rng(seed)``, where seed is an integer >= 0 or a ``SeedSequence``
-(such as a dataset sample's child). A spectrum is a float array with a last
+`_haar_amplitudes`), reduces and concurrences, and fig3's normalisation,
+sort and measures. `qcore` states which eigensolver each stacked solve
+uses, and why. Each dataset records the wall time of its two stages, draw
+(for fig2 with the normalisation) and measures. `haar_random_pure` and
+`random_spectrum` draw one sample from ``default_rng(seed)``, where seed is
+an integer >= 0 or a ``SeedSequence`` (such as a dataset sample's child). A spectrum is a float array with a last
 axis of 4, sorted descending: `random_spectrum` returns one read-only (4,)
 row, fig3 a (rows, 4) stack, and the bounds in `measures` take either.
 """
@@ -163,9 +162,8 @@ def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     one 16-value draw gives the bits of two 8-value draws. The rows are
     normalised into (N, 8) amplitudes at once, and the reduces and both
     concurrences then run once over the stack, with the per-sample results
-    bit for bit: C_AB from one stacked Jacobi solve of the 2x2 reduced
-    states (`qcore.hermitian_eigenvalues`), C_A1A2 from `measures.concurrence`,
-    whose two 4x4 stacked solves run on LAPACK.
+    bit for bit: C_AB from one stacked solve of the 2x2 reduced states,
+    C_A1A2 from `measures.concurrence` over the (N, 4, 4) stack.
     """
     from ._seeds import sample_rngs
 
@@ -207,8 +205,8 @@ def fig3_dataset(n_samples: int, seed: int) -> Dataset:
     Sample i pins ``(2, 1, 0)[i mod 3]`` eigenvalues to zero (sample 0 has two
     zeros), so the two-, three-, and four-nonzero populations are evenly
     represented. Each sample's exponentials are drawn into its row of the
-    zero-filled spectra array; the rows are then normalised and sorted at
-    once.
+    zero-filled (N + 4, 4) spectra array; the rows are then normalised and
+    sorted, and their measures and classes taken, over the whole array.
     """
     from ._seeds import sample_rngs
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import monogamy_lab
-from monogamy_lab import analytic, protocol
+from monogamy_lab import analytic, cli, protocol
 from monogamy_lab.cli import _write_csv, main
 from monogamy_lab.hamiltonians import HamiltonianKind
 from monogamy_lab.sampling import SampleClass
@@ -18,6 +19,7 @@ from monogamy_lab.sampling import SampleClass
 from oracle_utils import write_csv_reference
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -65,7 +67,13 @@ def _run_cli_process(argv, blas_threads):
     ["fig2", "--samples", "400", "--seed", "3"],
     ["protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", "tf",
      "--t-steps", "21", "--tp-steps", "200"],
-], ids=["fig2", "protocol"])
+    # the benchmark's register size, where LAPACK's eigh of a 256x256
+    # generator already differs between one and two threads
+    ["protocol", "--na", "4", "--nb", "4", "--hab", "oat", "--ha", "tf",
+     "--t-steps", "9", "--tp-steps", "200"],
+    ["explore", "--na", "4", "--nb", "4", "--hab", "oat", "--prep-t", "0.65", "--ha", "tf",
+     "--t-max", "20", "--steps", "51"],
+], ids=["fig2", "protocol", "protocol-8q", "explore-8q"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     # --threads selects nothing; the BLAS threads are the ones that can run.
     outputs = []
@@ -255,10 +263,30 @@ def test_protocol_oat_ghz_point_for_each_local_kind(tmp_path):
         assert abs(float(rows[i][3]) - 1.0) < 1e-6
 
 
+def test_readme_states_the_caps_and_exit_codes_of_the_code():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    exit_codes = text[text.index("Exit codes:"):].split(" ## ")[0]
+    meaning = {"EXIT_OK": "success", "EXIT_VIOLATION": "a generated dataset violates",
+               "EXIT_IO": "I/O", "EXIT_RESOURCE": "register size cap exceeded",
+               "EXIT_AMBIGUOUS": "ambiguous inversion"}
+    codes = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert set(codes) == set(meaning)
+    assert {int(c) for c in re.findall(r"`(\d+)`", exit_codes)} == set(codes.values())
+    for name, words in meaning.items():
+        assert f"`{codes[name]}` {words}" in exit_codes
+    assert {int(c) for c in re.findall(r"\bexits? (\d+)", text)} <= set(codes.values())
+    # the two size caps, and no other qubit count
+    side, sym = protocol.MAX_SUBSYSTEM_QUBITS, protocol.MAX_SYMMETRIC_QUBITS
+    assert f"more than {side} qubits in A or in B" in exit_codes
+    assert f"`appendix-b` size above {sym}" in exit_codes
+    assert {int(n) for n in re.findall(r"(?<![+\d])(\d+) qubits", text)} == {side, sym}
+
+
 def test_protocol_resource_cap(tmp_path):
     for command in ("protocol", "explore"):
-        code = main([command, "--na", "6", "--nb", "2", "--out", str(tmp_path / "x.csv")])
-        assert code == 3
+        for n_a, n_b in (("6", "2"), ("6", "5"), ("5", "6")):
+            code = main([command, "--na", n_a, "--nb", n_b, "--out", str(tmp_path / "x.csv")])
+            assert code == 3
     over_cap = str(protocol.MAX_SYMMETRIC_QUBITS + 2)  # the first even size above the cap
     assert main(["appendix-b", "--sizes", over_cap, "--out", str(tmp_path / "appb")]) == 3
     assert main(["appendix-b", "--sizes", "3", "--out", str(tmp_path / "appb")]) == 2
