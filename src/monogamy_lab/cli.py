@@ -278,12 +278,15 @@ def _cmd_protocol(args) -> int:
                                   tp_grid=protocol.default_tp_grid(ha, args.tp_steps))
     tick = time.perf_counter()
     stage = protocol.entangle(cfg)
-    stage_wall_s = {"entangle": time.perf_counter() - tick, **stage.stage_wall_s, "sweep": {}}
+    stage_wall_s = {"entangle": time.perf_counter() - tick, **stage.stage_wall_s,
+                    "sweep": {}, "grid": {}, "refine": {}, "probe": {}}
     traces = {}
     for kind in dict.fromkeys(map(HamiltonianKind, (args.ha, "oat", "tat", "tf"))):
         tick = time.perf_counter()
         traces[kind] = protocol.sweep(stage, kind, protocol.default_tp_grid(kind, args.tp_steps))
         stage_wall_s["sweep"][kind.value] = time.perf_counter() - tick
+        for name, seconds in traces[kind].stage_wall_s.items():
+            stage_wall_s[name][kind.value] = seconds
     trace = traces[ha]
 
     out = Path(args.out)
@@ -308,6 +311,7 @@ def _cmd_protocol(args) -> int:
                            "p_states": trace.metadata["p_states"],
                            "flagged_rows": {kind.value: int(np.count_nonzero(tr.nonmonotone))
                                             for kind, tr in traces.items()},
+                           "refine_points": {kind.value: tr.refine_points for kind, tr in traces.items()},
                            "max_negativity_drift": max(
                                tr.metadata["max_negativity_drift"] for tr in traces.values())})
     return EXIT_OK

@@ -44,7 +44,13 @@ Conventions used throughout the package:
   entangler alone passes on LAPACK. (2) But ``np.linalg.eigh`` gives
   different bits under one and two OpenBLAS threads from d = 256 (the
   8-qubit entangler; its Z-parity blocks from 9 qubits), so that swap
-  would make the 4+4 outputs depend on the thread count. (3) On LAPACK the
+  would make the 4+4 outputs depend on the thread count. The two ways
+  round it are closed too: eigh of the real symmetric 8-qubit OAT or TF
+  entangler differs under the two settings as the complex one does, and
+  LAPACK on the start state's Z-parity block alone (128x128 at 8 qubits,
+  the same bits under both) moves the warm row's argmin_tp by 35.7
+  through ``lapack_eigen`` and the propagator's own products (by 7.54
+  with ascending eigh order). (3) On LAPACK the
   appendix-b OAT study's xi2_A at size 40 lies 2.2e-11 from its closed
   form, against a 1e-11 bound. fig2's 2x2 spectra are about a tenth of its
   Jacobi time, and keep its C_AB and bound columns bit for bit.

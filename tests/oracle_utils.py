@@ -1,18 +1,22 @@
 """Independent reference implementations used only to check the package.
 
 Everything here goes through numpy's LAPACK-backed linear algebra, not the
-package's own eigensolver, so the two routes stay independent. Three earlier
+package's own eigensolver, so the two routes stay independent. Four earlier
 package routes are kept as bit-for-bit references of their replacements:
 `jacobi_eigh_one`, the one-matrix Jacobi solver behind the stacked one,
-`write_csv_reference`, the per-cell CSV writer behind `cli._write_csv`, and
+`write_csv_reference`, the per-cell CSV writer behind `cli._write_csv`,
 `haar_amplitudes_reference`, the one-state Haar draw behind the batched
-normalisation in `sampling`.
+normalisation in `sampling`, and `refine_reference`, the per-row scalar
+golden-section search behind the protocol's block refine (it runs on the
+package's own engine, whose grid sweep it shares).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from monogamy_lab import protocol, spin
 from monogamy_lab.errors import ContractViolationError
 
 
@@ -270,3 +274,68 @@ def write_csv_reference(path, columns):
             fh.write(",".join(row) + "\n")
             count += 1
     return count
+
+
+_INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def xi2_at_reference(eng, products, tau):
+    """xi2 of one row, with (9, d, d) moment products, at one local time:
+    one `spin.xi2_from_moment_arrays` call with T = 1."""
+    e = np.exp(-1j * eng.eigenvalues * tau)
+    vals = (products * np.outer(e, e.conj())).sum(axis=(1, 2)).real
+    xi2, _ = spin.xi2_from_moment_arrays(vals[:, None], eng.n_spins)
+    return float(xi2[0])
+
+
+def golden_min_reference(f, lo, hi, tol):
+    """Golden-section search of f over [lo, hi], one point per iteration,
+    until the bracket is no wider than tol: its midpoint and f there."""
+    a, b = lo, hi
+    c = b - _INVGOLD * (b - a)
+    d = a + _INVGOLD * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVGOLD * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVGOLD * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def min_over_tp_reference(xi2_grid, tp, f, tol):
+    """Grid minimum refined by golden-section search in its bracket, the
+    grid points either side of the argmin; never above the grid minimum."""
+    i = int(np.argmin(xi2_grid))
+    best_tau, best_val = float(tp[i]), float(xi2_grid[i])
+    lo, hi = float(tp[max(i - 1, 0)]), float(tp[min(i + 1, tp.size - 1)])
+    if hi > lo:
+        tau, val = golden_min_reference(f, lo, hi, tol)
+        if val < best_val:
+            best_tau, best_val = float(tau), float(val)
+    return best_tau, best_val
+
+
+def refine_reference(stage, kind, tp_grid):
+    """`protocol.sweep`'s min_xi2_a, argmin_tp, nonmonotone and
+    negativity_drift from a scalar search per row: each row's grid sweep,
+    then `min_over_tp_reference` with one T = 1 evaluation per point. The
+    flags and the drift come from the protocol's own helpers."""
+    cfg = replace(stage.config, h_a_kind=kind, tp_grid=tp_grid)
+    tp = cfg.tp_grid
+    eng = protocol._dense_engine(cfg.h_a_kind, cfg.n_a, tp)
+    min_xi2, argmin_tp = np.empty(len(stage.rho_a)), np.empty(len(stage.rho_a))
+    for i, rho in enumerate(stage.rho_a):
+        products = eng.moment_products(eng.to_eigenbasis(rho))
+        grid, _ = eng.xi2_sweep(products)
+        argmin_tp[i], min_xi2[i] = min_over_tp_reference(
+            grid, tp, lambda tau: xi2_at_reference(eng, products, tau), protocol.REFINE_TOL)
+    s_l = stage.s_l_ab
+    flags = protocol._nonmonotone_flags(min_xi2, s_l, protocol._flag_threshold(s_l))
+    drift = protocol._negativity_drift(eng, stage.coeffs, tp, argmin_tp)
+    return min_xi2, argmin_tp, flags, drift

@@ -177,11 +177,19 @@ def test_protocol_manifest_records_stage_wall_times(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
     stages = manifest["stage_wall_s"]
-    assert set(stages) == {"entangle", "eigensolve", "sweep", "write"}
-    assert set(stages["sweep"]) == {"ghz", "oat", "tat", "tf"}
+    kinds = {"ghz", "oat", "tat", "tf"}
+    assert set(stages) == {"entangle", "eigensolve", "sweep", "grid", "refine", "probe", "write"}
     times = [stages["entangle"], *stages["sweep"].values(), stages["write"]]
     assert all(s >= 0.0 for s in times) and 0.0 <= stages["eigensolve"] <= stages["entangle"]
     assert sum(times) <= manifest["wall_time_s"]
+    # each kind's sweep splits into its grid, refine and probe stages
+    for name in ("sweep", "grid", "refine", "probe"):
+        assert set(stages[name]) == kinds
+    for kind in kinds:
+        parts = [stages[name][kind] for name in ("grid", "refine", "probe")]
+        assert all(s >= 0.0 for s in parts) and sum(parts) <= stages["sweep"][kind]
+    points = manifest["refine_points"]
+    assert set(points) == kinds and all(type(n) is int and n > 0 for n in points.values())
 
 
 @pytest.mark.parametrize("command", ["fig2", "fig3"])

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from monogamy_lab import analytic, measures, qcore
+from monogamy_lab import analytic, measures, protocol, qcore
 from monogamy_lab.errors import (
     ConfigError,
     ContractViolationError,
@@ -16,13 +16,12 @@ from monogamy_lab.errors import (
 from monogamy_lab.hamiltonians import HamiltonianKind, build
 from monogamy_lab.protocol import (
     MAX_SYMMETRIC_QUBITS,
-    REFINE_TOL,
     CalibrationCurve,
     ProtocolConfig,
     _average_ranks,
     _dense_engine,
-    _min_over_tp,
     _monotone_segments,
+    _refine_rows,
     _select_p_states,
     _symmetric_amplitudes,
     _symmetric_part,
@@ -49,7 +48,7 @@ from monogamy_lab.spin import (
     xi2_from_moment_arrays,
 )
 
-from oracle_utils import explore_dense, oat_closed_form, random_density
+from oracle_utils import explore_dense, oat_closed_form, random_density, refine_reference
 
 
 def ghz_config(t_steps=61, tp_steps=600, t_max=np.pi / 2):
@@ -172,7 +171,7 @@ def test_sweep_consistency_at_zero_local_time():
         rho = reduced_a_at(cfg, t)
         direct = squeezing_parameter(rho, eng_ops).xi2
         # the sweep evaluated at local time zero is the bare subsystem value
-        at_zero = eng.xi2_at(eng.moment_products(eng.to_eigenbasis(rho.matrix)), 0.0)
+        at_zero = float(eng.xi2_at(eng.moment_products(eng.to_eigenbasis(rho.matrix))[None], np.zeros(1))[0])
         assert abs(at_zero - direct) < 1e-10
         # and the sweep minimum cannot exceed it
         assert trace.min_xi2_a[i] <= direct + 1e-12
@@ -619,12 +618,10 @@ def test_symmetric_probes_match_dense_route(n_a, n_b, steps):
     coeffs = (psi_sym @ qcore.symmetric_split_isometry(n_a, n_b).T).reshape(steps, n_a + 1, n_b + 1)
     iso_a = qcore.symmetric_isometry(n_a)
     eng = _dense_engine(HamiltonianKind.OAT, n_a, tp)
-    taus = np.empty((3, steps))  # the protocol's three probe times per row
-    for i in range(steps):
-        products = eng.moment_products(eng.to_eigenbasis(rho_a[i]))
-        grid, _ = eng.xi2_sweep(products)
-        tau_min, _ = _min_over_tp(grid, tp, lambda tau: eng.xi2_at(products, tau), REFINE_TOL)
-        taus[:, i] = [tp[0], tp[-1], tau_min]
+    products = np.array([eng.moment_products(eng.to_eigenbasis(rho)) for rho in rho_a])
+    grids = np.array([eng.xi2_sweep(p)[0] for p in products])
+    tau_min, _, _ = _refine_rows(eng, products, grids, tp)
+    taus = np.array([np.full(steps, tp[0]), np.full(steps, tp[-1]), tau_min])  # the protocol's three probe times per row
     negs = measures.negativity_from_coefficients(eng.restricted_unitaries(iso_a, taus) @ coeffs)
     for i in range(steps):
         # The dense Schmidt route takes sqrt of each reduced eigenvalue mu, so
@@ -683,6 +680,57 @@ def test_appendix_b_matches_dense_route():
             assert np.max(np.abs(tr.s_l_a - s_l)) <= 1e-10, (size, kind)
 
 
+@functools.lru_cache(maxsize=None)
+def _short_stage(n_a, n_b, h_ab, t_steps=9):
+    """The entangle stage of a short t-grid, shared by the refine tests."""
+    return entangle(ProtocolConfig(n_a, n_b, h_ab, "tf", t_grid=default_t_grid(h_ab, t_steps), tp_grid=[0.0]))
+
+
+def _sweep_bytes(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _trace_bytes(trace):
+    return _sweep_bytes((trace.min_xi2_a, trace.argmin_tp, trace.nonmonotone, trace.negativity_drift))
+
+
+@pytest.mark.parametrize("h_ab", ["oat", "ghz"])
+@pytest.mark.parametrize("n_a, n_b", [(1, 1), (2, 2), (3, 2), (4, 4)])
+def test_block_refine_keeps_the_bytes_of_the_scalar_search(n_a, n_b, h_ab):
+    """Every row's min_xi2_a, argmin_tp, flag and drift from the block
+    refine have the bytes of the per-row scalar golden-section search: on
+    each kind's own short grid, on a grid whose argmins sit at either end
+    (a one-step bracket), and on tp grids of one and two points."""
+    stage = _short_stage(n_a, n_b, h_ab)
+    edge = np.linspace(0.0, 0.3, 4)
+    grid_argmins = set()
+    for kind in ("oat", "tat", "tf", "ghz"):
+        for tp in (default_tp_grid(kind, 40), edge, [0.0], default_tp_grid(kind, 2)):
+            got = _trace_bytes(sweep(stage, kind, tp))
+            assert got == _sweep_bytes(refine_reference(stage, kind, tp)), (kind, len(tp))
+        eng = _dense_engine(kind, n_a, edge)
+        for rho in stage.rho_a:
+            grid, _ = eng.xi2_sweep(eng.moment_products(eng.to_eigenbasis(rho)))
+            grid_argmins.add(int(np.argmin(grid)))
+    assert {0, edge.size - 1} <= grid_argmins
+
+
+@pytest.mark.parametrize("kind", ["tf", "oat"])
+def test_refine_block_size_does_not_change_a_byte(monkeypatch, kind):
+    """One row per block, the default blocks (14 rows at n_A = 4, so three
+    blocks of 41 rows) and all rows in one block give the same bytes and
+    evaluate the same refine points."""
+    stage = _short_stage(4, 4, "oat", 41)
+    assert 1 < protocol.REFINE_BLOCK_BYTES // (9 * 16**2 * 16) < 41
+    tp = default_tp_grid(kind, 200)
+    default = sweep(stage, kind, tp)
+    for budget in (1, 10**9):
+        monkeypatch.setattr(protocol, "REFINE_BLOCK_BYTES", budget)
+        trace = sweep(stage, kind, tp)
+        assert _trace_bytes(trace) == _trace_bytes(default), budget
+        assert trace.refine_points == default.refine_points > 0
+
+
 @pytest.mark.parametrize("n_a, n_b, t_steps", [(2, 2, 41), (4, 4, 81)])
 def test_row_invariant_hoists_are_bit_identical(n_a, n_b, t_steps, rng):
     """The engine's hoisted sweep phases, its stacked moment products and
@@ -717,9 +765,11 @@ def test_row_invariant_hoists_are_bit_identical(n_a, n_b, t_steps, rng):
             for tau in taus:
                 e = np.exp(-1j * eng.eigenvalues * tau)
                 ph = np.outer(e, e.conj())
-                point = np.array([np.sum(rho_eig * ot.T * ph).real for ot in tilde])
-                refine_moments.append(point)
-                assert eng.xi2_at(products, tau) == float(xi2_from_moment_arrays(point[:, None], n_a)[0][0])
+                refine_moments.append(np.array([np.sum(rho_eig * ot.T * ph).real for ot in tilde]))
+            # every point of one batched evaluation has the bits of its own T = 1 call
+            batched = eng.xi2_at(np.broadcast_to(products, (len(taus), *products.shape)), np.array(taus))
+            for got, point in zip(batched, refine_moments):
+                assert got == float(xi2_from_moment_arrays(point[:, None], n_a)[0][0])
 
             # the protocol's states keep <Jy> = 0, so add generic moment values
             for moments in (vals, np.array(refine_moments).T, rng.standard_normal((9, 50))):
