@@ -18,8 +18,9 @@ every other entry of rows and columns p and q is a pair of zeros, and it
 stays zero. So the rotations of different blocks commute, and the cyclic
 order over the whole matrix, restricted to one block's ascending indices,
 is that block's own cyclic order. Each block is rotated alone with the
-whole matrix's tolerance and threshold (from the whole norm and the whole
-d), and every block is swept until the whole matrix's off-diagonal norm,
+whole matrix's tolerance and threshold (from the whole norm, summed row by
+row so that no BLAS call is split across threads, and the whole d), and
+every block is swept until the whole matrix's off-diagonal norm,
 summed in the order ``_off_norms`` sums it, is at most the tolerance; each
 block then gets the bits that the whole-matrix rotation gives it. The
 off-block eigenvector entries stay +0 there too, since each new entry adds
@@ -72,9 +73,27 @@ def row_norms(z):
     The strides matter: over the unit-stride halves of a real buffer,
     OpenBLAS sums in another order and moves a seventh to a third of
     the rows."""
+    return np.sqrt(_row_squares(z))
+
+
+def _row_squares(z):
+    """The squared norm of each row of ``row_norms``, before its sqrt."""
     re, im = z.real, z.imag
     sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
-    return np.sqrt(sq[..., 0, 0])
+    return sq[..., 0, 0]
+
+
+def _tolerance(m):
+    """The off-diagonal norm at which one (d, d) matrix counts as diagonal:
+    _REL_TOL times its Frobenius norm, from one BLAS dot per row (d <=
+    MAX_DIM entries, which OpenBLAS never splits across threads) summed
+    exactly by ``math.fsum``. A single dot over all d^2 entries would be
+    split across threads above 10,000 entries, and round differently under
+    each BLAS thread count. The dense generators of ``build`` have exactly
+    representable sums, so either way gives them the same bits; on the
+    sym(n) generators, whose entries hold square roots, the two can differ
+    by an ulp."""
+    return _REL_TOL * max(1e-300, math.sqrt(math.fsum(_row_squares(m))))
 
 
 def _cos_sin(y, x):
@@ -243,9 +262,9 @@ def _solve(m, compute_vectors):
     does. Each distinct block (by bytes, so signed zeros count) is swept
     once per sweep with the whole matrix's threshold, and every block is
     swept until the whole matrix's off-diagonal norm, summed as
-    ``_off_norms`` sums it, is at most the whole matrix's tol."""
+    ``_off_norms`` sums it, is at most the whole matrix's `_tolerance`."""
     d = m.shape[0]
-    tol = _REL_TOL * max(1e-300, row_norms(m.reshape(-1)))
+    tol = _tolerance(m)
     thresh = tol / (2.0 * d)
     blocks = {}  # bytes -> (block, its eigenvector rows or None, its index arrays)
     for idx in _components(m):

@@ -5,7 +5,10 @@ Spectrum-level bounds (`max_concurrence`, `max_negativity`,
 with a given reduced spectrum can carry; each takes one spectrum (and
 returns a float) or a stack of shape (..., 4). The remaining functions
 evaluate concrete states; `concurrence` likewise takes one 4x4 matrix or a
-(..., 4, 4) stack.
+(..., 4, 4) stack. It is the general route, for any rank, through two
+LAPACK solves; `_rank2_concurrence` takes a rank-2 state by its 4x2 factor
+(fig2's C_A1A2, from a three-qubit state's amplitudes) in closed form,
+with no eigensolver.
 """
 
 from __future__ import annotations
@@ -183,6 +186,41 @@ def concurrence(rho: DensityMatrix | np.ndarray):
     mu2[mu2 < 1e-13] = 0.0
     mu = np.sqrt(mu2)
     return _clip01(mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+
+
+def _flip_form(xr, xi, yr, yi):
+    """Re and Im of x^T S y = x1 y2 + x2 y1 - x0 y3 - x3 y0 over the last
+    axis of length 4, from the real and imaginary parts of x and y."""
+    yr, yi = yr[..., ::-1], yi[..., ::-1]
+    pr, pi = xr * yr - xi * yi, xr * yi + xi * yr
+    re = (pr[..., 1] + pr[..., 2]) - (pr[..., 0] + pr[..., 3])
+    im = (pi[..., 1] + pi[..., 2]) - (pi[..., 0] + pi[..., 3])
+    return re, im
+
+
+def _rank2_concurrence(factor: np.ndarray):
+    """Two-qubit concurrence of rho = V V^dagger from its factor V, one (4, 2)
+    matrix (returns a float) or a (..., 4, 2) stack, with no eigensolver.
+
+    Wootters (PRL 80, 2245 (1998)): with S = sigma_y x sigma_y, the
+    concurrence is s1 - s2 for the singular values s1 >= s2 of the symmetric
+    2x2 matrix tau = V^T S V, so C^2 = ||tau||_F^2 - 2 |det tau|. That form
+    cancels as C -> 0: its absolute error is about eps ||tau||_F^2 / C. The
+    arithmetic runs on real and imaginary parts, one float ufunc per product
+    or sum, so each member gets the bits it gets alone (numpy's complex
+    multiply loops use FMA on some array lengths and strides only).
+    """
+    re, im = factor.real, factor.imag
+    ar, ai, br, bi = re[..., 0], im[..., 0], re[..., 1], im[..., 1]
+    t00r, t00i = _flip_form(ar, ai, ar, ai)
+    t11r, t11i = _flip_form(br, bi, br, bi)
+    t01r, t01i = _flip_form(ar, ai, br, bi)
+    det_r = (t00r * t11r - t00i * t11i) - (t01r * t01r - t01i * t01i)
+    det_i = (t00r * t11i + t00i * t11r) - 2.0 * (t01r * t01i)
+    frob2 = ((t00r * t00r + t00i * t00i) + (t11r * t11r + t11i * t11i)
+             + 2.0 * (t01r * t01r + t01i * t01i))
+    c2 = frob2 - 2.0 * np.sqrt(det_r * det_r + det_i * det_i)
+    return _clip01(np.sqrt(np.maximum(c2, 0.0)))
 
 
 def _spectrum4(spec) -> np.ndarray:

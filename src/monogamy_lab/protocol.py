@@ -149,7 +149,8 @@ class GridStage:
     """The protocol's stages that do not depend on the local kind, over the
     t-grid of ``config``: rho_A (T, 2^n_A, 2^n_A), the coefficient matrices
     C(t) on sym(A) (x) sym(B) (T, n_A+1, n_B+1), S_L,AB and xi2_AB (T,).
-    ``stage_wall_s`` holds the seconds spent in the entangler's eigensolve.
+    ``stage_wall_s`` holds the seconds spent in the entangler's eigensolve
+    and in the reduce to rho_A.
 
     It keeps no 2^n state stack, so holding it costs A-sized memory only.
     """
@@ -480,7 +481,9 @@ def entangle(cfg: ProtocolConfig) -> GridStage:
     eigensolve = time.perf_counter() - start
     states = prop.apply(all_down_state(n).amplitudes, cfg.t_grid)  # (d, T)
     psi = np.ascontiguousarray(states.T)  # (T, d)
+    start = time.perf_counter()
     rho_a = qcore.reduced_state_matrix(psi, n, tuple(range(cfg.n_a)))
+    reduce = time.perf_counter() - start
     # psi(t) in sym(n), where xi2_AB takes its moments, and its coefficient
     # matrices C(t) on sym(A) (x) sym(B), which give S_L and which the probes
     # evolve.
@@ -490,7 +493,7 @@ def entangle(cfg: ProtocolConfig) -> GridStage:
     coeffs = _split_coefficients(psi_sym, cfg.n_a, cfg.n_b)
     s_l_ab = _cut_linear_entropy(coeffs, cfg.n_a)
     return GridStage(config=cfg, rho_a=rho_a, coeffs=coeffs, s_l_ab=s_l_ab, xi2_ab=xi2_ab,
-                     stage_wall_s={"eigensolve": eigensolve})
+                     stage_wall_s={"eigensolve": eigensolve, "reduce": reduce})
 
 
 def sweep(stage: GridStage, kind, tp_grid) -> ProtocolTrace:

@@ -25,10 +25,12 @@ Conventions used throughout the package:
 
   - ``lapack_eigen`` and ``lapack_eigenvalues`` are ``np.linalg.eigh`` and
     ``eigvalsh``, reversed. They take the spectra that no stored output
-    pins: ``measures.concurrence``'s two 4x4 stacks (fig2's C_A1A2) and
-    explore's stack of internal partial transposes. The protocol's
-    cut-negativity probes take singular values, one ``np.linalg.svd`` per
-    local kind.
+    pins: explore's stack of internal partial transposes and the two 4x4
+    stacks of ``measures.concurrence``, the general-rank route. fig2's
+    C_A1A2 takes no eigensolver: each Haar state's rho_A1A2 has rank 2,
+    and ``measures._rank2_concurrence`` gives it in closed form from the
+    amplitudes. The protocol's cut-negativity probes take singular values,
+    one ``np.linalg.svd`` per local kind.
   - ``hermitian_eigen`` and ``hermitian_eigenvalues`` run the package's
     Jacobi solver (``_jacobi``, which holds the rotation mechanics). They
     take the protocol's 2^n entangler, its dense engine (sweep and refine),

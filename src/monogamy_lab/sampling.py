@@ -11,10 +11,11 @@ sample, one generator call each, straight into a preallocated array;
 everything after them is one array stage over the whole stack of samples,
 with the per-sample bits: fig2's normalisation (each row divided by its own
 ``np.linalg.norm``, taken for every row at once by the same BLAS dot, see
-`_haar_amplitudes`), reduces and concurrences, and fig3's normalisation,
-sort and measures. `qcore` states which eigensolver each stacked solve
-uses, and why. Each dataset records the wall time of its two stages, draw
-(for fig2 with the normalisation) and measures. `haar_random_pure` and
+`_haar_amplitudes`), its C_AB reduce and solve and its closed-form C_A1A2,
+and fig3's normalisation, sort and measures. `qcore` states which
+eigensolver each stacked solve uses, and why. Each dataset records the
+wall time of its two stages, draw (for fig2 with the normalisation) and
+measures. `haar_random_pure` and
 `random_spectrum` draw one sample from ``default_rng(seed)``, where seed is
 an integer >= 0 or a ``SeedSequence`` (such as a dataset sample's child). A spectrum is a float array with a last
 axis of 4, sorted descending: `random_spectrum` returns one read-only (4,)
@@ -160,10 +161,12 @@ def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     Sample i draws its 16 standard normals from its own generator in one
     call, as `haar_random_pure` draws them, into row i of an (N, 16) array;
     one 16-value draw gives the bits of two 8-value draws. The rows are
-    normalised into (N, 8) amplitudes at once, and the reduces and both
-    concurrences then run once over the stack, with the per-sample results
-    bit for bit: C_AB from one stacked solve of the 2x2 reduced states,
-    C_A1A2 from `measures.concurrence` over the (N, 4, 4) stack.
+    normalised into (N, 8) amplitudes at once, and both concurrences then
+    run once over the stack, with the per-sample results bit for bit: C_AB
+    from one stacked solve of the 2x2 reduced states, C_A1A2 by
+    `measures._rank2_concurrence` from the amplitudes as an (N, 4, 2) stack,
+    each state's factor V of rho_A1A2 = V V^dagger (qubits 0, 1 | qubit 2),
+    with no reduce and no eigensolver.
     """
     from ._seeds import sample_rngs
 
@@ -176,7 +179,7 @@ def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     psi = _haar_amplitudes(normals)
     drawn = time.perf_counter()
     x = _schmidt_concurrences(psi, 3, FIG2_PARTITION)
-    y = measures.concurrence(qcore.reduced_state_matrix(psi, 3, FIG2_PARTITION.qubits_a))
+    y = measures._rank2_concurrence(psi.reshape(n_samples, 4, 2))
     return Dataset(
         x,
         y,
@@ -186,6 +189,7 @@ def fig2_dataset(n_samples: int, seed: int) -> Dataset:
             "seed": seed,
             "sampling": "haar_complex_gaussian",
             "c_ab_route": "effective_two_level_largest_reduced_eigenvalue",
+            "c_a1a2_route": "wootters_rank2_closed_form",
         },
     )
 

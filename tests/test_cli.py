@@ -178,9 +178,10 @@ def test_protocol_manifest_records_stage_wall_times(tmp_path):
     manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
     stages = manifest["stage_wall_s"]
     kinds = {"ghz", "oat", "tat", "tf"}
-    assert set(stages) == {"entangle", "eigensolve", "sweep", "grid", "refine", "probe", "write"}
+    assert set(stages) == {"entangle", "eigensolve", "reduce", "sweep", "grid", "refine", "probe", "write"}
     times = [stages["entangle"], *stages["sweep"].values(), stages["write"]]
-    assert all(s >= 0.0 for s in times) and 0.0 <= stages["eigensolve"] <= stages["entangle"]
+    assert all(s >= 0.0 for s in times) and stages["eigensolve"] >= 0.0 and stages["reduce"] >= 0.0
+    assert stages["eigensolve"] + stages["reduce"] <= stages["entangle"]
     assert sum(times) <= manifest["wall_time_s"]
     # each kind's sweep splits into its grid, refine and probe stages
     for name in ("sweep", "grid", "refine", "probe"):
@@ -586,11 +587,11 @@ def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
         _write_csv(tmp_path / "x.csv", {"a": np.zeros(3), "b": np.zeros(2)})
 
 
-# The stored fig2 reference was made with C_A1A2 on the Jacobi solver, and
-# measures.concurrence now runs on LAPACK: c_a1a2 agrees within 1e-9, since it
-# takes square roots of eigenvalues down to 1e-13, which scale 1e-16 noise by
-# up to 1.6e6. C_AB stays on Jacobi, so c_ab, the bound and the violation flags
-# match exactly.
+# The stored fig2 reference was made with C_A1A2 from measures.concurrence on
+# the Jacobi solver, and fig2 now takes it in Wootters's rank-2 closed form:
+# c_a1a2 agrees within 1e-9, since the eigensolver route takes square roots of
+# eigenvalues down to 1e-13, which scale 1e-16 noise by up to 1.6e6. C_AB stays
+# on Jacobi, so c_ab, the bound and the violation flags match exactly.
 FIG2_REFERENCE_TOLS = {"c_ab": 0.0, "c_a1a2": 1e-9, "bound": 0.0, "violation": 0.0}
 
 

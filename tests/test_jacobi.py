@@ -1,9 +1,15 @@
 """The stacked Jacobi eigensolver against the one-matrix kernel it replaced,
 compared byte for byte (``tobytes``, so signed zeros count)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import monogamy_lab
 from monogamy_lab import _jacobi, qcore
 from monogamy_lab.hamiltonians import build
 
@@ -104,6 +110,23 @@ def test_row_norms_are_numpys_norm_of_each_row(rng, n):
         want = np.array([[np.linalg.norm(row) for row in rows] for rows in z])
         assert _jacobi.row_norms(z).tobytes() == want.tobytes()
         assert _jacobi.row_norms(z[1, 7]).tobytes() == want[1, 7].tobytes()
+
+
+def test_one_matrix_tolerance_does_not_depend_on_the_blas_thread_count():
+    # A 128x128 matrix has 16,384 entries. One BLAS dot over all of them is
+    # split across threads above 10,000 entries, and its sum then rounds
+    # differently under one and two threads (for this matrix, by 3 ulps).
+    src = str(Path(monogamy_lab.__file__).resolve().parents[1])
+    code = ("import numpy as np; from monogamy_lab import _jacobi; "
+            "g = np.random.default_rng(1).standard_normal((2, 128, 128)); h = g[0] + 1j * g[1]; "
+            "print(float(_jacobi._tolerance(h + h.conj().T)).hex())")
+    tolerances = []
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+        tolerances.append(run.stdout)
+    assert tolerances[0] == tolerances[1]
 
 
 def test_stacks_rotate_partial_sets_and_shrink_as_members_converge(rng, monkeypatch):

@@ -282,6 +282,70 @@ def test_concurrence_rejects_non_finite_input(rng, bad):
 
 
 # ---------------------------------------------------------------------------
+# concurrence of a rank-2 state from its 4x2 factor (fig2's C_A1A2)
+
+
+def _haar_three_qubit(rng, n):
+    psi = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def _hyperdeterminant(psi):
+    """Cayley's hyperdeterminant of each three-qubit state in an (n, 8) stack."""
+    a = {f"{i}{j}{k}": psi[:, 4 * i + 2 * j + k] for i in (0, 1) for j in (0, 1) for k in (0, 1)}
+    return (
+        a["000"] ** 2 * a["111"] ** 2 + a["001"] ** 2 * a["110"] ** 2
+        + a["010"] ** 2 * a["101"] ** 2 + a["100"] ** 2 * a["011"] ** 2
+        - 2 * (a["000"] * a["001"] * a["110"] * a["111"] + a["000"] * a["010"] * a["101"] * a["111"]
+               + a["000"] * a["100"] * a["011"] * a["111"] + a["001"] * a["010"] * a["101"] * a["110"]
+               + a["001"] * a["100"] * a["011"] * a["110"] + a["010"] * a["100"] * a["011"] * a["101"])
+        + 4 * (a["000"] * a["011"] * a["101"] * a["110"] + a["001"] * a["010"] * a["100"] * a["111"])
+    )
+
+
+def _pair_factors(psi):
+    """The 4x2 factors of rho_01 (qubit 2 traced out) and rho_02 (qubit 1)."""
+    t = psi.reshape(-1, 2, 2, 2)
+    return t.reshape(-1, 4, 2), t.transpose(0, 1, 3, 2).reshape(-1, 4, 2)
+
+
+def test_rank2_concurrence_keeps_the_ckw_identity_on_haar_states(rng):
+    # Coffman-Kundu-Wootters: C_01^2 + C_02^2 + 4 |Det psi| = 4 det rho_0
+    psi = _haar_three_qubit(rng, 400)
+    v01, v02 = _pair_factors(psi)
+    m = psi.reshape(-1, 2, 4)
+    det_rho0 = np.linalg.det(m @ m.conj().swapaxes(-1, -2)).real
+    tangle = 4.0 * np.abs(_hyperdeterminant(psi))
+    c01, c02 = measures._rank2_concurrence(v01), measures._rank2_concurrence(v02)
+    assert np.max(np.abs(c01**2 + c02**2 + tangle - 4.0 * det_rho0)) <= 1e-12
+    assert np.min(tangle) > 1e-4  # the tangle term is not vacuous
+
+
+def test_rank2_concurrence_of_ghz_and_w():
+    ghz = np.zeros((1, 8), dtype=complex)
+    ghz[0, [0, 7]] = 1 / np.sqrt(2)
+    w = np.zeros((1, 8), dtype=complex)
+    w[0, [1, 2, 4]] = 1 / np.sqrt(3)
+    for factor in _pair_factors(ghz):
+        assert measures._rank2_concurrence(factor[0]) == 0.0
+    for factor in _pair_factors(w):
+        assert abs(measures._rank2_concurrence(factor[0]) - 2 / 3) < 1e-15
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_rank2_concurrence_matches_the_general_route(rng, rank):
+    factors = np.zeros((200, 4, 2), dtype=complex)
+    factors[..., :rank] = rng.standard_normal((200, 4, rank)) + 1j * rng.standard_normal((200, 4, rank))
+    factors /= np.linalg.norm(factors, axis=(1, 2), keepdims=True)
+    got = measures._rank2_concurrence(factors)
+    want = concurrence(factors @ factors.conj().swapaxes(-1, -2))
+    assert got.shape == (200,) and np.max(np.abs(got - want)) <= 1e-12
+    # rho = V V^dagger = (V W)(V W)^dagger for any 2x2 unitary W
+    turned = measures._rank2_concurrence(factors @ random_unitary(2, rng))
+    assert np.max(np.abs(turned - got)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # spectrum-level bounds
 
 

@@ -314,6 +314,29 @@ def test_sweep_rejects_a_bad_tp_grid(bad, match):
         sweep(stage, "tf", bad)
 
 
+@pytest.mark.parametrize("n_a", range(1, 6))
+def test_local_oat_sweep_has_period_pi_and_the_oat_mirror(n_a):
+    # exp(-i pi Jx^2) is a pi rotation about x (integer j) or a global phase
+    # (half-integer j), and xi2 is invariant under rotations: period pi
+    # under any entangler. Under the OAT entangler, rho_A depends on t' only
+    # through exp(-i s Jx_A^2), s = t + t', and complex conjugation (with a
+    # pi rotation of B about z) maps s to -s, so xi2_A is even in s: the
+    # mirror t' -> (pi - 2t - t') mod pi. It fails under the other
+    # entanglers from n_A = 2.
+    ts = np.array([0.0, 0.37, 1.3, 2.9])
+    tp = np.linspace(0.0, np.pi, 41, endpoint=False) + 0.013
+    for hab in ("oat", "ghz", "tf", "tat"):
+        cfg = ProtocolConfig(n_a, 2, hab, "oat", t_grid=ts, tp_grid=[0.0])
+        for rho_a, t in zip(entangle(cfg).rho_a, ts):
+            mirror = (np.pi - 2.0 * t - tp) % np.pi
+            eng = _dense_engine(HamiltonianKind.OAT, n_a, np.concatenate([tp, tp + np.pi, mirror]))
+            xi2, _ = eng.xi2_sweep(eng.moment_products(eng.to_eigenbasis(rho_a)))
+            xi2 = xi2.reshape(3, tp.size)
+            assert np.max(np.abs(xi2[1] - xi2[0])) <= 1e-13
+            if hab == "oat":
+                assert np.max(np.abs(xi2[2] - xi2[0])) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # calibration machinery on synthetic data
 

@@ -143,14 +143,18 @@ def test_fig2_product_state_point(rng):
 
 @pytest.mark.parametrize("seed, n", [(7, 1), (7, 120), (0, 60), (3, 2500)])
 def test_fig2_is_bytewise_the_per_sample_route(seed, n):
+    # C_A1A2 is the closed form's bits per sample, and the general
+    # eigensolver route's value to 1e-12
     data = fig2_dataset(n, seed)
-    x, y = [], []
+    x, y, general = [], [], []
     for child in np.random.SeedSequence(seed).spawn(n):
         state = haar_random_pure(3, child)
         x.append(schmidt_concurrence(state, FIG2_PARTITION))
-        y.append(measures.concurrence(qcore.reduced_state_matrix(state, 3, FIG2_PARTITION.qubits_a)))
+        y.append(measures._rank2_concurrence(state.amplitudes.reshape(4, 2)))
+        general.append(measures.concurrence(qcore.reduced_state_matrix(state, 3, FIG2_PARTITION.qubits_a)))
     assert data.x.tobytes() == np.array(x).tobytes()
     assert data.y.tobytes() == np.array(y).tobytes()
+    assert np.max(np.abs(data.y - np.array(general))) <= 1e-12
 
 
 @pytest.mark.parametrize("seed, n", [(0, 1), (3, 200), (11, 3000), (2**70, 1000)])
@@ -169,17 +173,13 @@ def test_fig2_rows_are_the_one_state_reference(monkeypatch, seed, n):
 
 
 def test_fig2_makes_one_eigensolver_call_per_stack(monkeypatch):
-    # C_AB's 2x2 spectra on the Jacobi route, C_A1A2's two 4x4 solves on LAPACK
+    # C_AB's 2x2 spectra on the Jacobi route; C_A1A2's closed form solves nothing
     calls = []
     for route in ("hermitian_eigen", "hermitian_eigenvalues", "lapack_eigen", "lapack_eigenvalues"):
         fn = getattr(qcore, route)
         monkeypatch.setattr(qcore, route, lambda m, r=route, fn=fn: calls.append((r, np.shape(m))) or fn(m))
     fig2_dataset(50, seed=2)
-    assert sorted(calls) == [
-        ("hermitian_eigenvalues", (50, 2, 2)),
-        ("lapack_eigen", (50, 4, 4)),
-        ("lapack_eigenvalues", (50, 4, 4)),
-    ]
+    assert calls == [("hermitian_eigenvalues", (50, 2, 2))]
 
 
 def test_fig2_deterministic():

@@ -93,6 +93,35 @@ def test_identical_product_states_unsqueezed(rng):
     assert abs(res.xi2 - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_mixtures_of_product_states_are_never_squeezed(rng, n):
+    # In sum_k p_k (|phi_k><phi_k|)^(x)n, a direction m perpendicular to the
+    # mean spin has Var(J_m) = n/4 + n(n-1)/4 sum_k p_k (m.s_k)^2 >= n/4 (s_k
+    # the Bloch vector of phi_k), so xi2 >= 1, and on sym(n) xi2 < 1
+    # certifies entanglement. Antipodal pairs of equal weight have no mean
+    # spin, so the degenerate branch is checked too.
+    dense, sym, iso = collective_ops(n), symmetric_ops(n), qcore.symmetric_isometry(n)
+    worst = np.inf
+    for members in (1, 2, 3, 6):
+        for antipodal in (False, True):
+            for _ in range(10):
+                phis = [random_state(2, rng) for _ in range(members)]
+                weights = rng.dirichlet(np.ones(members))
+                if antipodal:
+                    phis += [np.array([-phi[1].conj(), phi[0].conj()]) for phi in phis]
+                    weights = np.concatenate([weights, weights]) / 2
+                rho = np.zeros((2**n, 2**n), dtype=complex)
+                for p, phi in zip(weights, phis):
+                    amps = phi
+                    for _ in range(n - 1):
+                        amps = np.kron(amps, phi)
+                    rho += p * np.outer(amps, amps.conj())
+                res = squeezing_parameter(rho, dense)
+                assert res.degenerate_mean_spin == antipodal
+                worst = min(worst, res.xi2, squeezing_parameter(iso.T @ rho @ iso, sym).xi2)
+    assert worst >= 1.0 - 1e-12
+
+
 def test_ghz_register_squeezing_constant():
     from monogamy_lab.hamiltonians import build
 
