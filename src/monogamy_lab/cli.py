@@ -312,6 +312,8 @@ def _cmd_protocol(args) -> int:
                            "flagged_rows": {kind.value: int(np.count_nonzero(tr.nonmonotone))
                                             for kind, tr in traces.items()},
                            "refine_points": {kind.value: tr.refine_points for kind, tr in traces.items()},
+                           "degenerate_points": {kind.value: tr.metadata["degenerate_points"]
+                                                 for kind, tr in traces.items()},
                            "max_negativity_drift": max(
                                tr.metadata["max_negativity_drift"] for tr in traces.values())})
     return EXIT_OK

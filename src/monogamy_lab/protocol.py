@@ -13,13 +13,14 @@ depend on A's local kind, once over the whole t-grid, and returns a
 `GridStage` that every kind shares. `sweep` runs stage two for one local
 kind on its own tp grid and returns that kind's `ProtocolTrace`. It takes
 the t-grid rows in blocks of REFINE_BLOCK_BYTES of moment products, a
-size that keeps the refine's buffers from raising the run's peak memory:
+size that keeps each block's arrays from raising the run's peak memory:
 first each row's sweep over the tp grid, then one golden-section search
 that refines every row of the block at once, one batched evaluation per
 iteration. The cut-negativity probes then run once over all rows.
 `run_protocol` and `run_protocol_multi` compose the two. A trace holds its
 config; its metadata holds only what the run found: the worst negativity
-drift and the p-state rows (an exploration trace's, its internal split).
+drift, the p-state rows and the count of tp-grid points with degenerate
+mean spin (an exploration trace's, its internal split).
 
 Every run keeps two invariants. Local evolution cannot move entanglement
 across the A|B cut: the cut negativity is probed at NEGATIVITY_PROBES local
@@ -277,8 +278,9 @@ class _SubsystemEngine(SpectralPropagator):
 
     def moment_products(self, rho_eig: np.ndarray) -> np.ndarray:
         """The (9, d, d) stack rho_jk O~_kj of rho (in the eigenbasis) with each
-        moment operator, shared by the sweep and every refine evaluation."""
-        return rho_eig * self._tilde_t
+        moment operator, shared by the sweep and every refine evaluation; a
+        (k, d, d) stack of rhos gives (k, 9, d, d)."""
+        return rho_eig[..., None, :, :] * self._tilde_t
 
     def xi2_sweep(self, products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squeezing of A at every time of the engine's grid, via frequency
@@ -292,19 +294,14 @@ class _SubsystemEngine(SpectralPropagator):
             vals[k] = np.einsum("jt,jt->t", self._phase, m @ self._phase_conj).real
         return spin.xi2_from_moment_arrays(vals, self.n_spins)
 
-    def xi2_at(self, products: np.ndarray, taus: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    def xi2_at(self, products: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Squeezing of A for each row r of a (k, 9, d, d) stack of moment
         products at its own local time taus[r], in one
-        `spin.xi2_from_moment_arrays` call: shape (k,).
-
-        ``buf``, a complex (K, 9, d*d) array with K >= k, takes the products
-        times the phases in its first k rows, so a caller that evaluates many
-        times reuses one buffer instead of allocating one per call.
-        """
+        `spin.xi2_from_moment_arrays` call: shape (k,)."""
         k, d = len(taus), self.eigenvalues.size
         e = np.exp(-1j * self.eigenvalues * taus[:, None])  # (k, d)
         phases = (e[:, :, None] * e.conj()[:, None, :]).reshape(k, 1, d * d)
-        terms = np.multiply(products.reshape(k, 9, d * d), phases, out=None if buf is None else buf[:k])
+        terms = products.reshape(k, 9, d * d) * phases
         xi2, _ = spin.xi2_from_moment_arrays(terms.sum(axis=2).real.T, self.n_spins)
         return xi2
 
@@ -387,8 +384,8 @@ def _positive_time(name: str, value) -> float:
     return value
 
 
-def _golden_rows(eng: _SubsystemEngine, products: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 buf: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, int]:
+def _golden_rows(eng: _SubsystemEngine, products: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Golden-section search of each row's xi2 over its own bracket
     [lo[r], hi[r]], all rows at once: the rows' midpoints, the xi2 there,
     and the count of points evaluated.
@@ -396,24 +393,26 @@ def _golden_rows(eng: _SubsystemEngine, products: np.ndarray, lo: np.ndarray, hi
     Each row keeps the scalar search's c/d formulas and its fc < fd branch,
     and stops once its bracket is no wider than REFINE_TOL; each iteration
     evaluates the live rows' new points in one `_SubsystemEngine.xi2_at`
-    call into ``buf``. The live rows' products are copied into a compact
-    stack only when a row finishes.
+    call.
     """
     a, b = lo.copy(), hi.copy()
     c = b - _INVGOLD * (b - a)
     d = a + _INVGOLD * (b - a)
-    fc, fd = eng.xi2_at(products, c, buf), eng.xi2_at(products, d, buf)
+    fc, fd = eng.xi2_at(products, c), eng.xi2_at(products, d)
     points = 2 * a.size
     live = np.flatnonzero((b - a) > REFINE_TOL)
     live_products = products
     while live.size:
+        # Compact the live rows' products only when a row has finished: a
+        # copy every iteration added 6 to 25 ms to the ~125 ms refine of a
+        # study-8q `protocol` command.
         if live.size < len(live_products):
             live_products = products[live]
         left = fc[live] < fd[live]
         al = np.where(left, a[live], c[live])
         bl = np.where(left, d[live], b[live])
         tau = np.where(left, bl - _INVGOLD * (bl - al), al + _INVGOLD * (bl - al))
-        f = eng.xi2_at(live_products, tau, buf)
+        f = eng.xi2_at(live_products, tau)
         points += live.size
         # left: b, d, fd = d, c, fc and c is new; right: a, c, fc = c, d, fd and d is new
         c[live], d[live] = np.where(left, tau, d[live]), np.where(left, c[live], tau)
@@ -421,11 +420,11 @@ def _golden_rows(eng: _SubsystemEngine, products: np.ndarray, lo: np.ndarray, hi
         a[live], b[live] = al, bl
         live = live[(bl - al) > REFINE_TOL]
     x = 0.5 * (a + b)
-    return x, eng.xi2_at(products, x, buf), points + x.size
+    return x, eng.xi2_at(products, x), points + x.size
 
 
-def _refine_rows(eng: _SubsystemEngine, products: np.ndarray, xi2_grids: np.ndarray, tp: np.ndarray,
-                 buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+def _refine_rows(eng: _SubsystemEngine, products: np.ndarray, xi2_grids: np.ndarray,
+                 tp: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Each row's grid minimum refined by golden-section search in its
     bracket, the grid points either side of its grid argmin: the rows'
     argmin times, their minima and the count of points evaluated.
@@ -438,7 +437,7 @@ def _refine_rows(eng: _SubsystemEngine, products: np.ndarray, xi2_grids: np.ndar
     if tp.size == 1:
         return best_tau, best_val, 0
     lo, hi = tp[np.maximum(i - 1, 0)], tp[np.minimum(i + 1, tp.size - 1)]
-    tau, val, points = _golden_rows(eng, products, lo, hi, buf)
+    tau, val, points = _golden_rows(eng, products, lo, hi)
     win = val < best_val
     best_tau[win], best_val[win] = tau[win], val[win]
     return best_tau, best_val, points
@@ -501,11 +500,14 @@ def sweep(stage: GridStage, kind, tp_grid) -> ProtocolTrace:
     ``tp_grid``, refine each grid minimum, and probe the cut negativity.
 
     The rows run in blocks of at most REFINE_BLOCK_BYTES of moment products.
-    Within a block, each row's grid sweep runs alone; then one golden-section
-    search refines every row of the block (`_refine_rows`). The probes then
-    run once over all rows. The trace's ``stage_wall_s`` holds the seconds of
-    the grid, refine and probe stages, and ``refine_points`` the count of
-    local times the refine evaluated.
+    Each block takes its rows to the engine's eigenbasis and forms their
+    moment products as one stack; each row's grid sweep then runs alone, and
+    one golden-section search refines every row of the block
+    (`_refine_rows`). The probes then run once over all rows. The trace's
+    ``stage_wall_s`` holds the seconds of the grid, refine and probe stages,
+    ``refine_points`` the count of local times the refine evaluated, and its
+    metadata's ``degenerate_points`` the count of tp-grid points whose mean
+    spin is degenerate (`spin.xi2_from_moment_arrays`'s mask).
 
     The trace's config is ``stage.config`` with this kind and tp grid, so a
     bad grid raises ConfigError before any work is done.
@@ -519,23 +521,19 @@ def sweep(stage: GridStage, kind, tp_grid) -> ProtocolTrace:
     eng = _dense_engine(cfg.h_a_kind, cfg.n_a, tp)
     d = eng.eigenvalues.size
     block = min(n_rows, max(1, REFINE_BLOCK_BYTES // (9 * d * d * 16)))
-    products = np.empty((block, 9, d, d), dtype=np.complex128)
-    buf = np.empty((block, 9, d * d), dtype=np.complex128)
-    grids = np.empty((block, tp.size))
     min_xi2, argmin_tp = np.empty(n_rows), np.empty(n_rows)
     wall = {"grid": 0.0, "refine": 0.0, "probe": 0.0}
-    refine_points = 0
+    refine_points = degenerate_points = 0
     for lo in range(0, n_rows, block):
-        k = min(block, n_rows - lo)
+        rows = slice(lo, lo + block)
         tick = time.perf_counter()
-        for r in range(k):
-            products[r] = eng.moment_products(eng.to_eigenbasis(stage.rho_a[lo + r]))
-            grids[r], _ = eng.xi2_sweep(products[r])
+        products = eng.moment_products(eng.to_eigenbasis(stage.rho_a[rows]))
+        grids, degenerate = zip(*map(eng.xi2_sweep, products))
+        degenerate_points += int(np.count_nonzero(degenerate))
         tock = time.perf_counter()
-        argmin_tp[lo : lo + k], min_xi2[lo : lo + k], points = _refine_rows(
-            eng, products[:k], grids[:k], tp, buf
-        )
+        argmin_tp[rows], min_xi2[rows], points = _refine_rows(eng, products, np.array(grids), tp)
         refine_points += points
+        del products  # else two blocks' products are held as the next one is built
         wall["grid"] += tock - tick
         wall["refine"] += time.perf_counter() - tock
     tick = time.perf_counter()
@@ -559,6 +557,7 @@ def sweep(stage: GridStage, kind, tp_grid) -> ProtocolTrace:
         metadata={
             "max_negativity_drift": worst,
             "p_states": _select_p_states(s_l, flags, cfg.t_grid),
+            "degenerate_points": degenerate_points,
         },
         stage_wall_s=wall,
         refine_points=refine_points,

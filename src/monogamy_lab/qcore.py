@@ -105,7 +105,7 @@ class PureState:
         if amps.size != 2**n:
             raise DimensionMismatchError(f"expected {2**n} amplitudes, got {amps.size}")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ContractViolationError(f"state norm {nrm!r} deviates from 1")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", _freeze(amps.copy()))
@@ -313,7 +313,8 @@ def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian
     matrix, or of each member of a (..., d, d) stack: shapes (..., d) and
     (..., d, d), eigenvectors as columns, as numpy's eigh but descending.
-    A stack is one solver call; each member gets the bits it gets alone."""
+    A stack is one solver call; each member gets the bits it gets alone,
+    from the same tolerance, under any BLAS thread count."""
     return jacobi_eigh(_hermitian_input(matrix), compute_vectors=True)
 
 
@@ -344,7 +345,6 @@ class SpectralPropagator:
         m = _as_matrix(hamiltonian)
         self.eigenvalues, self.eigenvectors = hermitian_eigen(m)
         self._vh = np.ascontiguousarray(self.eigenvectors.conj().T)
-        self.dim = m.shape[0]
 
     def apply(self, amplitudes: np.ndarray, t) -> np.ndarray:
         """The evolved state at time t, or a (d, T) array with one column per

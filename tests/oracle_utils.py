@@ -235,12 +235,15 @@ def _jacobi_kernel(a, v, compute_v, tol):
 
 def jacobi_eigh_one(matrix, compute_vectors=True):
     """Descending eigenvalues and eigenvector columns of one Hermitian matrix
-    by cyclic Jacobi rotations, one matrix per call: the package's solver
-    before it took stacks."""
+    by cyclic Jacobi rotations, one matrix per call: the package's rotations
+    before it took stacks. Its tolerance is 1e-14 times the Frobenius norm
+    summed row by row: each row's squared norm as ``np.linalg.norm`` takes
+    it (re . re + im . im), the rows' squares summed by ``np.sum``."""
     a = np.array(matrix, dtype=np.complex128, order="C", copy=True)
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128) if compute_vectors else np.empty((1, 1), dtype=np.complex128)
-    tol = _JACOBI_REL_TOL * max(1e-300, float(np.linalg.norm(a)))
+    rows = np.array([row.real.dot(row.real) + row.imag.dot(row.imag) for row in a])
+    tol = _JACOBI_REL_TOL * max(1e-300, float(np.sqrt(np.sum(rows))))
 
     if _jacobi_kernel(a, v, compute_vectors, tol) < 0:
         raise ContractViolationError("Jacobi eigensolver failed to converge")

@@ -291,6 +291,27 @@ def test_readme_states_the_caps_and_exit_codes_of_the_code():
     assert {int(n) for n in re.findall(r"(?<![+\d])(\d+) qubits", text)} == {side, sym}
 
 
+def test_readme_names_every_key_of_the_protocol_manifest(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main(["protocol", "--na", "1", "--nb", "1", "--t-steps", "3", "--tp-steps", "5",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    text = README.read_text(encoding="utf-8")
+    example = text[text.index("monogamy-lab protocol "):].split("\n\n")[0]
+    comment = " ".join(line.strip()[1:] for line in example.splitlines() if line.strip().startswith("#"))
+    assert [key for key in manifest if key not in re.findall(r"\w+", comment)] == []
+
+
+def test_explore_at_an_overflowing_prep_time_exits_2(tmp_path, capsys):
+    # exp(-i w t) overflows to NaN at --prep-t 1e308; the NaN state is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["explore", "--na", "2", "--nb", "2", "--prep-t", "1e308", "--steps", "11",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: state norm")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_protocol_resource_cap(tmp_path):
     for command in ("protocol", "explore"):
         for n_a, n_b in (("6", "2"), ("6", "5"), ("5", "6")):

@@ -69,15 +69,19 @@ def test_mixed_stacks_match_the_one_matrix_kernel_for_every_leading_shape(rng, d
 def _at_the_tolerance(rng, d, above):
     """A diagonal matrix plus one real off-diagonal pair x whose off-diagonal
     norm sqrt(2 x^2) is the largest value at most (above=False) or the
-    smallest value above (above=True) the solver's tolerance 1e-14 ||m||.
-    Whether the matrix takes a rotation then turns on the last bit of its
-    own tolerance; x is too small to move ||m||."""
+    smallest value above (above=True) the solver's tolerance: 1e-14 times
+    the square root of the sum of the rows' squared norms. Whether the
+    matrix takes a rotation then turns on the last bit of its own
+    tolerance; x is too small to move the norm."""
     m = np.diag(rng.uniform(1.0, 2.0, d)).astype(complex)
-    tol = 1e-14 * np.linalg.norm(m)
+
+    def tolerance(m):
+        return 1e-14 * np.sqrt(np.sum([np.vdot(row, row).real for row in m]))
 
     def off(x):
         return np.sqrt(2.0 * (x * x))
 
+    tol = tolerance(m)
     x = tol / np.sqrt(2.0)
     while off(x) > tol:
         x = np.nextafter(x, 0.0)
@@ -86,7 +90,7 @@ def _at_the_tolerance(rng, d, above):
     if above:
         x = np.nextafter(x, 1.0)
     m[0, 1] = m[1, 0] = x
-    assert np.linalg.norm(m) * 1e-14 == tol
+    assert tolerance(m) == tol
     return m
 
 
@@ -112,21 +116,63 @@ def test_row_norms_are_numpys_norm_of_each_row(rng, n):
         assert _jacobi.row_norms(z[1, 7]).tobytes() == want[1, 7].tobytes()
 
 
-def test_one_matrix_tolerance_does_not_depend_on_the_blas_thread_count():
-    # A 128x128 matrix has 16,384 entries. One BLAS dot over all of them is
-    # split across threads above 10,000 entries, and its sum then rounds
-    # differently under one and two threads (for this matrix, by 3 ulps).
+def _print_under_one_and_two_blas_threads(code):
+    """What ``python -c code`` prints in a fresh process under one and under
+    two OpenBLAS threads."""
     src = str(Path(monogamy_lab.__file__).resolve().parents[1])
-    code = ("import numpy as np; from monogamy_lab import _jacobi; "
-            "g = np.random.default_rng(1).standard_normal((2, 128, 128)); h = g[0] + 1j * g[1]; "
-            "print(float(_jacobi._tolerance(h + h.conj().T)).hex())")
-    tolerances = []
+    out = []
     for threads in (1, 2):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
-        tolerances.append(run.stdout)
-    assert tolerances[0] == tolerances[1]
+        out.append(run.stdout)
+    return out
+
+
+def test_one_matrix_tolerance_does_not_depend_on_the_blas_thread_count():
+    # A 128x128 matrix has 16,384 entries. One BLAS dot over all of them is
+    # split across threads above 10,000 entries, and its sum then rounds
+    # differently under one and two threads (for this matrix, by 3 ulps).
+    one, two = _print_under_one_and_two_blas_threads(
+        "import numpy as np; from monogamy_lab import _jacobi; "
+        "g = np.random.default_rng(1).standard_normal((2, 128, 128)); h = g[0] + 1j * g[1]; "
+        "print(float(_jacobi._tolerance(h + h.conj().T)).hex())")
+    assert one == two
+
+
+def test_stack_tolerance_is_each_members_own_under_any_blas_thread_count():
+    # The tolerances the stack route hands its kernel (the kernel is replaced
+    # by a recorder, so nothing is solved), next to each member's one-matrix
+    # tolerance. A norm of each flattened member is one BLAS dot over its
+    # 16,384 entries, split across threads.
+    one, two = _print_under_one_and_two_blas_threads(
+        "import numpy as np; from monogamy_lab import _jacobi; "
+        "g = np.random.default_rng(1).standard_normal((2, 2, 128, 128)); h = g[0] + 1j * g[1]; "
+        "h = h + h.conj().swapaxes(-1, -2); seen = []; "
+        "_jacobi._kernel = lambda a, v, tol: seen.append(tol) or np.zeros((a.shape[-1], a.shape[0])); "
+        "_jacobi.jacobi_eigh(h, compute_vectors=False); "
+        "print(*(float(t).hex() for t in seen[0])); print(*(float(_jacobi._tolerance(m)).hex() for m in h))")
+    assert one == two
+    stack, members = one.splitlines()
+    assert stack == members
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_each_stack_members_tolerance_is_its_one_matrix_tolerance(rng, monkeypatch, d):
+    # One BLAS dot over each flattened member would round differently from
+    # the row-by-row sum for about one member in eight at these sizes.
+    g = rng.standard_normal((2, 400, d, d))
+    stack = g[0] + 1j * g[1]
+    stack += stack.conj().swapaxes(-1, -2)
+    seen, kernel = [], _jacobi._kernel
+
+    def record(a, v, tol):
+        seen.append(tol)
+        return kernel(a, v, tol)
+
+    monkeypatch.setattr(_jacobi, "_kernel", record)
+    qcore.hermitian_eigenvalues(stack)
+    assert seen[0].tobytes() == np.array([_jacobi._tolerance(m) for m in stack]).tobytes()
 
 
 def test_stacks_rotate_partial_sets_and_shrink_as_members_converge(rng, monkeypatch):

@@ -627,6 +627,13 @@ def test_state_at_matches_dense_evolution(n_a, n_b, kind):
         assert np.max(np.abs(state_at(cfg, t).amplitudes - dense[:, j])) <= 1e-10
 
 
+def test_state_at_an_overflowing_time_raises():
+    # exp(-i w t) overflows to NaN phases at t = 1e308; the NaN state is refused.
+    cfg = ProtocolConfig(4, 4, "oat", "tf", t_grid=default_t_grid("oat", 3), tp_grid=[0.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolationError):
+        state_at(cfg, 1e308)
+
+
 @pytest.mark.parametrize("n_a, n_b, steps", [(2, 2, 41), (3, 2, 41), (4, 4, 81)])
 def test_symmetric_probes_match_dense_route(n_a, n_b, steps):
     n = n_a + n_b
@@ -752,6 +759,20 @@ def test_refine_block_size_does_not_change_a_byte(monkeypatch, kind):
         trace = sweep(stage, kind, tp)
         assert _trace_bytes(trace) == _trace_bytes(default), budget
         assert trace.refine_points == default.refine_points > 0
+        assert trace.metadata["degenerate_points"] == default.metadata["degenerate_points"]
+
+
+@pytest.mark.parametrize("h_ab, n_a, n_b, t_steps", [("oat", 2, 2, 41), ("ghz", 3, 2, 9)])
+def test_degenerate_points_count_the_grid_points_with_degenerate_mean_spin(h_ab, n_a, n_b, t_steps):
+    stage = _short_stage(n_a, n_b, h_ab, t_steps)
+    counts = []
+    for kind in ("oat", "tat", "tf"):
+        tp = default_tp_grid(kind, 200)
+        eng = _dense_engine(kind, n_a, tp)
+        masks = [eng.xi2_sweep(eng.moment_products(eng.to_eigenbasis(rho)))[1] for rho in stage.rho_a]
+        counts.append(sum(int(np.count_nonzero(mask)) for mask in masks))
+        assert sweep(stage, kind, tp).metadata["degenerate_points"] == counts[-1]
+    assert max(counts) > 0
 
 
 @pytest.mark.parametrize("n_a, n_b, t_steps", [(2, 2, 41), (4, 4, 81)])

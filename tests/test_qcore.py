@@ -44,6 +44,13 @@ def test_pure_state_validation():
     assert not s.amplitudes.flags.writeable
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, np.nan], [1j * np.nan, 1.0], [np.inf, 0.0]])
+def test_pure_state_rejects_non_finite_amplitudes(amps):
+    # A NaN norm is neither close to 1 nor far from it, so the check must fail it.
+    with pytest.raises(ContractViolationError):
+        PureState(1, np.array(amps))
+
+
 def test_density_matrix_validation(rng):
     with pytest.raises(ContractViolationError):
         DensityMatrix(1, np.array([[0.5, 0.1], [0.3, 0.5]]))
