@@ -198,7 +198,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     exp.add_argument("--prep-t", type=float, default=0.2,
                      help="entangling time preparing the mixed state of A")
     local_kind(exp)
-    exp.add_argument("--t-max", type=float, default=100.0, help="last local time")
     exp.add_argument("--steps", type=int, default=2001, help="local-time grid points")
     exp.add_argument("--out", required=True, metavar="CSV")
     common(exp)
@@ -208,7 +207,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                       help="comma list of even sizes")
     appb.add_argument("--ha-kinds", type=_str_list, default="oat,tat,tf",
                       help="comma list from oat,tat,tf,ghz")
-    appb.add_argument("--t-max", type=float, default=100.0, help="last local time")
     appb.add_argument("--steps", type=int, default=2001, help="local-time grid points")
     appb.add_argument("--out", required=True, metavar="PREFIX",
                       help="output prefix; one CSV per (size, kind)")
@@ -326,11 +324,11 @@ def _cmd_explore(args) -> int:
         t_grid=protocol.default_t_grid(args.hab), tp_grid=protocol.default_tp_grid(args.ha),
     )
     rho_a = protocol.reduced_a_at(cfg, args.prep_t)
-    trace = protocol.explore_measure_vs_squeezing(rho_a, args.ha, t_max=args.t_max, steps=args.steps)
+    trace = protocol.explore_measure_vs_squeezing(rho_a, args.ha, steps=args.steps)
 
     out = Path(args.out)
     count = _write_csv(out, {"tp": trace.tp, "xi2_a": trace.xi2_a, "n_a": trace.n_a})
-    config = {**_options(args, "na", "nb", "hab", "prep_t", "ha", "t_max", "steps"),
+    config = {**_options(args, "na", "nb", "hab", "prep_t", "ha", "steps"),
               **trace.metadata}
     _write_manifest(out, "explore", config, {out: count}, started,
                     extra={"min_xi2": trace.min_xi2, "max_n_a": trace.max_n_a,
@@ -340,13 +338,13 @@ def _cmd_explore(args) -> int:
 
 def _cmd_appendix_b(args) -> int:
     started = time.perf_counter()
-    results = protocol.appendix_b_study(args.sizes, args.ha_kinds, t_max=args.t_max, steps=args.steps)
+    results = protocol.appendix_b_study(args.sizes, args.ha_kinds, steps=args.steps)
     prefix = args.out.removesuffix(".csv")
     outputs = {}
     for (size, kind), tr in results.items():
         path = Path(f"{prefix}_size{size}_{kind.value}.csv")
         outputs[path] = _write_csv(path, {"t": tr.t, "s_l_a": tr.s_l_a, "xi2_a": tr.xi2_a})
-    config = _options(args, "sizes", "ha_kinds", "t_max", "steps")
+    config = _options(args, "sizes", "ha_kinds", "steps")
     _write_manifest(Path(prefix + ".csv"), "appendix-b", config, outputs, started)
     return EXIT_OK
 

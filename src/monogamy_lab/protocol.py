@@ -104,6 +104,9 @@ def default_t_grid(h_ab_kind, steps: int = 401) -> np.ndarray:
 def default_tp_grid(h_a_kind, steps: int = 2000) -> np.ndarray:
     """Local-time grid of a kind's sweep: [0, pi] for GHZ, [0, 100] otherwise.
 
+    This is the one span rule of every local sweep: the protocol's tp grid
+    (the CLI's), explore's and appendix-b's all come from here.
+
     The GHZ generator F, the flip of every spin, squares to 1, so
     U(t') = cos t' - i sin t' F and U(pi) = -1 is a global phase: [0, pi]
     holds every state the sweep can reach.
@@ -267,6 +270,7 @@ class _SubsystemEngine(SpectralPropagator):
 
     def __init__(self, hamiltonian: np.ndarray, moment_operators, n_spins: int, tp: np.ndarray):
         super().__init__(hamiltonian)
+        self.check_times(tp)
         self.n_spins = n_spins
         self.tp = tp
         self._tilde_t = np.array([self.to_eigenbasis(op).T for op in moment_operators])
@@ -340,7 +344,7 @@ def _check_weight_inside(weight: np.ndarray) -> None:
     """Raise ContractViolationError when a weight inside a subspace (a
     restricted trace or squared norm) differs from 1 by more than TRACE_TOL."""
     worst = float(np.max(np.abs(weight - 1.0)))
-    if worst > qcore.TRACE_TOL:
+    if not worst <= qcore.TRACE_TOL:  # NaN fails too
         raise ContractViolationError(
             f"restricted weight deviates from 1 by {worst:.3e}: weight outside the symmetric subspace"
         )
@@ -375,13 +379,6 @@ def _cut_linear_entropy(coeffs: np.ndarray, n_a: int) -> np.ndarray:
     the rescaling uses A's qubit dimension 2^n_a."""
     rho_a = coeffs @ coeffs.conj().swapaxes(-1, -2)
     return measures.linear_entropy_from_purity(measures.purity(rho_a), 2**n_a)
-
-
-def _positive_time(name: str, value) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value}")
-    return value
 
 
 def _golden_rows(eng: _SubsystemEngine, products: np.ndarray, lo: np.ndarray,
@@ -540,7 +537,7 @@ def sweep(stage: GridStage, kind, tp_grid) -> ProtocolTrace:
     drift = _negativity_drift(eng, stage.coeffs, tp, argmin_tp)
     wall["probe"] = time.perf_counter() - tick
     worst = float(np.max(drift))
-    if worst > NEGATIVITY_DRIFT_TOL:
+    if not worst <= NEGATIVITY_DRIFT_TOL:  # NaN fails too
         raise ContractViolationError(
             f"cut negativity drifted by {worst:.3e} along a local sweep"
         )
@@ -598,8 +595,6 @@ def _select_p_states(s_l: np.ndarray, flags: np.ndarray, t: np.ndarray) -> dict:
 def state_at(cfg: ProtocolConfig, t: float) -> qcore.PureState:
     """Register state after the entangling stage at time t, evolved in sym(n)
     under `hamiltonians._build_symmetric` and embedded in the register."""
-    if not math.isfinite(t):
-        raise DomainError(f"entangling time must be finite, got {t}")
     n = cfg.n_a + cfg.n_b
     return qcore.PureState(n, qcore.symmetric_isometry(n) @ _evolve_all_down(cfg.h_ab_kind, n, t))
 
@@ -733,12 +728,12 @@ def monotonicity_score(curve: CalibrationCurve) -> float:
 def explore_measure_vs_squeezing(
     initial_rho_a: DensityMatrix,
     h_a_kind,
-    t_max: float = 100.0,
     steps: int = 2001,
 ) -> ExplorationTrace:
     """Trajectory of (squeezing, internal negativity) for subsystem A.
 
-    A is evolved under the chosen local Hamiltonian; at each time the
+    A is evolved under the chosen local Hamiltonian over the kind's
+    `default_tp_grid` of ``steps`` points; at each time the
     squeezing parameter and the normalized negativity across the internal
     split `half_partition(n)` (first half versus second half, the smaller
     half first for odd n) are recorded.
@@ -751,14 +746,12 @@ def explore_measure_vs_squeezing(
     `qcore.symmetric_split_isometry`, a local isometric image of the qubit
     one with the same negativity; all steps' transposes form one stack.
     """
-    t_max = _positive_time("t_max", t_max)
-    steps = check_count("steps", steps)
+    kind = _as_kind(h_a_kind)
+    tp = default_tp_grid(kind, steps)
     n = initial_rho_a.n_qubits
     split = half_partition(n)
-    kind = _as_kind(h_a_kind)
     iso = qcore.symmetric_isometry(n)
     rho_sym = _symmetric_part(initial_rho_a.matrix, iso)
-    tp = np.linspace(0.0, t_max, steps)
     eng = _SubsystemEngine(_build_symmetric(kind, n), spin.symmetric_ops(n).moment_operators, n, tp)
     rho_eig = eng.to_eigenbasis(rho_sym)
     xi2, _ = eng.xi2_sweep(eng.moment_products(rho_eig))
@@ -785,13 +778,13 @@ def explore_measure_vs_squeezing(
 def appendix_b_study(
     sizes=(2, 4, 6, 8),
     h_a_kinds=(HamiltonianKind.OAT, HamiltonianKind.TAT, HamiltonianKind.TF),
-    t_max: float = 100.0,
     steps: int = 2001,
 ) -> dict[tuple[int, HamiltonianKind], AppendixBTrace]:
     """Squeezing versus internal entanglement for pure all-down subsystems.
 
     For each even size, the all-spins-down state is evolved under each local
-    Hamiltonian; the linear entropy of the half/half split and the squeezing
+    Hamiltonian over that kind's `default_tp_grid` of ``steps`` points; the
+    linear entropy of the half/half split and the squeezing
     parameter are recorded along the trajectory. Repeated sizes and kinds
     run once, in first-seen order.
 
@@ -809,12 +802,12 @@ def appendix_b_study(
             raise DomainError(f"sizes must be even and at least 2, got {size}")
         if size > MAX_SYMMETRIC_QUBITS:
             raise ResourceCapError(f"sizes are capped at {MAX_SYMMETRIC_QUBITS} qubits, got {size}")
-    t = np.linspace(0.0, _positive_time("t_max", t_max), check_count("steps", steps))
+    grids = {kind: default_tp_grid(kind, steps) for kind in kinds}
     out: dict[tuple[int, HamiltonianKind], AppendixBTrace] = {}
     for size in sizes:
         mops = spin.symmetric_ops(size).moment_operators
         half = size // 2
-        for kind in kinds:
+        for kind, t in grids.items():
             amps = _evolve_all_down(kind, size, t)  # (size+1, T)
             xi2, _ = spin.xi2_from_moment_arrays(spin.pure_moments(amps, mops), size)
             s_l = _cut_linear_entropy(_split_coefficients(amps.T, half, half), half)

@@ -346,9 +346,16 @@ class SpectralPropagator:
         self.eigenvalues, self.eigenvectors = hermitian_eigen(m)
         self._vh = np.ascontiguousarray(self.eigenvectors.conj().T)
 
+    def check_times(self, t) -> None:
+        """Raise DomainError when a time t makes a phase w t, so exp(-i w t), non-finite."""
+        size = float(np.max(np.abs(t), initial=0.0))  # NaN if t holds a NaN
+        if not math.isfinite(size * float(np.max(np.abs(self.eigenvalues)))):
+            raise DomainError(f"time |t| = {size!r} makes a phase w*t non-finite")
+
     def apply(self, amplitudes: np.ndarray, t) -> np.ndarray:
         """The evolved state at time t, or a (d, T) array with one column per
         time when t is an array of T times."""
+        self.check_times(t)
         t = np.asarray(t)
         c = self._vh @ amplitudes
         phases = np.exp(-1j * np.multiply.outer(self.eigenvalues, t))  # (d,) or (d, T)

@@ -187,7 +187,7 @@ def test_criterion_6_local_hamiltonian_trend(eight_qubit_traces):
     for name in ("p1", "p2"):
         assert p_states[name] is not None, f"{name} not found on the default grid"
         rho = ml.protocol.reduced_a_at(cfg, p_states[name]["t"])
-        ex = ml.explore_measure_vs_squeezing(rho, "tf", t_max=100.0, steps=2001)
+        ex = ml.explore_measure_vs_squeezing(rho, "tf", steps=2001)
         ratios[name] = ex.n_a_at_min_xi2 / ex.max_n_a
         gaps[name] = ex.max_n_a - ex.n_a_at_min_xi2
     elapsed = run_time + time.perf_counter() - start
@@ -262,7 +262,7 @@ def test_criterion_8_cli_thread_determinism(tmp_path):
         "explore": run_pair(
             "explore",
             ["explore", "--na", "2", "--nb", "2", "--hab", "oat", "--prep-t", "0.4",
-             "--ha", "tf", "--t-max", "5", "--steps", "101"],
+             "--ha", "tf", "--steps", "101"],
         ),
     }
 
@@ -270,7 +270,7 @@ def test_criterion_8_cli_thread_determinism(tmp_path):
     ok_appb = True
     for threads in (1, MAX_THREADS):
         code = cli_main([
-            "appendix-b", "--sizes", "2,4", "--ha-kinds", "oat,tf", "--t-max", "10",
+            "appendix-b", "--sizes", "2,4", "--ha-kinds", "oat,tf",
             "--steps", "51", "--out", str(tmp_path / f"appb{threads}"),
             "--threads", str(threads),
         ])

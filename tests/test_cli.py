@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,7 +73,7 @@ def _run_cli_process(argv, blas_threads):
     ["protocol", "--na", "4", "--nb", "4", "--hab", "oat", "--ha", "tf",
      "--t-steps", "9", "--tp-steps", "200"],
     ["explore", "--na", "4", "--nb", "4", "--hab", "oat", "--prep-t", "0.65", "--ha", "tf",
-     "--t-max", "20", "--steps", "51"],
+     "--steps", "51"],
 ], ids=["fig2", "protocol", "protocol-8q", "explore-8q"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     # --threads selects nothing; the BLAS threads are the ones that can run.
@@ -302,13 +303,24 @@ def test_readme_names_every_key_of_the_protocol_manifest(tmp_path):
     assert [key for key in manifest if key not in re.findall(r"\w+", comment)] == []
 
 
+def test_readme_names_only_flags_the_parser_declares():
+    parser, commands = cli._build_parser()
+    declared = {flag for p in (parser, *commands.values()) for action in p._actions
+                for flag in action.option_strings}
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## CLI"):].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert named and sorted(named - declared) == []
+
+
 def test_explore_at_an_overflowing_prep_time_exits_2(tmp_path, capsys):
-    # exp(-i w t) overflows to NaN at --prep-t 1e308; the NaN state is refused.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # w t overflows at --prep-t 1e308; the time is refused before any phase is taken.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["explore", "--na", "2", "--nb", "2", "--prep-t", "1e308", "--steps", "11",
                      "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: state norm")
+    assert capsys.readouterr().err.startswith("error: time |t| = 1e+308 makes a phase w*t non-finite")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -419,21 +431,22 @@ def test_explore_subcommand(tmp_path):
     out = tmp_path / "explore.csv"
     code = main([
         "explore", "--na", "2", "--nb", "2", "--hab", "oat", "--prep-t", "0.4",
-        "--ha", "tf", "--t-max", "10", "--steps", "101", "--out", str(out),
+        "--ha", "tf", "--steps", "101", "--out", str(out),
     ])
     assert code == 0
     header, rows = read_csv(out)
     assert header == ["tp", "xi2_a", "n_a"]
-    assert len(rows) == 101
+    assert [float(r[0]) for r in rows] == protocol.default_tp_grid("tf", 101).tolist()
     manifest = json.loads((tmp_path / "explore.csv.manifest.json").read_text())
     assert "min_xi2" in manifest and "n_a_at_min_xi2" in manifest
+    assert sorted(manifest["config"]) == ["ha", "hab", "na", "nb", "prep_t", "split", "steps"]
 
 
 def test_appendix_b_subcommand(tmp_path):
     prefix = tmp_path / "appb"
     code = main([
         "appendix-b", "--sizes", "2,4", "--ha-kinds", "oat,tf",
-        "--t-max", "20", "--steps", "101", "--out", str(prefix),
+        "--steps", "101", "--out", str(prefix),
     ])
     assert code == 0
     for size in (2, 4):
@@ -441,9 +454,10 @@ def test_appendix_b_subcommand(tmp_path):
             path = tmp_path / f"appb_size{size}_{kind}.csv"
             header, rows = read_csv(path)
             assert header == ["t", "s_l_a", "xi2_a"]
-            assert len(rows) == 101
+            assert [float(r[0]) for r in rows] == protocol.default_tp_grid(kind, 101).tolist()
     manifest = json.loads((tmp_path / "appb.csv.manifest.json").read_text())
     assert len(manifest["outputs"]) == 4
+    assert sorted(manifest["config"]) == ["ha_kinds", "sizes", "steps"]
 
 
 def _count_runs(tmp_path):
@@ -496,13 +510,6 @@ def test_config_file_and_env_threads(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["appendix-b", "--sizes", "2", "--t-max=nan"],
-    ["appendix-b", "--sizes", "2", "--t-max=inf"],
-    ["appendix-b", "--sizes", "2", "--t-max=-5"],
-    ["appendix-b", "--sizes", "2", "--t-max=0"],
-    ["explore", "--na", "2", "--nb", "2", "--t-max=nan"],
-    ["explore", "--na", "2", "--nb", "2", "--t-max=-inf"],
-    ["explore", "--na", "2", "--nb", "2", "--t-max=-5"],
     ["explore", "--na", "2", "--nb", "2", "--prep-t=nan"],
     ["explore", "--na", "2", "--nb", "2", "--prep-t=inf"],
 ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
@@ -515,19 +522,20 @@ def test_bad_time_inputs_exit_2_before_any_output(tmp_path, capsys, argv):
 
 def test_config_file_values_take_the_option_types(tmp_path):
     cfg = tmp_path / "explore.cfg"
-    cfg.write_text("na=2\nnb=2\nprep-t=0.4\nt_max=10\nsteps=21\nno_such_option=7\n")
     out = tmp_path / "explore.csv"
     manifest = tmp_path / "explore.csv.manifest.json"
-    assert main(["explore", "--config", str(cfg), "--out", str(out)]) == 0
-    config = json.loads(manifest.read_text())["config"]
-    assert (config["na"], config["prep_t"], config["t_max"], config["steps"]) == (2, 0.4, 10.0, 21)
-    assert isinstance(config["t_max"], float)
+    for key in ("prep-t", "prep_t"):  # either spelling names the option
+        cfg.write_text(f"na=2\nnb=2\n{key}=1\nsteps=21\nno_such_option=7\n")
+        assert main(["explore", "--config", str(cfg), "--out", str(out)]) == 0
+        config = json.loads(manifest.read_text())["config"]
+        assert (config["na"], config["prep_t"], config["steps"]) == (2, 1.0, 21)
+        assert isinstance(config["prep_t"], float)
     _, rows = read_csv(out)
-    assert len(rows) == 21 and float(rows[-1][0]) == 10.0
+    assert len(rows) == 21
     # an explicit flag wins over the file; the rest of the file still applies
-    assert main(["explore", "--config", str(cfg), "--t-max", "5", "--out", str(out)]) == 0
+    assert main(["explore", "--config", str(cfg), "--prep-t", "0.5", "--out", str(out)]) == 0
     config = json.loads(manifest.read_text())["config"]
-    assert (config["t_max"], config["steps"]) == (5.0, 21)
+    assert (config["prep_t"], config["steps"]) == (0.5, 21)
 
 
 def test_config_file_bad_values_and_switches(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import functools
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from monogamy_lab.errors import (
     ResourceCapError,
     UndefinedScoreError,
 )
-from monogamy_lab.hamiltonians import HamiltonianKind, build
+from monogamy_lab.hamiltonians import HamiltonianKind, _build_symmetric, build
 from monogamy_lab.protocol import (
     MAX_SYMMETRIC_QUBITS,
     CalibrationCurve,
@@ -124,6 +126,29 @@ def test_default_grids_reject_a_bad_step_count(grid, steps):
     # 2.5 and -1 once raised numpy's TypeError and ValueError; 0 gave an empty grid
     with pytest.raises(DomainError, match="steps"):
         grid("oat", steps)
+
+
+def test_every_local_sweep_spans_its_kinds_default_tp_grid(rng):
+    steps = 17
+    rho = _symmetric_density(2, rng)
+    for kind in HamiltonianKind:
+        want = default_tp_grid(kind, steps).tobytes()
+        assert explore_measure_vs_squeezing(rho, kind, steps=steps).tp.tobytes() == want, kind
+    traces = appendix_b_study(sizes=(2, 4), h_a_kinds=list(HamiltonianKind), steps=steps)
+    assert len(traces) == 2 * len(HamiltonianKind)
+    for trace in traces.values():
+        assert trace.t.tobytes() == default_tp_grid(trace.h_a_kind, steps).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ghz_generator_is_minus_one_at_pi_on_sym_n(n, rng):
+    """U(pi) = -1 on sym(n), so the GHZ span [0, pi] of `default_tp_grid`
+    holds every state a GHZ sweep reaches."""
+    prop = SpectralPropagator(_build_symmetric("ghz", n))
+    for _ in range(20):
+        x = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        x /= np.linalg.norm(x)
+        assert np.max(np.abs(prop.apply(x, np.pi) + x)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +496,7 @@ def test_p_state_selection_synthetic():
 def test_explore_records_metadata_and_ranges(rng):
     iso = qcore.symmetric_isometry(2)  # a rank-2 density supported on sym(2)
     rho = DensityMatrix(2, iso @ random_density(3, rng, rank=2) @ iso.T)
-    tr = explore_measure_vs_squeezing(rho, "tf", t_max=10.0, steps=101)
+    tr = explore_measure_vs_squeezing(rho, "tf", steps=101)
     assert tr.tp.size == 101
     assert np.all(tr.n_a >= 0) and np.all(tr.n_a <= 1)
     assert np.all(tr.xi2_a >= 0)
@@ -484,7 +509,7 @@ def test_explore_block_dynamics_negativity_endpoints():
     # the internal split, and the block flip returns it to diagonal at pi/2
     cfg = ghz_config(t_steps=5)
     rho = reduced_a_at(cfg, 0.3)
-    tr = explore_measure_vs_squeezing(rho, "ghz", t_max=np.pi, steps=65)
+    tr = explore_measure_vs_squeezing(rho, "ghz", steps=65)
     assert tr.n_a[0] < 1e-10
     assert tr.n_a[32] < 1e-10  # local time pi/2
     assert np.max(tr.n_a) <= 1.0
@@ -497,7 +522,7 @@ def _symmetric_density(n, rng):
 
 
 def _assert_explore_matches_dense(rho, kind):
-    tr = explore_measure_vs_squeezing(rho, kind, t_max=10.0, steps=41)
+    tr = explore_measure_vs_squeezing(rho, kind, steps=41)
     n = rho.n_qubits
     ops = collective_ops(n)
     xi2, n_a = explore_dense(rho.matrix, build(kind, n), (ops.jx, ops.jy, ops.jz), tr.tp, tuple(range(n // 2)))
@@ -540,7 +565,7 @@ def test_step_counts_accept_numpy_integers(rng):
 
 
 def test_appendix_b_small_sizes_coincide():
-    res = appendix_b_study(sizes=(2,), t_max=60.0, steps=1201)
+    res = appendix_b_study(sizes=(2,))
     pts = {
         kind: np.column_stack([res[(2, kind)].s_l_a, res[(2, kind)].xi2_a])
         for kind in (HamiltonianKind.OAT, HamiltonianKind.TAT, HamiltonianKind.TF)
@@ -559,7 +584,7 @@ def test_appendix_b_small_sizes_coincide():
 
 
 def test_appendix_b_tf_optimality_trend():
-    res = appendix_b_study(sizes=(4, 6), t_max=100.0, steps=1501)
+    res = appendix_b_study(sizes=(4, 6), steps=1501)
     for size in (4, 6):
         ratios = {}
         for kind in (HamiltonianKind.OAT, HamiltonianKind.TAT, HamiltonianKind.TF):
@@ -582,9 +607,6 @@ def test_appendix_b_validation():
     for sizes, kinds in (((), ("tf",)), ((2,), ())):
         with pytest.raises(DomainError):
             appendix_b_study(sizes=sizes, h_a_kinds=kinds)
-    for t_max in (0.0, -5.0, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(DomainError):
-            appendix_b_study(sizes=(2,), t_max=t_max, steps=11)
     # repeats run once, in first-seen order
     res = appendix_b_study(sizes=(4, 2, 4), h_a_kinds=("tf", "oat", HamiltonianKind.TF), steps=11)
     tf, oat = HamiltonianKind.TF, HamiltonianKind.OAT
@@ -628,10 +650,22 @@ def test_state_at_matches_dense_evolution(n_a, n_b, kind):
 
 
 def test_state_at_an_overflowing_time_raises():
-    # exp(-i w t) overflows to NaN phases at t = 1e308; the NaN state is refused.
+    # w t overflows at t = 1e308; the time is refused before any phase is taken.
     cfg = ProtocolConfig(4, 4, "oat", "tf", t_grid=default_t_grid("oat", 3), tp_grid=[0.0])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolationError):
-        state_at(cfg, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in (1e308, -1e308, float("inf"), float("nan")):
+            with pytest.raises(DomainError, match=re.escape(f"time |t| = {abs(t)!r} makes a phase w*t non-finite")):
+                state_at(cfg, t)
+        with pytest.raises(DomainError, match=r"^time \|t\| = 1e\+308 makes a phase"):
+            entangle(replace(cfg, t_grid=[0.0, 0.5, 1e308]))
+
+
+def test_engine_refuses_a_local_time_that_overflows_a_phase():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=r"^time \|t\| = 1e\+308 makes a phase"):
+            _dense_engine(HamiltonianKind.OAT, 4, np.array([-1e308, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize("n_a, n_b, steps", [(2, 2, 41), (3, 2, 41), (4, 4, 81)])
@@ -692,20 +726,37 @@ def test_weight_outside_symmetric_subspace_fails_loudly():
             _symmetric_amplitudes(np.stack([down, psi]), iso)
 
 
+def test_weight_gate_refuses_a_nan_weight():
+    # NaN > TRACE_TOL is False: the gate must be written so that NaN fails it.
+    iso = qcore.symmetric_isometry(2)
+    with pytest.raises(ContractViolationError, match="by nan"):
+        _symmetric_part(np.full((1, 4, 4), np.nan), iso)
+    with pytest.raises(ContractViolationError, match="by nan"):
+        _symmetric_amplitudes(np.full((1, 4), np.nan), iso)
+
+
+def test_drift_gate_refuses_a_nan_drift(monkeypatch):
+    # NaN > NEGATIVITY_DRIFT_TOL is False: the gate must be written so that NaN fails it.
+    cfg = ProtocolConfig(2, 2, "oat", "tf", t_grid=default_t_grid("oat", 5), tp_grid=[0.0])
+    stage = entangle(cfg)
+    monkeypatch.setattr(protocol, "_negativity_drift", lambda eng, coeffs, tp, argmin: np.full(5, np.nan))
+    with pytest.raises(ContractViolationError, match="drifted by nan"):
+        sweep(stage, "tf", default_tp_grid("tf", 21))
+
+
 def test_appendix_b_matches_dense_route():
     kinds = list(HamiltonianKind)
     sizes = (2, 4, 6, 8)
     res = appendix_b_study(sizes=sizes, h_a_kinds=kinds, steps=201)
-    t = np.linspace(0.0, 100.0, 201)
     for size in sizes:
         mops = collective_ops(size).moment_operators
         half = tuple(range(size // 2))
         for kind in kinds:
-            states = _dense_propagator(size, kind.value).apply(all_down_state(size).amplitudes, t)
+            tr = res[(size, kind)]
+            states = _dense_propagator(size, kind.value).apply(all_down_state(size).amplitudes, tr.t)
             xi2, _ = xi2_from_moment_arrays(pure_moments(states, mops), size)
             rho = qcore.reduced_state_matrix(states.T, size, half)
             s_l = np.array([measures.linear_entropy(r) for r in rho])
-            tr = res[(size, kind)]
             assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-10, (size, kind)
             assert np.max(np.abs(tr.s_l_a - s_l)) <= 1e-10, (size, kind)
 
