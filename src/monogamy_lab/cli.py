@@ -5,7 +5,12 @@ frozen column schemas, and writes a JSON manifest (``<out>.manifest.json``)
 recording the resolved configuration, version, wall time, and a sha256
 digest of each output file (``invert`` writes one only with ``--out``, and
 records the curve's digest too). Only the sampled datasets (``fig2``,
-``fig3``) take ``--seed``, and their manifests record it.
+``fig3``) take ``--seed``, and their manifests record it. Each gated
+command's manifest also records its closest approach to the gate.
+
+The output stage runs in bounded memory: `_write_csv` formats
+CSV_BLOCK_ROWS rows at a time and `_sha256` hashes HASH_READ_BYTES at a
+time, so neither holds a whole output.
 
 Exit codes are the ``EXIT_*`` constants below; the README says when each
 is returned, and a test keeps the two in step.
@@ -35,6 +40,16 @@ EXIT_AMBIGUOUS = 4
 VIOLATION_SLACK = 1e-9
 # Options that count something and must be at least 1.
 COUNT_OPTIONS = ("threads", "samples", "steps", "t_steps", "tp_steps")
+# Rows that `_write_csv` converts to Python cells at a time. Set from a
+# 100k-sample fig3 write (7 columns) on a 2-core VM: the write's tracemalloc
+# peak reads 0.42 MiB at 1024 rows, 1.6 MiB at this size, 6.4 MiB at 16384
+# and 19.8 MiB for the whole table at once, while its time stays within the
+# run-to-run spread (0.34-0.40 s medians) from 256 rows to the whole table.
+CSV_BLOCK_ROWS = 4096
+# Bytes that `_sha256` reads at a time. On the same 10.8 MiB fig3.csv, the
+# hash takes 11.6-11.9 ms (medians) at 64 KiB, 256 KiB and 1 MiB reads, and
+# its tracemalloc peak reads 0.13 MiB at this size and 2.0 MiB at 1 MiB.
+HASH_READ_BYTES = 64 * 1024
 
 
 def _cells(column: np.ndarray) -> tuple[str, list]:
@@ -51,20 +66,33 @@ def _cells(column: np.ndarray) -> tuple[str, list]:
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> int:
     """Write equal-length named columns; return the row count.
 
-    The columns are converted to Python cells once; each row is then one
-    printf-style line, streamed to the file through ``writelines``.
+    Unequal lengths raise ValueError before any byte is written. The rows
+    are then converted to Python cells and formatted CSV_BLOCK_ROWS at a
+    time, each row one printf-style line streamed through ``writelines``,
+    so the write holds one block of cells, not the whole table.
     """
+    lengths = {name: len(column) for name, column in columns.items()}
+    n_rows = next(iter(lengths.values()), 0)
+    if any(n != n_rows for n in lengths.values()):
+        raise ValueError(f"columns of unequal length: {lengths}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    conversions, cells = zip(*map(_cells, columns.values()))
-    line = ",".join(conversions) + "\n"
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(line % row for row in zip(*cells, strict=True))
-    return len(cells[0])
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = (column[start:start + CSV_BLOCK_ROWS] for column in columns.values())
+            conversions, cells = zip(*map(_cells, block))
+            line = ",".join(conversions) + "\n"
+            fh.writelines(line % row for row in zip(*cells))
+    return n_rows
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's sha256, read HASH_READ_BYTES at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(HASH_READ_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_path: Path, command: str, config: dict, outputs: dict[Path, int],
@@ -244,6 +272,7 @@ def _cmd_fig2(args) -> int:
               "corrupt_bound_test_hook": args.test_corrupt_bound, **ds.metadata}
     _write_manifest(out, "fig2", config, {out: count}, started,
                     extra={"seed": args.seed, "violations": violations,
+                           "max_c_a1a2_minus_bound": float(np.max(ds.y - bound)),
                            "stage_wall_s": stage_wall_s})
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
@@ -252,7 +281,8 @@ def _cmd_fig3(args) -> int:
     started = time.perf_counter()
     ds = sampling.fig3_dataset(args.samples, args.seed)
     threshold = analytic.threshold_negativity()
-    violations = int(np.count_nonzero((ds.x > threshold + VIOLATION_SLACK) & (ds.y > 1e-12)))
+    can_entangle = ds.y > 1e-12
+    violations = int(np.count_nonzero((ds.x > threshold + VIOLATION_SLACK) & can_entangle))
 
     out = Path(args.out)
     tick = time.perf_counter()
@@ -262,6 +292,8 @@ def _cmd_fig3(args) -> int:
     config = {**_options(args, "samples", "seed"), **ds.metadata}
     _write_manifest(out, "fig3", config, {out: count}, started,
                     extra={"seed": args.seed, "threshold": threshold, "violations": violations,
+                           # the marker rows include a pure spectrum, so never empty
+                           "max_n_ab_minus_threshold": float(np.max(ds.x[can_entangle] - threshold)),
                            "stage_wall_s": stage_wall_s})
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
@@ -313,7 +345,8 @@ def _cmd_protocol(args) -> int:
                            "degenerate_points": {kind.value: tr.metadata["degenerate_points"]
                                                  for kind, tr in traces.items()},
                            "max_negativity_drift": max(
-                               tr.metadata["max_negativity_drift"] for tr in traces.values())})
+                               tr.metadata["max_negativity_drift"] for tr in traces.values()),
+                           "negativity_drift_gate": protocol.NEGATIVITY_DRIFT_TOL})
     return EXIT_OK
 
 

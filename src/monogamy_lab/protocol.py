@@ -388,9 +388,11 @@ def _golden_rows(eng: _SubsystemEngine, products: np.ndarray, lo: np.ndarray,
     and the count of points evaluated.
 
     Each row keeps the scalar search's c/d formulas and its fc < fd branch,
-    and stops once its bracket is no wider than REFINE_TOL; each iteration
-    evaluates the live rows' new points in one `_SubsystemEngine.xi2_at`
-    call.
+    and stops once its bracket is no wider than REFINE_TOL, or no narrower
+    than the iteration before: at local times whose ulp exceeds REFINE_TOL
+    (about 4.5e9 and above) the bracket cannot shrink that far. Each
+    iteration evaluates the live rows' new points in one
+    `_SubsystemEngine.xi2_at` call.
     """
     a, b = lo.copy(), hi.copy()
     c = b - _INVGOLD * (b - a)
@@ -414,8 +416,9 @@ def _golden_rows(eng: _SubsystemEngine, products: np.ndarray, lo: np.ndarray,
         # left: b, d, fd = d, c, fc and c is new; right: a, c, fc = c, d, fd and d is new
         c[live], d[live] = np.where(left, tau, d[live]), np.where(left, c[live], tau)
         fc[live], fd[live] = np.where(left, f, fd[live]), np.where(left, fc[live], f)
+        shrank = (bl - al) < (b[live] - a[live])
         a[live], b[live] = al, bl
-        live = live[(bl - al) > REFINE_TOL]
+        live = live[((bl - al) > REFINE_TOL) & shrank]
     x = 0.5 * (a + b)
     return x, eng.xi2_at(products, x), points + x.size
 

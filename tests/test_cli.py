@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -155,6 +156,40 @@ def test_protocol_manifest_drift_is_the_worst_over_every_kind(tmp_path, monkeypa
     assert code == 0
     manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
     assert manifest["max_negativity_drift"] == 5e-10
+
+
+def test_protocol_manifest_records_the_drift_gate_beside_the_drift(tmp_path):
+    out = tmp_path / "p.csv"
+    assert main(["protocol", "--na", "2", "--nb", "2", "--hab", "oat", "--ha", "tf",
+                 "--t-steps", "11", "--tp-steps", "100", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+    assert manifest["negativity_drift_gate"] == protocol.NEGATIVITY_DRIFT_TOL
+    assert 0.0 <= manifest["max_negativity_drift"] <= manifest["negativity_drift_gate"]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_fig2_manifest_records_the_closest_approach_to_the_bound(tmp_path, corrupt):
+    out = tmp_path / "fig2.csv"
+    code = main(["fig2", "--samples", "300", "--seed", "2", "--out", str(out),
+                 *(["--test-corrupt-bound"] if corrupt else [])])
+    manifest = json.loads((tmp_path / "fig2.csv.manifest.json").read_text())
+    rows = np.genfromtxt(out, delimiter=",", names=True)
+    margin = manifest["max_c_a1a2_minus_bound"]
+    assert margin == np.max(rows["c_a1a2"] - rows["bound"])
+    assert (margin > cli.VIOLATION_SLACK) == (manifest["violations"] > 0) == corrupt
+    assert code == (cli.EXIT_VIOLATION if corrupt else cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("samples", [1, 400])
+def test_fig3_manifest_records_the_closest_approach_to_the_threshold(tmp_path, samples):
+    out = tmp_path / "fig3.csv"
+    assert main(["fig3", "--samples", str(samples), "--seed", "4", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())
+    rows = np.genfromtxt(out, delimiter=",", names=True, dtype=None, encoding="utf-8")
+    gated = rows["n_max"] > 1e-12
+    assert np.count_nonzero(gated) > 0
+    assert manifest["max_n_ab_minus_threshold"] == np.max(rows["n_ab"][gated] - manifest["threshold"])
+    assert manifest["max_n_ab_minus_threshold"] <= cli.VIOLATION_SLACK
 
 
 @pytest.mark.parametrize("ha", ["tf", "ghz"])
@@ -614,6 +649,70 @@ def test_write_csv_with_zero_rows_writes_only_the_header(tmp_path):
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
         _write_csv(tmp_path / "x.csv", {"a": np.zeros(3), "b": np.zeros(2)})
+
+
+def _mixed_columns(n):
+    """n rows of the float, bool, int and enum columns the CLI writes."""
+    rng = np.random.default_rng(n)
+    return {
+        "x": rng.standard_normal(n),
+        "flag": rng.random(n) < 0.5,
+        "count": np.arange(n, dtype=np.int64) - 3,
+        "class": np.array([list(SampleClass)[i % 4] for i in range(n)], dtype=object),
+    }
+
+
+@pytest.mark.parametrize("n", [0, 2, 3, 4, 7])
+def test_blocked_write_csv_matches_the_per_cell_writer(tmp_path, monkeypatch, n):
+    """With blocks of 3 rows: 0, B-1, B, B+1 and 2B+1 rows."""
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+    _, count = _assert_writers_agree(tmp_path, _mixed_columns(n))
+    assert count == n
+
+
+def test_write_csv_refuses_unequal_columns_before_writing(tmp_path, monkeypatch):
+    """The lengths differ only past the first block, and no file is left."""
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+    columns = _mixed_columns(7)
+    columns["flag"] = columns["flag"][:5]
+    out = tmp_path / "sub" / "x.csv"
+    with pytest.raises(ValueError, match="unequal length"):
+        _write_csv(out, columns)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("read_bytes", [4, cli.HASH_READ_BYTES])
+def test_sha256_reads_in_blocks_and_matches_the_whole_file_digest(tmp_path, monkeypatch, read_bytes):
+    monkeypatch.setattr(cli, "HASH_READ_BYTES", read_bytes)
+    data = np.random.default_rng(1).bytes(read_bytes + 1)
+    for size in (0, read_bytes - 1, read_bytes, read_bytes + 1):
+        path = tmp_path / f"{size}.bin"
+        path.write_bytes(data[:size])
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest(), size
+
+
+def _write_peak_bytes(path, columns):
+    tracemalloc.start()
+    try:
+        _write_csv(path, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_memory_is_bounded_by_one_row_block(tmp_path, monkeypatch):
+    """fig3's shape, 200k rows x 7 columns. A cell costs at most 32 B (a
+    float object and its list slot); the bound allows two blocks of cells,
+    the one being written and the next being built, and as much again for
+    buffers. Converting all rows at once, as one block, exceeds it."""
+    n = 200_000
+    rng = np.random.default_rng(0)
+    columns = {**{f"f{j}": rng.random(n) for j in range(6)},
+               "class": np.array([list(SampleClass)[i % 4] for i in range(n)], dtype=object)}
+    bound = 4 * cli.CSV_BLOCK_ROWS * len(columns) * 32
+    assert _write_peak_bytes(tmp_path / "blocked.csv", columns) < bound
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", n)
+    assert _write_peak_bytes(tmp_path / "one_shot.csv", columns) > bound
 
 
 # The stored fig2 reference was made with C_A1A2 from measures.concurrence on

@@ -1,7 +1,11 @@
 import functools
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -811,6 +815,25 @@ def test_refine_block_size_does_not_change_a_byte(monkeypatch, kind):
         assert _trace_bytes(trace) == _trace_bytes(default), budget
         assert trace.refine_points == default.refine_points > 0
         assert trace.metadata["degenerate_points"] == default.metadata["degenerate_points"]
+
+
+def test_refine_ends_where_no_bracket_can_shrink_to_refine_tol():
+    """Near t' = 1e10 one ulp exceeds REFINE_TOL, so no bracket there gets
+    that narrow; each row's refine must still stop. The sweep runs in a
+    fresh process with a timeout, so a regression fails instead of hanging."""
+    assert np.spacing(1e10) > protocol.REFINE_TOL
+    code = ("import numpy as np\n"
+            "from monogamy_lab.protocol import ProtocolConfig, entangle, sweep\n"
+            "stage = entangle(ProtocolConfig(2, 2, 'oat', 'tf', t_grid=[0, 0.5], tp_grid=[0.0]))\n"
+            "trace = sweep(stage, 'tf', np.linspace(1e10, 1e10 + 100, 201))\n"
+            "print(trace.refine_points, *trace.argmin_tp.tolist())\n")
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    points, *argmins = run.stdout.split()
+    assert int(points) > 0 and len(argmins) == 2
+    assert all(1e10 <= float(tau) <= 1e10 + 100 for tau in argmins)
 
 
 @pytest.mark.parametrize("h_ab, n_a, n_b, t_steps", [("oat", 2, 2, 41), ("ghz", 3, 2, 9)])
