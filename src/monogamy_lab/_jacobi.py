@@ -1,14 +1,16 @@
 """Cyclic Jacobi eigensolver for complex Hermitian matrices and stacks of them.
 
 The sweep order (row-major over the upper triangle) is fixed, so repeated
-runs on the same input produce identical output. Each rotation updates
-whole rows and columns with numpy, without copies: both new members of a
-pair are computed from views of the old ones into preallocated scratch, then
-written. The eigenvector accumulator holds eigenvector i in row i, so its
-update runs over two contiguous rows; it is transposed once, when the
-output is ordered. The rotation keeps the bits of the plain
-``c * x + suc * y`` form by two rules (see ``_rotate``): coefficient-first
-products, and numpy-scalar coefficients.
+runs on the same input produce identical output. Each solve works on one
+array, w = [a^T | V]: row p holds column p of the matrix a, then row p of
+the eigenvector accumulator V (eigenvector p), or nothing when only the
+eigenvalues are wanted. A rotation in the (p, q) plane is two steps, each
+over a pair of whole rows or columns of w, both new members computed from
+views of the old ones into preallocated scratch, then written: rows p and q
+(the columns of a and the eigenvectors at once, contiguous), then columns p
+and q of the a^T part (the rows of a). The rotation keeps the bits of the
+plain ``c * x + suc * y`` form by two rules (see ``_rotate``):
+coefficient-first products, and numpy-scalar coefficients.
 
 One (d, d) matrix is solved by the connected components of its nonzero
 pattern. Every generator in the package keeps Z-parity, so its 2^n matrix
@@ -24,19 +26,18 @@ every block is swept until the whole matrix's off-diagonal norm,
 summed in the order ``_off_norms`` sums it, is at most the tolerance; each
 block then gets the bits that the whole-matrix rotation gives it. The
 off-block eigenvector entries stay +0 there too, since each new entry adds
-c > 0 times a +0. Blocks whose entries are
-byte-identical (so -0.0 and 0.0 differ) go through identical arithmetic,
-so each is solved once: under OAT, sigma_x on the last qubit maps the even
-parity block onto the odd one, in order, and all of GHZ's 2x2 blocks are
-one matrix.
+c > 0 times a +0. Blocks whose entries are byte-identical (so -0.0 and 0.0
+differ) go through identical arithmetic, so each is solved once: under
+OAT, sigma_x on the last qubit maps the even parity block onto the odd
+one, in order, and all of GHZ's 2x2 blocks are one matrix.
 
 A (..., d, d) stack is solved in one call, with the members on the last
-axis of a (d, d, k) working array: each (p, q) step rotates, at once, every
-member whose (p, q) element is above its own threshold, and a member leaves
-the working array as soon as it has converged. The rotation body is the same
-for one matrix (Python-scalar coefficients) and a stack ((k,) coefficient
-arrays), and every member goes through exactly the arithmetic it would go
-through alone, bit for bit:
+axis of w: each (p, q) step rotates, at once, every member whose (p, q)
+element is above its own threshold, and a member leaves the working array
+as soon as it has converged. The rotation body is the same for one matrix
+(Python-scalar coefficients) and a stack ((k,) coefficient arrays), and
+every member goes through exactly the arithmetic it would go through
+alone, bit for bit:
 
 * each member's tolerance is ``_tolerance`` of the stack, which takes the
   same per-row dots and the same sum for every member as for one matrix;
@@ -102,134 +103,137 @@ def _cos_sin(y, x):
 _cos_sin_each = np.frompyfunc(_cos_sin, 2, 2)
 
 
-def _rotate(a, v, p, q, c, s, u, work=None):
-    """Rotate a (d, d) matrix, or every member of a (d, d, k) stack, in the
-    (p, q) plane: c and s are the real and u the complex unit coefficients,
-    Python scalars for one matrix and (k,) arrays for a stack. v holds the
-    eigenvectors as rows (eigenvector i in v[i]), so its update, like the
-    row update of a, runs over two contiguous rows. work is the scratch
-    from ``_work(a)``, made here when not given.
+def _rotate(w, p, q, c, s, u, work=None):
+    """Rotate a (d, d) matrix a, or every member of a (d, d, k) stack, and
+    its accumulator V in the (p, q) plane, both held in w = [a^T | V]. c and
+    s are the real and u the complex unit coefficients, Python scalars for
+    one matrix and (k,) arrays for a stack. work is ``_work(w)``, made here
+    when not given.
 
-    Each pair (columns p and q of a, then rows p and q of a, then rows p
-    and q of v) takes two ufunc calls: one ``np.multiply`` forms the four
-    products coef[i, j] * pair[j], and one ``np.add`` writes pair[i] =
-    coef[i, 0] pair[0] + coef[i, 1] pair[1] once both sums are computed
-    from the old pair. Two rules keep every bit of the one-product-per-term
-    form ``c * x + suc * y``: each product keeps its coefficient first
-    (numpy's complex SIMD loops use FMA, so ``c * x`` and ``x * c`` can
-    differ in the last bit), and the coefficients stay numpy scalars or
-    arrays (in Python ``complex`` arithmetic, u = a_pq / |a_pq| differs
-    from numpy's in the last bit for about half of all a_pq)."""
+    The rows p and q of w (the columns of a and the eigenvectors p and q),
+    then the columns p and q (the rows of a), each take two ufunc calls: one
+    ``np.multiply`` forms the four products coef[i, j] * pair[j], and one
+    ``np.add`` writes pair[i] = coef[i, 0] pair[0] + coef[i, 1] pair[1] once
+    both sums are computed from the old pair. Two rules keep every bit of
+    the one-product-per-term form ``c * x + suc * y``: each product keeps
+    its coefficient first (numpy's complex SIMD loops use FMA, so ``c * x``
+    and ``x * c`` can differ in the last bit), and the coefficients stay
+    numpy scalars or arrays (in Python ``complex`` arithmetic, u = a_pq /
+    |a_pq| differs from numpy's in the last bit for about half of all a_pq)."""
     if work is None:
-        work = _work(a)
-    k_cols, k_rows, prod, from_p, from_q = work
+        work = _work(w)
+    k_rows, k_cols, (prod_r, r_p, r_q), (prod_c, c_p, c_q) = work
     su = s * u
     suc = s * u.conjugate()
-    k_cols[0, 0, 0] = k_cols[1, 1, 0] = k_rows[0, 0, 0] = k_rows[1, 1, 0] = c
-    k_cols[0, 1, 0] = suc
-    k_cols[1, 0, 0] = -su
-    k_rows[0, 1, 0] = su
-    k_rows[1, 0, 0] = -suc
+    k_rows[0, 0, 0] = k_rows[1, 1, 0] = k_cols[0, 0, 0] = k_cols[1, 1, 0] = c
+    k_rows[0, 1, 0] = suc
+    k_rows[1, 0, 0] = -su
+    k_cols[0, 1, 0] = su
+    k_cols[1, 0, 0] = -suc
     pair = slice(p, q + 1, q - p)  # indices p and q
-    cols = a[:, pair].swapaxes(0, 1)
-    np.multiply(k_cols, cols, out=prod)
-    np.add(from_p, from_q, out=cols)
-    rows = a[pair]
-    np.multiply(k_rows, rows, out=prod)
-    np.add(from_p, from_q, out=rows)
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    if v is not None:
-        rows = v[pair]
-        np.multiply(k_cols, rows, out=prod)
-        np.add(from_p, from_q, out=rows)
+    rows, cols = w[pair], w[:, pair].swapaxes(0, 1)
+    np.multiply(k_rows, rows, out=prod_r)
+    np.add(r_p, r_q, out=rows)
+    np.multiply(k_cols, cols, out=prod_c)
+    np.add(c_p, c_q, out=cols)
+    w[p, q] = 0.0
+    w[q, p] = 0.0
+    w[p, p] = w[p, p].real
+    w[q, q] = w[q, q].real
 
 
-def _work(a):
-    """Scratch for ``_rotate`` on a (d, d[, k]) array: the column and row
-    coefficients, each (2, 2, 1[, k]) so that they broadcast over a pair,
-    the (2, 2, d[, k]) products, and their views by source, p and q."""
-    coef = np.empty((2, 2, 2, 1) + a.shape[2:], dtype=a.dtype)
-    prod = np.empty((2, 2) + a.shape[1:], dtype=a.dtype)
-    return coef[0], coef[1], prod, prod[:, 0], prod[:, 1]
+def _work(w):
+    """Scratch for ``_rotate`` on a (d, m[, k]) array w: the coefficients
+    of a pair of its rows and of a pair of its columns, each (2, 2, 1[, k])
+    to broadcast over the pair, then the products of a row pair,
+    (2, 2, m[, k]), and of a column pair, their leading (2, 2, d[, k]);
+    each with its views by source, p and q."""
+    coef = np.empty((2, 2, 2, 1) + w.shape[2:], dtype=w.dtype)
+    prod = np.empty((2, 2) + w.shape[1:], dtype=w.dtype)
+    cols = prod[:, :, :w.shape[0]]
+    return coef[0], coef[1], (prod, prod[:, 0], prod[:, 1]), (cols, cols[:, 0], cols[:, 1])
 
 
-def _sweep_one(a, v, thresh):
-    """One cyclic sweep over a single (d, d) matrix."""
-    n = a.shape[0]
-    work = _work(a)
+def _working_array(a, compute_vectors):
+    """w = [a^T | V] for a (d, d[, k]) array a: its transpose, then the
+    identity accumulator when compute_vectors, and nothing when not."""
+    d = a.shape[0]
+    rows = d if compute_vectors else 0
+    w = np.zeros((d, d + rows) + a.shape[2:], dtype=a.dtype)
+    w[:, :d] = a.swapaxes(0, 1)
+    w[np.arange(rows), d + np.arange(rows)] = 1.0
+    return w
+
+
+def _sweep_one(w, thresh):
+    """One cyclic sweep over a single (d, d) matrix and its accumulator."""
+    n = w.shape[0]
+    work = _work(w)
     for p in range(n - 1):
         for q in range(p + 1, n):
-            apq = a[p, q]
+            apq = w[q, p]  # a[p, q]
             b = abs(apq)
             if b <= thresh:
                 continue
-            c, s = _cos_sin(2.0 * b, a[p, p].real - a[q, q].real)
-            _rotate(a, v, p, q, c, s, apq / b, work)
+            c, s = _cos_sin(2.0 * b, w[p, p].real - w[q, q].real)
+            _rotate(w, p, q, c, s, apq / b, work)
 
 
-def _sweep_stack(a, v, thresh):
+def _sweep_stack(w, thresh):
     """One cyclic sweep over a (d, d, k) stack; thresh has shape (k,)."""
-    n = a.shape[0]
+    n = w.shape[0]
     for p in range(n - 1):
         for q in range(p + 1, n):
-            apq = a[p, q]
+            apq = w[q, p]  # a[p, q]
             b = np.hypot(apq.real, apq.imag)  # abs() of each element, bit for bit
             on = b > thresh
             if not on.any():
                 continue
-            c, s = _cos_sin_each(2.0 * b[on], (a[p, p].real - a[q, q].real)[on])
+            c, s = _cos_sin_each(2.0 * b[on], (w[p, p].real - w[q, q].real)[on])
             c, s = c.astype(float), s.astype(float)
             u = apq[on] / b[on]
-            if on.all():  # no gather and scatter: fig2's 2x2 stack in 0.8 ms, not 1.4 ms
-                _rotate(a, v, p, q, c, s, u)
-                continue
-            sub_a = a[..., on]
-            sub_v = None if v is None else v[..., on]
-            _rotate(sub_a, sub_v, p, q, c, s, u)
-            a[..., on] = sub_a
-            if v is not None:
-                v[..., on] = sub_v
+            # no gather and scatter when all rotate: fig2's 2x2 stack in 0.8 ms, not 1.4 ms
+            sub = w if on.all() else w[..., on]
+            _rotate(sub, p, q, c, s, u)
+            if sub is not w:
+                w[..., on] = sub
 
 
-def _off_norms(a):
-    """sqrt(2 sum |a_pq|^2 over p < q) of each member of a (d, d, k) stack,
-    summed in the order np.sum takes over one (d, d) matrix."""
-    n, k = a.shape[0], a.shape[-1]
-    sq = np.abs(a) ** 2
+def _matrix(w):
+    """The matrix a (or stack) that w = [a^T | V] holds, as a view."""
+    return w[:, :w.shape[0]].swapaxes(0, 1)
+
+
+def _off_norms(w):
+    """sqrt(2 sum |a_pq|^2 over p < q) of each member of the (d, d, k)
+    stack a in w, summed in the order np.sum takes over one (d, d) matrix."""
+    n, k = w.shape[0], w.shape[-1]
+    sq = np.abs(_matrix(w)) ** 2
     sq[np.tril_indices(n)] = 0.0
     off2 = np.sum(np.moveaxis(sq, -1, 0).reshape(k, n * n), axis=-1)
     return np.sqrt(2.0 * off2)
 
 
-def _kernel(a, v, tol):
-    """Diagonalize a (d, d, k) stack, and rotate its (d, d, k) eigenvector
-    stack v (None to skip), until each member's off-diagonal norm is at
-    most its tol. Returns the (k, d) diagonals; v ends up holding the
-    eigenvectors as rows. Converged members leave the working arrays."""
-    n, k = a.shape[0], a.shape[-1]
-    diag = np.empty((k, n))
-    vecs = v
-    left = np.arange(k)
+def _kernel(w, tol):
+    """Diagonalize each member of the (d, d, k) stack in w = [a^T | V], and
+    rotate its accumulator, until its off-diagonal norm is at most its tol.
+    A converged member is written back into w and leaves the working array."""
+    n = w.shape[0]
+    out, left = w, np.arange(w.shape[-1])
     for _ in range(_MAX_SWEEPS):
-        done = _off_norms(a) <= tol
+        done = _off_norms(w) <= tol
         if done.any():
-            diag[left[done]] = np.real(np.diagonal(a[..., done]))
-            if v is not None:
-                vecs[..., left[done]] = v[..., done]
+            out[..., left[done]] = w[..., done]
             keep = ~done
             if not keep.any():
-                return diag
+                return
             left, tol = left[keep], tol[keep]
-            a = a[..., keep]
-            v = None if v is None else v[..., keep]
+            w = w[..., keep]
         thresh = tol / (2.0 * n)
         if left.size == 1:
-            _sweep_one(a[..., 0], None if v is None else v[..., 0], float(thresh[0]))
+            _sweep_one(w[..., 0], float(thresh[0]))
         else:
-            _sweep_stack(a, v, thresh)
+            _sweep_stack(w, thresh)
     raise ContractViolationError("Jacobi eigensolver failed to converge")
 
 
@@ -263,41 +267,41 @@ def _solve(m, compute_vectors):
     d = m.shape[0]
     tol = _tolerance(m)
     thresh = tol / (2.0 * d)
-    blocks = {}  # bytes -> (block, its eigenvector rows or None, its index arrays)
+    blocks = {}  # bytes -> (the block's working array, its lower triangle mask, its index arrays)
     for idx in _components(m):
-        a = m[np.ix_(idx, idx)]
-        key = a.tobytes()
+        key = m[np.ix_(idx, idx)].tobytes()
         if key not in blocks:
-            blocks[key] = (a, np.eye(idx.size, dtype=a.dtype) if compute_vectors else None, [])
+            w = _working_array(m[np.ix_(idx, idx)], compute_vectors)
+            blocks[key] = (w, np.tri(idx.size, dtype=bool), [])
         blocks[key][2].append(idx)
     sq = np.zeros((d, d))  # |a_pq|^2 above the diagonal, 0 elsewhere
     for _ in range(_MAX_SWEEPS):
-        for a, _, copies in blocks.values():
-            a_sq = np.abs(a) ** 2
-            a_sq[np.tril_indices(a.shape[0])] = 0.0
+        for w, lower, copies in blocks.values():
+            a_sq = np.abs(_matrix(w)) ** 2
+            a_sq[lower] = 0.0
             for idx in copies:
                 sq[np.ix_(idx, idx)] = a_sq
         if np.sqrt(2.0 * np.sum(sq.reshape(1, d * d), axis=-1)) <= tol:
             break
-        for a, v, _ in blocks.values():
-            _sweep_one(a, v, thresh)
+        for w, _, _ in blocks.values():
+            _sweep_one(w, thresh)
     else:
         raise ContractViolationError("Jacobi eigensolver failed to converge")
 
-    w = np.empty(d)
-    for a, _, copies in blocks.values():
+    vals = np.empty(d)
+    for w, _, copies in blocks.values():
         for idx in copies:
-            w[idx] = np.real(np.diagonal(a))
-    order = np.argsort(-w, kind="stable")
+            vals[idx] = np.real(np.diagonal(w))
+    order = np.argsort(-vals, kind="stable")
     if not compute_vectors:
-        return w[order], None
+        return vals[order], None
     column = np.empty(d, dtype=np.intp)  # eigenvector i goes to column[i]
     column[order] = np.arange(d)
     vecs = np.zeros((d, d), dtype=m.dtype)
-    for _, v, copies in blocks.values():
+    for w, _, copies in blocks.values():
         for idx in copies:
-            vecs[np.ix_(idx, column[idx])] = v.T
-    return w[order], vecs
+            vecs[np.ix_(idx, column[idx])] = w[:, idx.size:].T
+    return vals[order], vecs
 
 
 def jacobi_eigh(
@@ -321,20 +325,14 @@ def jacobi_eigh(
         return _solve(np.ascontiguousarray(m), compute_vectors)
     lead = m.shape[:-2]
     members = np.ascontiguousarray(m.reshape(-1, n, n))
-    a = np.moveaxis(members, 0, -1).copy()  # (d, d, k)
-    v = None  # values only, no accumulator: fig2's 2x2 stack in 0.8 ms, not 1.4 ms
-    if compute_vectors:
-        v = np.zeros_like(a)
-        v[np.arange(n), np.arange(n)] = 1.0
-    tol = _tolerance(members)
-
-    diag = _kernel(a, v, tol)
-
-    w = diag.reshape(*lead, n)
-    order = np.argsort(-w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
+    # values only, no accumulator: fig2's 2x2 stack in 0.8 ms, not 1.4 ms
+    w = _working_array(np.moveaxis(members, 0, -1), compute_vectors)
+    _kernel(w, _tolerance(members))
+    vals = np.real(np.diagonal(w)).reshape(*lead, n)
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1)
     if not compute_vectors:
-        return w, None
-    rows = np.moveaxis(v, -1, 0)  # (k, d, d), eigenvector i in row i
-    vecs = np.take_along_axis(rows.swapaxes(-1, -2), order.reshape(-1, 1, n), axis=-1)
-    return w, vecs.reshape(*lead, n, n)
+        return vals, None
+    columns = np.moveaxis(w[:, n:], -1, 0).swapaxes(-1, -2)  # (k, d, d), eigenvector i in column i
+    vecs = np.take_along_axis(columns, order.reshape(-1, 1, n), axis=-1)
+    return vals, vecs.reshape(*lead, n, n)

@@ -75,15 +75,18 @@ def _run_cli_process(argv, blas_threads):
      "--t-steps", "9", "--tp-steps", "200"],
     ["explore", "--na", "4", "--nb", "4", "--hab", "oat", "--prep-t", "0.65", "--ha", "tf",
      "--steps", "51"],
-], ids=["fig2", "protocol", "protocol-8q", "explore-8q"])
+    # sym(n) propagators up to 41x41, each a Jacobi solve
+    ["appendix-b", "--sizes", "8,40", "--steps", "201"],
+], ids=["fig2", "protocol", "protocol-8q", "explore-8q", "appendix-b"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     # --threads selects nothing; the BLAS threads are the ones that can run.
+    # Every CSV the run writes under its --out prefix is compared.
     outputs = []
     for threads in (1, 2):
-        out = tmp_path / f"{threads}.csv"
-        _run_cli_process([*argv, "--out", str(out)], threads)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+        folder = tmp_path / str(threads)
+        _run_cli_process([*argv, "--out", str(folder / "out.csv")], threads)
+        outputs.append({p.name: p.read_bytes() for p in sorted(folder.glob("*.csv"))})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_fig2_corrupted_bound_hook_flags_violations(tmp_path):

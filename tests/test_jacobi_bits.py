@@ -20,8 +20,11 @@ def _complex_hermitian(rng, shape):
     return g + g.conj().swapaxes(-1, -2)
 
 
-def test_the_8_qubit_oat_entangler_matches_the_one_matrix_kernel():
-    h = build("oat", 8)
+@pytest.mark.parametrize("kind", ["oat", "tf", "tat"])
+def test_the_8_qubit_entanglers_match_the_one_matrix_kernel(kind):
+    # OAT's two Z-parity blocks are byte-identical and solved once; TF's and
+    # TAT's differ, so these two pin the lockstep over two 128x128 blocks.
+    h = build(kind, 8)
     w, v = qcore.hermitian_eigen(h)
     w_ref, v_ref = jacobi_eigh_one(h)
     assert w.tobytes() == w_ref.tobytes()

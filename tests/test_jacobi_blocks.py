@@ -36,9 +36,9 @@ def _swept_shapes(monkeypatch, m):
     """The shape of each block that ``hermitian_eigenvalues(m)`` sweeps, in call order."""
     shapes, sweep_one = [], _jacobi._sweep_one
 
-    def record(a, v, thresh):
-        shapes.append(a.shape)
-        return sweep_one(a, v, thresh)
+    def record(w, thresh):
+        shapes.append(w.shape)
+        return sweep_one(w, thresh)
 
     with monkeypatch.context() as patch:
         patch.setattr(_jacobi, "_sweep_one", record)
