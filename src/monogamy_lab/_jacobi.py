@@ -1,4 +1,4 @@
-"""Cyclic Jacobi eigensolver for complex Hermitian matrices and stacks of them.
+"""Cyclic Jacobi eigensolver for Hermitian matrices and stacks of them.
 
 The sweep order (row-major over the upper triangle) is fixed, so repeated
 runs on the same input produce identical output. Each solve works on one
@@ -10,7 +10,18 @@ views of the old ones into preallocated scratch, then written: rows p and q
 (the columns of a and the eigenvectors at once, contiguous), then columns p
 and q of the a^T part (the rows of a). The rotation keeps the bits of the
 plain ``c * x + suc * y`` form by two rules (see ``_rotate``):
-coefficient-first products, and numpy-scalar coefficients.
+coefficient-first products, and numpy-scalar coefficients. A third rule
+keeps them for the unit coefficient u = a_pq / |a_pq|: it is formed as
+``a_pq * (1.0 / b)``, which is how numpy divides a complex number by a
+real one, so that a real a_pq gives the bits of a complex one.
+
+An input whose imaginary part is exactly zero (as every real generator of
+the package has) is solved in float64 and gives the bits of its complex
+solve, eigenvectors returned as complex128: each complex product then
+multiplies by an exact zero, so its real part is the float product and
+its imaginary part stays zero, and the third rule keeps u. The tolerance
+is still taken from the complex input, since ``_row_squares`` of its
+real part would sum each row in another order (see ``row_norms``).
 
 One (d, d) matrix is solved by the connected components of its nonzero
 pattern. Every generator in the package keeps Z-parity, so its 2^n matrix
@@ -94,6 +105,12 @@ def _tolerance(m):
     return _REL_TOL * np.maximum(1e-300, np.sqrt(np.sum(_row_squares(m), axis=-1)))
 
 
+def _arithmetic(m):
+    """The complex array m as its float64 real part when its imaginary part
+    is exactly zero (either sign), else m itself."""
+    return m if m.imag.any() else m.real
+
+
 def _cos_sin(y, x):
     """Cosine and sine of the rotation angle atan2(y, x) / 2."""
     phi = 0.5 * math.atan2(y, x)
@@ -106,9 +123,9 @@ _cos_sin_each = np.frompyfunc(_cos_sin, 2, 2)
 def _rotate(w, p, q, c, s, u, work=None):
     """Rotate a (d, d) matrix a, or every member of a (d, d, k) stack, and
     its accumulator V in the (p, q) plane, both held in w = [a^T | V]. c and
-    s are the real and u the complex unit coefficients, Python scalars for
-    one matrix and (k,) arrays for a stack. work is ``_work(w)``, made here
-    when not given.
+    s are the real and u the unit coefficients (u complex when w is),
+    scalars for one matrix and (k,) arrays for a stack. work is
+    ``_work(w)``, made here when not given.
 
     The rows p and q of w (the columns of a and the eigenvectors p and q),
     then the columns p and q (the rows of a), each take two ufunc calls: one
@@ -176,7 +193,7 @@ def _sweep_one(w, thresh):
             if b <= thresh:
                 continue
             c, s = _cos_sin(2.0 * b, w[p, p].real - w[q, q].real)
-            _rotate(w, p, q, c, s, apq / b, work)
+            _rotate(w, p, q, c, s, apq * (1.0 / b), work)
 
 
 def _sweep_stack(w, thresh):
@@ -191,7 +208,7 @@ def _sweep_stack(w, thresh):
                 continue
             c, s = _cos_sin_each(2.0 * b[on], (w[p, p].real - w[q, q].real)[on])
             c, s = c.astype(float), s.astype(float)
-            u = apq[on] / b[on]
+            u = apq[on] * (1.0 / b[on])
             # no gather and scatter when all rotate: fig2's 2x2 stack in 0.8 ms, not 1.4 ms
             sub = w if on.all() else w[..., on]
             _rotate(sub, p, q, c, s, u)
@@ -267,6 +284,7 @@ def _solve(m, compute_vectors):
     d = m.shape[0]
     tol = _tolerance(m)
     thresh = tol / (2.0 * d)
+    m = _arithmetic(m)
     blocks = {}  # bytes -> (the block's working array, its lower triangle mask, its index arrays)
     for idx in _components(m):
         key = m[np.ix_(idx, idx)].tobytes()
@@ -297,7 +315,7 @@ def _solve(m, compute_vectors):
         return vals[order], None
     column = np.empty(d, dtype=np.intp)  # eigenvector i goes to column[i]
     column[order] = np.arange(d)
-    vecs = np.zeros((d, d), dtype=m.dtype)
+    vecs = np.zeros((d, d), dtype=np.complex128)
     for w, _, copies in blocks.values():
         for idx in copies:
             vecs[np.ix_(idx, column[idx])] = w[:, idx.size:].T
@@ -308,25 +326,29 @@ def jacobi_eigh(
     matrix: np.ndarray,
     compute_vectors: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Diagonalize a complex Hermitian matrix, or a (..., d, d) stack of them,
-    by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix, or a (..., d, d) stack of them, by
+    cyclic Jacobi rotations, in float64 when the imaginary part is exactly
+    zero and in complex128 otherwise, with the same bits either way.
 
     Follows numpy's eigh contract, in descending order: returns the (..., d)
-    eigenvalues and, when requested, the (..., d, d) orthonormal eigenvectors
-    as columns. Each member of a stack gets the same bits as when solved
-    alone. The input is not checked to be non-empty, finite, square or
-    Hermitian here; callers own that contract.
+    eigenvalues and, when requested, the (..., d, d) orthonormal complex128
+    eigenvectors as columns. Each member of a stack gets the same bits as
+    when solved alone; an empty input gives empty arrays. The input
+    is not checked to be finite, square or Hermitian here; callers own that
+    contract.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     n = m.shape[-1]
     if n > MAX_DIM:
         raise ResourceCapError(f"matrix dimension {n} exceeds cap {MAX_DIM}")
+    if m.size == 0:
+        return np.empty(m.shape[:-1]), np.empty(m.shape, dtype=np.complex128) if compute_vectors else None
     if m.ndim == 2:
         return _solve(np.ascontiguousarray(m), compute_vectors)
     lead = m.shape[:-2]
     members = np.ascontiguousarray(m.reshape(-1, n, n))
     # values only, no accumulator: fig2's 2x2 stack in 0.8 ms, not 1.4 ms
-    w = _working_array(np.moveaxis(members, 0, -1), compute_vectors)
+    w = _working_array(np.moveaxis(_arithmetic(members), 0, -1), compute_vectors)
     _kernel(w, _tolerance(members))
     vals = np.real(np.diagonal(w)).reshape(*lead, n)
     order = np.argsort(-vals, axis=-1, kind="stable")
@@ -335,4 +357,4 @@ def jacobi_eigh(
         return vals, None
     columns = np.moveaxis(w[:, n:], -1, 0).swapaxes(-1, -2)  # (k, d, d), eigenvector i in column i
     vecs = np.take_along_axis(columns, order.reshape(-1, 1, n), axis=-1)
-    return vals, vecs.reshape(*lead, n, n)
+    return vals, vecs.reshape(*lead, n, n).astype(np.complex128, copy=False)

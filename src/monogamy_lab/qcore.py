@@ -35,7 +35,15 @@ Conventions used throughout the package:
     Jacobi solver (``_jacobi``, which holds the rotation mechanics). They
     take the protocol's 2^n entangler, its dense engine (sweep and refine),
     the degenerate 3x3 covariances of ``spin``, every sym(n) propagator,
-    and fig2's 2x2 Schmidt spectra.
+    and fig2's 2x2 Schmidt spectra. An input whose imaginary part is
+    exactly zero is solved in real arithmetic (float64), with the bits of
+    its complex solve: the OAT, TF and GHZ entanglers and engines, their
+    sym(n) propagators and the covariances. TAT (Jx Jy + Jy Jx is
+    imaginary) and fig2's spectra stay complex. The tolerance of a real
+    solve is still taken from its complex128 input, because the row sums
+    of squares behind it round by the layout they are read in: over the
+    real part's unit-stride rows, OpenBLAS sums in another order than over
+    the complex array's stride-2 rows (``_jacobi.row_norms``).
 
   Those stay on Jacobi for three measured reasons. (1) On rows where xi2_A
   is flat over the local time, the reported argmin_tp is set by the
@@ -374,17 +382,6 @@ def evolve(state: PureState, hamiltonian: np.ndarray, t: float) -> PureState:
         )
     out = SpectralPropagator(m).apply(state.amplitudes, t)
     return PureState(state.n_qubits, out)
-
-
-def embed_single_qubit_op(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Embed a one-qubit operator at the given index of an n-qubit register."""
-    n_qubits = check_count("n_qubits", n_qubits)
-    if not is_integer(qubit) or not 0 <= qubit < n_qubits:
-        raise DomainError(f"qubit must be an integer in [0, {n_qubits}), got {qubit!r}")
-    qubit = int(qubit)
-    left = np.eye(2**qubit, dtype=np.complex128)
-    right = np.eye(2 ** (n_qubits - qubit - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, np.asarray(op, dtype=np.complex128)), right)
 
 
 def pauli_product(op: np.ndarray, n_qubits: int) -> np.ndarray:

@@ -49,18 +49,28 @@ class CollectiveSpinOps:
 
 def collective_ops(n_spins: int) -> CollectiveSpinOps:
     """Collective spin operators of n spin-1/2 particles on their dense 2^n
-    register: each J is half the sum of one Pauli matrix over the qubits."""
+    register: each J is half the sum of one Pauli matrix over the qubits.
+
+    Formed by index arithmetic: sigma_x and sigma_y on qubit q map basis
+    state b to b with q's bit flipped (``qcore``'s bit order), by 1 and by
+    +i from spin up or -i from spin down, and sigma_z keeps b with the sign
+    of q's spin. Every zero is +0, as in the sum of Kronecker embeddings."""
     n_spins = check_count("n_spins", n_spins)
     dim = 2**n_spins
-    out = []
-    for pauli in (qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z):
-        j = np.zeros((dim, dim), dtype=np.complex128)
-        for i in range(n_spins):
-            j += qcore.embed_single_qubit_op(pauli, i, n_spins)
-        j = 0.5 * j
+    idx = np.arange(dim)
+    jx = np.zeros((dim, dim), dtype=np.complex128)
+    jy = np.zeros((dim, dim), dtype=np.complex128)
+    down = np.zeros(dim)  # spins down in each basis state
+    for q in range(n_spins):
+        bit = 1 << (n_spins - 1 - q)
+        is_down = (idx & bit) != 0
+        jx.real[idx ^ bit, idx] = 0.5
+        jy.imag[idx ^ bit, idx] = np.where(is_down, -0.5, 0.5)
+        down += is_down
+    jz = np.diag(0.5 * (n_spins - 2.0 * down)).astype(np.complex128)
+    for j in (jx, jy, jz):
         j.setflags(write=False)
-        out.append(j)
-    return CollectiveSpinOps(n_spins, *out)
+    return CollectiveSpinOps(n_spins, jx, jy, jz)
 
 
 def symmetric_ops(n_spins: int) -> CollectiveSpinOps:
@@ -100,37 +110,46 @@ def pure_moments(states: np.ndarray, operators) -> np.ndarray:
     return np.array([np.einsum("dt,dt->t", bra, op @ states).real for op in operators])
 
 
-def _spin_frame(moments: np.ndarray):
-    """Mean spin (T, 3), covariance (T, 3, 3), the degenerate-mean-spin mask,
-    and two unit vectors (T, 3) spanning the plane perpendicular to the mean
-    spin, from a (9, T) array of moment values."""
-    moments = np.asarray(moments, dtype=float)
-    mean = moments[:3].T  # (T, 3)
-    sxx, syy, szz, sxy, sxz, syz = moments[3:]
-    t = mean.shape[0]
-    gamma = np.empty((t, 3, 3))
-    gamma[:, 0, 0], gamma[:, 1, 1], gamma[:, 2, 2] = sxx, syy, szz
-    gamma[:, 0, 1] = gamma[:, 1, 0] = sxy
-    gamma[:, 0, 2] = gamma[:, 2, 0] = sxz
-    gamma[:, 1, 2] = gamma[:, 2, 1] = syz
-    gamma -= mean[:, :, None] * mean[:, None, :]
+# (i, j) -> the row of a (9, T) moment array that holds <S_ij>
+_SECOND_MOMENT_ROWS = np.array([[3, 6, 7], [6, 4, 8], [7, 8, 5]])
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # components i+1 and i+2 of a cross product
+_AXES = np.eye(3)
+# the frame vectors v and w of the quadratic forms v^T gamma w that xi2 needs:
+# (v1, v1), (v2, v2) and (v1, v2)
+_FORM_V, _FORM_W = np.array([0, 1, 0]), np.array([0, 1, 1])
 
-    norm = np.linalg.norm(mean, axis=1)
+
+def _norm(v):
+    """``np.linalg.norm`` over the components of a (3, T) array of rows:
+    sqrt((x^2 + y^2) + z^2), summed in the norm's own order."""
+    sq = v * v
+    return np.sqrt((sq[0] + sq[1]) + sq[2])
+
+
+def _spin_frame(moments: np.ndarray):
+    """Mean spin (3, T), covariance (3, 3, T), the degenerate-mean-spin mask,
+    and the frame (3, 2, T): two unit vectors v1 = frame[:, 0] and v2 =
+    frame[:, 1] spanning the plane perpendicular to the mean spin, from a
+    (9, T) array of moment values. Each is held by component, as (T,) rows,
+    so that every step is a ufunc call over whole rows."""
+    moments = np.asarray(moments, dtype=float)
+    mean = moments[:3]
+    gamma = moments[_SECOND_MOMENT_ROWS] - mean[:, None] * mean[None, :]
+
+    norm = _norm(mean)
     degenerate = norm < DEGENERATE_MEAN_SPIN_TOL
-    safe = np.where(degenerate, 1.0, norm)
-    unit = mean / safe[:, None]
+    unit = mean / np.where(degenerate, 1.0, norm)
 
     # Seed with the coordinate axis least aligned with the mean spin.
-    e = np.zeros((t, 3))
-    e[np.arange(t), np.argmin(np.abs(unit), axis=1)] = 1.0
-    v1 = e - np.sum(e * unit, axis=1)[:, None] * unit
-    v1 /= np.linalg.norm(v1, axis=1)[:, None]
-    # unit x v1 by components: np.cross's own formula, without its overhead
-    v2 = np.empty((t, 3))
-    v2[:, 0] = unit[:, 1] * v1[:, 2] - unit[:, 2] * v1[:, 1]
-    v2[:, 1] = unit[:, 2] * v1[:, 0] - unit[:, 0] * v1[:, 2]
-    v2[:, 2] = unit[:, 0] * v1[:, 1] - unit[:, 1] * v1[:, 0]
-    return mean, gamma, degenerate, v1, v2
+    e = _AXES[:, np.argmin(np.abs(unit), axis=0)]
+    along = e * unit  # one term can be nonzero, so any order of the sum gives its bits
+    frame = np.empty((3, 2, mean.shape[1]))
+    v1, v2 = frame[:, 0], frame[:, 1]
+    np.subtract(e, ((along[0] + along[1]) + along[2]) * unit, out=v1)
+    v1 /= _norm(v1)
+    # unit x v1 by components: np.cross's own formula
+    np.subtract(unit[_NEXT] * v1[_LAST], unit[_LAST] * v1[_NEXT], out=v2)
+    return mean, gamma, degenerate, frame
 
 
 def squeezing_parameter(state, ops: CollectiveSpinOps) -> SqueezingResult:
@@ -153,11 +172,11 @@ def squeezing_parameter(state, ops: CollectiveSpinOps) -> SqueezingResult:
     else:
         moments = np.array([[np.vdot(state, op).real] for op in ops.moment_operators])
     xi2, degenerate = xi2_from_moment_arrays(moments, ops.n_spins)
-    mean, gamma, _, v1, v2 = _spin_frame(moments)
-    frame = np.eye(3) if degenerate[0] else np.column_stack([v1[0], v2[0]])
-    _, v = qcore.hermitian_eigen(frame.T @ gamma[0] @ frame)
+    mean, gamma, _, frame = _spin_frame(moments)
+    frame = np.eye(3) if degenerate[0] else frame[..., 0]
+    _, v = qcore.hermitian_eigen(frame.T @ gamma[..., 0] @ frame)
     direction = frame @ v[:, -1].real  # a real symmetric input has real eigenvectors
-    return SqueezingResult(float(xi2[0]), mean[0], direction / np.linalg.norm(direction), bool(degenerate[0]))
+    return SqueezingResult(float(xi2[0]), mean[:, 0], direction / np.linalg.norm(direction), bool(degenerate[0]))
 
 
 def xi2_from_moment_arrays(moments: np.ndarray, n_spins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,16 +185,22 @@ def xi2_from_moment_arrays(moments: np.ndarray, n_spins: int) -> tuple[np.ndarra
     Row order matches ``CollectiveSpinOps.moment_operators``. Returns the
     squeezing values and a mask of time points with degenerate mean spin.
     """
-    _, gamma, degenerate, v1, v2 = _spin_frame(moments)
+    _, gamma, degenerate, frame = _spin_frame(moments)
 
-    g11 = np.einsum("ti,tij,tj->t", v1, gamma, v1)
-    g22 = np.einsum("ti,tij,tj->t", v2, gamma, v2)
-    g12 = np.einsum("ti,tij,tj->t", v1, gamma, v2)
+    # v^T gamma w for (v, w) = (v1, v1), (v2, v2), (v1, v2), in einsum's
+    # order: from 0, add (v_i gamma_ij) w_j with i outer and j inner
+    v, w = frame[:, _FORM_V], frame[:, _FORM_W]  # (3, 3 forms, T)
+    terms = v[:, None] * gamma[:, :, None]  # (3, 3, 3 forms, T): v_i gamma_ij
+    terms *= w
+    forms = np.zeros(v.shape[1:])
+    for term in terms.reshape(9, *forms.shape):
+        forms += term
+    g11, g22, g12 = forms
     lam = 0.5 * (g11 + g22) - 0.5 * np.hypot(g11 - g22, 2.0 * g12)
 
     if degenerate.any():
         # no mean spin: the least covariance eigenvalue over all of space,
         # one eigensolver call for every such point
-        lam[degenerate] = qcore.hermitian_eigenvalues(gamma[degenerate])[:, -1]
+        lam[degenerate] = qcore.hermitian_eigenvalues(np.moveaxis(gamma[..., degenerate], -1, 0))[:, -1]
 
     return 4.0 * np.clip(lam, 0.0, None) / n_spins, degenerate

@@ -1,9 +1,11 @@
 """Independent reference implementations used only to check the package.
 
 Everything here goes through numpy's LAPACK-backed linear algebra, not the
-package's own eigensolver, so the two routes stay independent. Four earlier
+package's own eigensolver, so the two routes stay independent. Earlier
 package routes are kept as bit-for-bit references of their replacements:
-`jacobi_eigh_one`, the one-matrix Jacobi solver behind the stacked one,
+`jacobi_eigh_one`, the one-matrix complex Jacobi solver behind the stacked
+one and the real path, `xi2_from_moment_arrays_reference`, the (T, 3, 3)
+einsum form of the squeezing parameter behind its component rows,
 `write_csv_reference`, the per-cell CSV writer behind `cli._write_csv`,
 `haar_amplitudes_reference`, the one-state Haar draw behind the batched
 normalisation in `sampling`, and `refine_reference`, the per-row scalar
@@ -16,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from monogamy_lab import protocol, spin
+from monogamy_lab import protocol, qcore, spin
 from monogamy_lab.errors import ContractViolationError
 
 
@@ -59,6 +61,27 @@ def negativity_bruteforce(rho, d_a, d_b):
 
 def embed_unitary_on_a(u_a, d_b):
     return np.kron(u_a, np.eye(d_b, dtype=complex))
+
+
+def embed_single_qubit_op(op, qubit, n_qubits):
+    """A one-qubit operator on one qubit of an n-qubit register, qubit 0 the
+    most significant bit: kron(1_(2^qubit), op, 1_(2^(n - qubit - 1)))."""
+    left = np.eye(2**qubit, dtype=np.complex128)
+    right = np.eye(2 ** (n_qubits - qubit - 1), dtype=np.complex128)
+    return np.kron(np.kron(left, np.asarray(op, dtype=np.complex128)), right)
+
+
+def collective_ops_kron(n_spins):
+    """(Jx, Jy, Jz) of n spin-1/2 particles as the package formed them before
+    index arithmetic: half the sum of each Pauli matrix's Kronecker
+    embeddings, summed over the qubits in order from a complex zero."""
+    out = []
+    for pauli in (qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z):
+        j = np.zeros((2**n_spins, 2**n_spins), dtype=np.complex128)
+        for i in range(n_spins):
+            j += embed_single_qubit_op(pauli, i, n_spins)
+        out.append(0.5 * j)
+    return out
 
 
 def squeezing_scan(state_or_rho, ops, n_angles=3600):
@@ -138,6 +161,46 @@ def _xi2_from_spin_moments(mean, second, n_spins):
             frame = np.linalg.svd(m[None, :] / norm)[2][1:]  # (2, 3) orthonormal, perpendicular to m
             lam[i] = np.linalg.eigvalsh(frame @ g @ frame.T)[0]
     return 4.0 * np.clip(lam, 0.0, None) / n_spins
+
+
+def spin_frame_reference(moments):
+    """`spin._spin_frame` in its (T, 3) and (T, 3, 3) form: mean spin (T, 3),
+    covariance (T, 3, 3), the degenerate-mean-spin mask, and the two unit
+    vectors (T, 3) spanning the plane perpendicular to the mean spin."""
+    moments = np.asarray(moments, dtype=float)
+    mean = moments[:3].T
+    sxx, syy, szz, sxy, sxz, syz = moments[3:]
+    t = mean.shape[0]
+    gamma = np.empty((t, 3, 3))
+    gamma[:, 0, 0], gamma[:, 1, 1], gamma[:, 2, 2] = sxx, syy, szz
+    gamma[:, 0, 1] = gamma[:, 1, 0] = sxy
+    gamma[:, 0, 2] = gamma[:, 2, 0] = sxz
+    gamma[:, 1, 2] = gamma[:, 2, 1] = syz
+    gamma -= mean[:, :, None] * mean[:, None, :]
+
+    norm = np.linalg.norm(mean, axis=1)
+    degenerate = norm < spin.DEGENERATE_MEAN_SPIN_TOL
+    unit = mean / np.where(degenerate, 1.0, norm)[:, None]
+    e = np.zeros((t, 3))
+    e[np.arange(t), np.argmin(np.abs(unit), axis=1)] = 1.0
+    v1 = e - np.sum(e * unit, axis=1)[:, None] * unit
+    v1 /= np.linalg.norm(v1, axis=1)[:, None]
+    return mean, gamma, degenerate, v1, np.cross(unit, v1)
+
+
+def xi2_from_moment_arrays_reference(moments, n_spins):
+    """`spin.xi2_from_moment_arrays` on the frame of `spin_frame_reference`:
+    each quadratic form of the covariance by one einsum over the (T, 3, 3)
+    array, and each degenerate point's least covariance eigenvalue from the
+    one-matrix kernel `jacobi_eigh_one`."""
+    _, gamma, degenerate, v1, v2 = spin_frame_reference(moments)
+    g11 = np.einsum("ti,tij,tj->t", v1, gamma, v1)
+    g22 = np.einsum("ti,tij,tj->t", v2, gamma, v2)
+    g12 = np.einsum("ti,tij,tj->t", v1, gamma, v2)
+    lam = 0.5 * (g11 + g22) - 0.5 * np.hypot(g11 - g22, 2.0 * g12)
+    for i in np.flatnonzero(degenerate):
+        lam[i] = jacobi_eigh_one(gamma[i], compute_vectors=False)[0][-1]
+    return 4.0 * np.clip(lam, 0.0, None) / n_spins, degenerate
 
 
 def explore_dense(rho, hamiltonian, spin_ops, tp, qubits_a):

@@ -3,8 +3,10 @@ import pytest
 
 from monogamy_lab import qcore
 from monogamy_lab.errors import DimensionMismatchError, DomainError
-from monogamy_lab.hamiltonians import HamiltonianKind, _build_symmetric, build, symmetry_report
-from monogamy_lab.spin import collective_ops
+from monogamy_lab.hamiltonians import HamiltonianKind, _build_symmetric, _kind_matrix, build, symmetry_report
+from monogamy_lab.spin import CollectiveSpinOps, collective_ops
+
+from oracle_utils import collective_ops_kron, embed_single_qubit_op
 
 
 def test_ghz_single_qubit_is_pauli_x():
@@ -17,11 +19,25 @@ def test_ghz_squares_to_identity():
         assert np.allclose(h @ h, np.eye(2**n), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_index_arithmetic_gives_the_bits_of_the_kron_embeddings(n):
+    # tobytes, so signed zeros count: each J, each moment operator and
+    # each generator built from them
+    kron = CollectiveSpinOps(n, *collective_ops_kron(n))
+    ops = collective_ops(n)
+    for got, want in zip((ops.jx, ops.jy, ops.jz, *ops.moment_operators),
+                         (kron.jx, kron.jy, kron.jz, *kron.moment_operators)):
+        assert got.tobytes() == want.tobytes()
+    for kind in HamiltonianKind:
+        want = _kind_matrix(kind, lambda: kron, lambda: qcore.pauli_product(qcore.PAULI_X, n))
+        assert build(kind, n).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_tat_matches_pauli_construction():
     # independent construction from explicit per-site Pauli embeddings
     n = 2
-    sx = [qcore.embed_single_qubit_op(qcore.PAULI_X, i, n) for i in range(n)]
-    sy = [qcore.embed_single_qubit_op(qcore.PAULI_Y, i, n) for i in range(n)]
+    sx = [embed_single_qubit_op(qcore.PAULI_X, i, n) for i in range(n)]
+    sy = [embed_single_qubit_op(qcore.PAULI_Y, i, n) for i in range(n)]
     jx = 0.5 * sum(sx)
     jy = 0.5 * sum(sy)
     expected = jx @ jy + jy @ jx

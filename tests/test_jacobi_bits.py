@@ -2,13 +2,15 @@
 (``oracle_utils.jacobi_eigh_one``) where the rotation's arithmetic is most
 fragile: the benchmark's 256x256 entangler, and complex entries at lengths
 that leave SIMD tails (numpy's complex products use FMA, so operand order
-and coefficient type show there only). Also: the solver works on views of
-its own copy and never writes to the caller's array."""
+and coefficient type show there only). Real inputs, solved in float64, keep
+the bits of that complex kernel too. Also: the solver works on views of its
+own copy and never writes to the caller's array, and an empty input gives
+empty arrays."""
 
 import numpy as np
 import pytest
 
-from monogamy_lab import qcore
+from monogamy_lab import _jacobi, qcore
 from monogamy_lab.hamiltonians import build
 
 from oracle_utils import jacobi_eigh_one
@@ -53,3 +55,72 @@ def test_solves_leave_the_input_untouched(rng, layout, solve):
     before = m.tobytes(order="A")
     solve(m)
     assert m.tobytes(order="A") == before
+
+
+def _working_dtypes(monkeypatch, solve, m):
+    """The dtype of each working array that ``solve(m)`` rotates."""
+    seen, working_array = [], _jacobi._working_array
+
+    def record(a, compute_vectors):
+        w = working_array(a, compute_vectors)
+        seen.append(w.dtype)
+        return w
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_jacobi, "_working_array", record)
+        solve(m)
+    return seen
+
+
+def _covariances(rng, k):
+    """k real symmetric positive semidefinite 3x3 matrices as the degenerate
+    points of `spin` hand them over, in turn general, of rank one, with a
+    doubly degenerate spectrum, and a multiple of the identity."""
+    out = np.empty((k, 3, 3))
+    for i in range(k):
+        g = rng.standard_normal((3, 3))
+        kind = i % 4
+        if kind == 0:
+            out[i] = g @ g.T
+        elif kind == 1:
+            out[i] = np.outer(g[0], g[0])
+        elif kind == 2:
+            q, _ = np.linalg.qr(g)
+            out[i] = (q * [2.0, 2.0, 0.5]) @ q.T
+        else:
+            out[i] = abs(g[0, 0]) * np.eye(3)
+    return out
+
+
+def _real_inputs(rng):
+    g37 = rng.standard_normal((37, 37))
+    g13 = rng.standard_normal((5, 13, 13))
+    return {"37x37": g37 + g37.T, "5x13x13": g13 + g13.swapaxes(-1, -2),
+            "covariances": _covariances(rng, 24)}
+
+
+@pytest.mark.parametrize("name", ["37x37", "5x13x13", "covariances"])
+def test_real_inputs_take_the_real_path_with_the_complex_kernels_bits(rng, monkeypatch, name):
+    m = _real_inputs(rng)[name]
+    for solve in (qcore.hermitian_eigen, qcore.hermitian_eigenvalues):
+        assert set(_working_dtypes(monkeypatch, solve, m)) == {np.dtype(np.float64)}
+    _, v = qcore.hermitian_eigen(m)
+    assert v.dtype == np.complex128
+    _assert_members_match_one_by_one(m)
+
+
+def test_one_nonzero_imaginary_entry_keeps_the_complex_path(rng, monkeypatch):
+    g = rng.standard_normal((6, 6))
+    m = (g + g.T).astype(complex)
+    m[1, 4], m[4, 1] = m[1, 4] + 1e-300j, m[4, 1] - 1e-300j
+    assert set(_working_dtypes(monkeypatch, qcore.hermitian_eigen, m)) == {np.dtype(np.complex128)}
+    _assert_members_match_one_by_one(m)
+    _assert_members_match_one_by_one(m[None])
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 3, 3), (0, 0)])
+def test_an_empty_input_gives_empty_arrays(shape):
+    w, v = _jacobi.jacobi_eigh(np.zeros(shape))
+    assert w.shape == shape[:-1] and v.shape == shape and v.dtype == np.complex128
+    w, v = _jacobi.jacobi_eigh(np.zeros(shape), compute_vectors=False)
+    assert w.shape == shape[:-1] and v is None

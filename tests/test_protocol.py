@@ -891,7 +891,8 @@ def test_row_invariant_hoists_are_bit_identical(n_a, n_b, t_steps, rng):
 
             # the protocol's states keep <Jy> = 0, so add generic moment values
             for moments in (vals, np.array(refine_moments).T, rng.standard_normal((9, 50))):
-                mean, _, degenerate, v1, v2 = _spin_frame(moments)
+                mean, _, degenerate, frame = _spin_frame(moments)
+                mean, v1, v2 = mean.T, frame[:, 0].T, frame[:, 1].T  # component rows to (T, 3)
                 norm = np.linalg.norm(mean, axis=1)
                 unit = mean / np.where(degenerate, 1.0, norm)[:, None]
                 assert np.array_equal(v2, np.cross(unit, v1))

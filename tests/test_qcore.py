@@ -488,13 +488,7 @@ def test_split_sizes_and_qubit_indices_are_integers(bad):
     with pytest.raises(DomainError):
         qcore.symmetric_split_isometry(1, bad)
     with pytest.raises(DomainError):
-        qcore.embed_single_qubit_op(qcore.PAULI_X, 0, bad)
-    if bad != 0:  # 0 is a valid qubit index
-        with pytest.raises(DomainError):
-            qcore.embed_single_qubit_op(qcore.PAULI_X, bad, 2)
+        spin.collective_ops(bad)
     # numpy integers are integers
     assert np.array_equal(qcore.symmetric_split_isometry(np.int64(2), np.uint8(1)), qcore.symmetric_split_isometry(2, 1))
-    assert np.array_equal(
-        qcore.embed_single_qubit_op(qcore.PAULI_X, np.int64(1), np.uint8(2)),
-        qcore.embed_single_qubit_op(qcore.PAULI_X, 1, 2),
-    )
+    assert spin.collective_ops(np.uint8(2)).jy.tobytes() == spin.collective_ops(2).jy.tobytes()

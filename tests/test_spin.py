@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from monogamy_lab import qcore
+from monogamy_lab import qcore, spin
 from monogamy_lab.errors import DimensionMismatchError, DomainError
+from monogamy_lab.protocol import ProtocolConfig, default_t_grid, default_tp_grid, entangle, sweep
 from monogamy_lab.qcore import DensityMatrix, PureState, all_down_state
 from monogamy_lab.spin import (
     _spin_frame,
@@ -12,7 +13,14 @@ from monogamy_lab.spin import (
     xi2_from_moment_arrays,
 )
 
-from oracle_utils import jacobi_eigh_one, random_density, random_state, squeezing_scan
+from oracle_utils import (
+    jacobi_eigh_one,
+    random_density,
+    random_state,
+    spin_frame_reference,
+    squeezing_scan,
+    xi2_from_moment_arrays_reference,
+)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -228,11 +236,61 @@ def test_degenerate_points_solve_as_one_stack_with_the_per_point_bits(rng, monke
     assert degenerate.tolist() == [True, False] * (t // 2)
 
     # The loop this replaced: one one-matrix solve per degenerate point.
-    _, gamma, _, _, _ = _spin_frame(moments)
-    lam = np.array([jacobi_eigh_one(gamma[i], compute_vectors=False)[0][-1] for i in range(0, t, 2)])
+    _, gamma, _, _ = _spin_frame(moments)
+    lam = np.array([jacobi_eigh_one(gamma[..., i], compute_vectors=False)[0][-1] for i in range(0, t, 2)])
     assert xi2[degenerate].tobytes() == (4.0 * np.clip(lam, 0.0, None) / 3).tobytes()
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         squeezing_parameter(all_down_state(3), collective_ops(2))
+
+
+def _protocol_moment_arrays(monkeypatch, h_ab, n_a, n_b):
+    """Every (9, T) moment array that the tf, oat and tat sweeps of a short
+    protocol pass to `xi2_from_moment_arrays`, as passed (the grid's T =
+    2000 and each refine evaluation's), then T = 1 and T = 2 columns of each
+    grid array: its first, and its first with degenerate mean spin."""
+    seen, xi2 = [], spin.xi2_from_moment_arrays
+    with monkeypatch.context() as patch:
+        patch.setattr(spin, "xi2_from_moment_arrays", lambda m, n: seen.append(m) or xi2(m, n))
+        stage = entangle(ProtocolConfig(n_a, n_b, h_ab, "tf", t_grid=default_t_grid(h_ab, 9), tp_grid=[0.0]))
+        for kind in ("tf", "oat", "tat"):
+            sweep(stage, kind, default_tp_grid(kind, 2000))
+    out = list(seen)
+    for m in (m for m in seen if m.shape[1] == 2000):
+        out += [m[:, :1], m[:, :2]]
+        for i in np.flatnonzero(xi2(m, n_a)[1])[:1]:
+            out += [m[:, i:i + 1], m[:, [i, 0]]]
+    return out
+
+
+def _generic_moment_arrays(rng):
+    """Moment arrays of T = 1, 2 and 2000 with every component of the mean
+    spin nonzero, which the protocol's states (<Jy> = 0) leave untested:
+    every third point has no mean spin."""
+    out = []
+    for t in (1, 2, 2000):
+        m = rng.standard_normal((9, t))
+        m[:3, ::3] = 0.0
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("h_ab, n_a, n_b", [("oat", 2, 2), ("ghz", 3, 2)])
+def test_component_rows_keep_the_bits_of_the_einsum_form(rng, monkeypatch, h_ab, n_a, n_b):
+    arrays = _protocol_moment_arrays(monkeypatch, h_ab, n_a, n_b) + _generic_moment_arrays(rng)
+    sizes, degenerate = set(), set()
+    for m in arrays:
+        mean, gamma, mask, frame = _spin_frame(m)
+        ref = spin_frame_reference(m)
+        ref = (ref[0].T, np.moveaxis(ref[1], 0, -1), ref[2], ref[3].T, ref[4].T)
+        for got, want in zip((mean, gamma, mask, frame[:, 0], frame[:, 1]), ref):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        xi2, mask = xi2_from_moment_arrays(m, n_a)
+        xi2_ref, mask_ref = xi2_from_moment_arrays_reference(m, n_a)
+        assert xi2.tobytes() == xi2_ref.tobytes() and mask.tobytes() == mask_ref.tobytes()
+        sizes.add(m.shape[1])
+        if mask.any():
+            degenerate.add(m.shape[1])
+    assert {1, 2, 2000} <= sizes and {1, 2, 2000} <= degenerate

@@ -13,8 +13,10 @@ prints nothing (manifests carry wall times, so they always differ).
 
 The set: the benchmark's study-8q passes (warm and timed), its fig2 pass
 under seeds 0 and 11 and its fig3 pass, all as ``perfbench/workloads.py``
-lists them; appendix-b at its defaults and at two larger sizes; and a 3+2
-GHZ protocol.
+lists them; appendix-b at its defaults and at two larger sizes; a 3+2
+GHZ protocol; and, outside the benchmark's sizes, a 3+2 OAT protocol (a
+5-qubit entangler and A's engine, both solved in real arithmetic) and a
+3+3 TAT explore (a complex sym(A) engine).
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ OTHER_RUNS = {
     "appendix-b-8-40": ["appendix-b", "--sizes", "8,40", "--steps", "201"],
     "protocol-3-2-ghz-tat": ["protocol", "--na", "3", "--nb", "2", "--hab", "ghz", "--ha", "tat",
                              "--t-steps", "41", "--tp-steps", "200"],
+    "protocol-3-2-oat-oat": ["protocol", "--na", "3", "--nb", "2", "--hab", "oat", "--ha", "oat"],
+    "explore-3-3-tat": ["explore", "--na", "3", "--nb", "3", "--ha", "tat"],
 }
 
 
