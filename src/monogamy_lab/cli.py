@@ -66,6 +66,12 @@ def _cells(column: np.ndarray) -> tuple[str, list]:
     return "%d", column.tolist()
 
 
+def _create(path: Path):
+    """Open an output for writing, creating its parent directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", encoding="utf-8", newline="")
+
+
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> int:
     """Write equal-length named columns; return the row count.
 
@@ -78,8 +84,7 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> int:
     n_rows = next(iter(lengths.values()), 0)
     if any(n != n_rows for n in lengths.values()):
         raise ValueError(f"columns of unequal length: {lengths}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(columns) + "\n")
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             block = (column[start:start + CSV_BLOCK_ROWS] for column in columns.values())
@@ -123,35 +128,8 @@ def _options(args, *names: str) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-def _load_config_file(path: str) -> dict:
-    cfg = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {line!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
-
-
-def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
-    """Make the file's values the subcommand's defaults, so a second parse
-    casts them with each option's type and explicit flags still win.
-
-    Only value-taking options are set; other keys, switches such as
-    ``--test-corrupt-bound``, and the paths ``--config`` and ``--out`` are
-    ignored.
-    """
-    settable = {a.dest for a in sub._actions if a.option_strings and a.nargs != 0}
-    settable -= {"config", "out"}
-    cfg = _load_config_file(path)
-    sub.set_defaults(**{k: v for k, v in cfg.items() if k in settable})
-
-
 def _check_counts(args) -> None:
-    """Reject a count below 1 from any subcommand's flags or config file."""
+    """Reject a count below 1 given to any subcommand's count flags."""
     for name in COUNT_OPTIONS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
@@ -175,8 +153,7 @@ class _HelpFormatter(argparse.HelpFormatter):
         return f"{action.help} (default: %(default)s)"
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monogamy-lab",
         description="Entanglement-bound datasets and the squeezing-calibration protocol.",
@@ -188,7 +165,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         return sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
 
     def common(p):
-        p.add_argument("--config", metavar="FILE", help="key=value defaults file")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility and checked >= 1; selects nothing")
 
@@ -251,7 +227,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     inv.add_argument("--out", metavar="JSON")
     common(inv)
 
-    return parser, sub.choices
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +356,10 @@ def _cmd_appendix_b(args) -> int:
     for (size, kind), tr in results.items():
         path = Path(f"{prefix}_size{size}_{kind.value}.csv")
         outputs[path] = _write_csv(path, {"t": tr.t, "s_l_a": tr.s_l_a, "xi2_a": tr.xi2_a})
-    config = _options(args, "sizes", "ha_kinds", "steps")
+    # each size and kind once, as the study ran them
+    config = {"sizes": list(dict.fromkeys(size for size, _ in results)),
+              "ha_kinds": list(dict.fromkeys(kind.value for _, kind in results)),
+              "steps": args.steps}
     _write_manifest(Path(prefix + ".csv"), "appendix-b", config, outputs, started)
     return EXIT_OK
 
@@ -436,7 +415,8 @@ def _cmd_invert(args) -> int:
     print(text)
     if args.out:
         out = Path(args.out)
-        out.write_text(text + "\n", encoding="utf-8")
+        with _create(out) as fh:
+            fh.write(text + "\n")
         config = {"curve": str(curve_path), **_options(args, "xi2", "merge_tol")}
         _write_manifest(out, "invert", config, {out: len(result.candidates)}, started,
                         extra={"curve_sha256": _sha256(curve_path)})
@@ -454,12 +434,8 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            _apply_config_file(commands[args.command], args.config)
-            args = parser.parse_args(argv)
         _check_counts(args)
         return HANDLERS[args.command](args)
     except ResourceCapError as exc:

@@ -49,7 +49,9 @@ class SampleClass(enum.Enum):
 class Dataset:
     """One row per sample: the plotted pair ``(x, y)``; fig3 also carries the
     reduced spectra (rows, 4) and each row's ``SampleClass``.
-    ``stage_wall_s`` holds the seconds spent drawing and in the measures."""
+    ``stage_wall_s`` holds the seconds spent drawing and in the measures;
+    ``metadata`` the seed and the sampling routes, not the sample count,
+    which the rows give."""
 
     x: np.ndarray
     y: np.ndarray
@@ -185,7 +187,6 @@ def fig2_dataset(n_samples: int, seed: int) -> Dataset:
         y,
         stage_wall_s={"draw": drawn - start, "measures": time.perf_counter() - drawn},
         metadata={
-            "n_samples": n_samples,
             "seed": seed,
             "sampling": "haar_complex_gaussian",
             "c_ab_route": "effective_two_level_largest_reduced_eigenvalue",
@@ -233,7 +234,6 @@ def fig3_dataset(n_samples: int, seed: int) -> Dataset:
         cls=cls,
         stage_wall_s={"draw": drawn - start, "measures": time.perf_counter() - drawn},
         metadata={
-            "n_samples": n_samples,
             "seed": seed,
             "sampling": "uniform_simplex_exponential_normalization",
             "zero_striping": "sample i pins (2, 1, 0)[i mod 3] eigenvalues to zero",

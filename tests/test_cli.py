@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -341,9 +342,14 @@ def test_readme_names_every_key_of_the_protocol_manifest(tmp_path):
     assert [key for key in manifest if key not in re.findall(r"\w+", comment)] == []
 
 
+def _subcommands(parser):
+    [choices] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return choices
+
+
 def test_readme_names_only_flags_the_parser_declares():
-    parser, commands = cli._build_parser()
-    declared = {flag for p in (parser, *commands.values()) for action in p._actions
+    parser = cli._build_parser()
+    declared = {flag for p in (parser, *_subcommands(parser).values()) for action in p._actions
                 for flag in action.option_strings}
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## CLI"):].split("\n## ")[0]
@@ -534,19 +540,6 @@ def test_counts_below_one_rejected_by_every_subcommand(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
 
 
-def test_config_file_and_env_threads(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("samples=25\nseed=9\n# comment\n")
-    out1 = tmp_path / "one.csv"
-    assert main(["fig2", "--config", str(cfg), "--out", str(out1)]) == 0
-    _, rows = read_csv(out1)
-    assert len(rows) == 25
-    # explicit flag wins over the config file
-    out2 = tmp_path / "two.csv"
-    main(["fig2", "--config", str(cfg), "--samples", "10", "--out", str(out2)])
-    assert len(read_csv(out2)[1]) == 10
-
-
 @pytest.mark.parametrize("argv", [
     ["explore", "--na", "2", "--nb", "2", "--prep-t=nan"],
     ["explore", "--na", "2", "--nb", "2", "--prep-t=inf"],
@@ -558,45 +551,60 @@ def test_bad_time_inputs_exit_2_before_any_output(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_config_file_values_take_the_option_types(tmp_path):
-    cfg = tmp_path / "explore.cfg"
-    out = tmp_path / "explore.csv"
-    manifest = tmp_path / "explore.csv.manifest.json"
-    for key in ("prep-t", "prep_t"):  # either spelling names the option
-        cfg.write_text(f"na=2\nnb=2\n{key}=1\nsteps=21\nno_such_option=7\n")
-        assert main(["explore", "--config", str(cfg), "--out", str(out)]) == 0
-        config = json.loads(manifest.read_text())["config"]
-        assert (config["na"], config["prep_t"], config["steps"]) == (2, 1.0, 21)
-        assert isinstance(config["prep_t"], float)
-    _, rows = read_csv(out)
-    assert len(rows) == 21
-    # an explicit flag wins over the file; the rest of the file still applies
-    assert main(["explore", "--config", str(cfg), "--prep-t", "0.5", "--out", str(out)]) == 0
-    config = json.loads(manifest.read_text())["config"]
-    assert (config["prep_t"], config["steps"]) == (0.5, 21)
-
-
-def test_config_file_bad_values_and_switches(tmp_path, capsys):
-    out = tmp_path / "fig2.csv"
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("samples=abc\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["fig2", "--config", str(bad), "--out", str(out)])
-    assert exc.value.code == 2
-    assert "--samples" in capsys.readouterr().err
-    bad.write_text("threads=0\n")
-    assert main(["fig2", "--config", str(bad), "--out", str(out)]) == 2
-    assert "error: --threads must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-    # a switch cannot be set from a file
+def test_config_option_is_an_unrecognised_argument(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("samples=20\nseed=3\ntest_corrupt_bound=1\ntest-corrupt-bound=1\n")
-    assert main(["fig2", "--config", str(cfg), "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "fig2.csv.manifest.json").read_text())
-    assert manifest["config"]["corrupt_bound_test_hook"] is False
-    plain = tmp_path / "plain.csv"
-    assert main(["fig2", "--samples", "20", "--seed", "3", "--out", str(plain)]) == 0
-    assert out.read_bytes() == plain.read_bytes()
+    cfg.write_text("samples=5\n")
+    for command, argv in _count_runs(tmp_path).items():
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2, command
+        assert f"unrecognized arguments: --config {cfg}" in capsys.readouterr().err, command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "run.cfg"]
+
+
+@pytest.mark.parametrize("command", list(cli.HANDLERS))
+def test_help_renders_every_flag_with_its_default(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.startswith(f"usage: monogamy-lab {command} ")
+    for action in _subcommands(cli._build_parser())[command]._actions:
+        if action.help == argparse.SUPPRESS:
+            assert not any(flag in text for flag in action.option_strings)
+            continue
+        assert all(flag in text for flag in action.option_strings)
+        if action.default not in (None, argparse.SUPPRESS):
+            assert f"(default: {action.default})" in text, action.dest
+
+
+def test_manifests_record_each_value_once(tmp_path):
+    prefix = tmp_path / "appb"
+    assert main(["appendix-b", "--sizes", "4,2,4", "--ha-kinds", "tf,GHZ,ghz,oat",
+                 "--steps", "3", "--out", str(prefix)]) == 0
+    manifest = json.loads((tmp_path / "appb.csv.manifest.json").read_text())
+    assert manifest["config"] == {"sizes": [4, 2], "ha_kinds": ["tf", "ghz", "oat"], "steps": 3}
+    assert [o["path"] for o in manifest["outputs"]] == [
+        f"{prefix}_size{size}_{kind}.csv" for size in (4, 2) for kind in ("tf", "ghz", "oat")]
+    for command in ("fig2", "fig3"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--samples", "5", "--seed", "7", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"{command}.csv.manifest.json").read_text())
+        assert (manifest["config"]["samples"], manifest["config"]["seed"], manifest["seed"]) == (5, 7, 7)
+        assert "n_samples" not in manifest["config"], command
+
+
+def test_invert_out_creates_its_parent_directory(tmp_path, capsys):
+    runs = _count_runs(tmp_path)
+    out = tmp_path / "new" / "deeper" / "inv.json"
+    assert main([*runs["invert"][:-1], str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    assert json.loads((out.parent / "inv.json.manifest.json").read_text())["outputs"][0]["path"] == str(out)
+    # a parent that is a file still exits 2, as for the CSV commands
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("file")
+    assert main([*runs["invert"][:-1], str(blocker / "inv.json")]) == 2
 
 
 def test_unwritable_output_is_io_error(tmp_path):
