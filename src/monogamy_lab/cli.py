@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -350,8 +351,10 @@ def _cmd_explore(args) -> int:
 
 def _cmd_appendix_b(args) -> int:
     started = time.perf_counter()
-    results = protocol.appendix_b_study(args.sizes, args.ha_kinds, steps=args.steps)
     prefix = args.out.removesuffix(".csv")
+    if os.path.basename(prefix) in ("", ".", ".."):
+        raise ValueError(f"--out {args.out!r} gives no file name to prefix the outputs with")
+    results = protocol.appendix_b_study(args.sizes, args.ha_kinds, steps=args.steps)
     outputs = {}
     for (size, kind), tr in results.items():
         path = Path(f"{prefix}_size{size}_{kind.value}.csv")
@@ -400,7 +403,9 @@ def _cmd_invert(args) -> int:
     manifest_path = curve_path.with_name(curve_path.name + ".manifest.json")
     if manifest_path.exists():
         meta = json.loads(manifest_path.read_text(encoding="utf-8"))
-        cfg = meta.get("config", {})
+        cfg = meta.get("config", {}) if isinstance(meta, dict) else None
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{manifest_path}: the manifest or its config is not a JSON object")
         ghz_exact = cfg.get("hab") == "ghz" and cfg.get("ha") == "ghz"
 
     curve = protocol.CalibrationCurve(x=x, y=y, merge_tol=args.merge_tol, ghz_exact=ghz_exact)

@@ -6,9 +6,10 @@ with a given reduced spectrum can carry; each takes one spectrum (and
 returns a float) or a stack of shape (..., 4). The remaining functions
 evaluate concrete states; `concurrence` likewise takes one 4x4 matrix or a
 (..., 4, 4) stack. It is the general route, for any rank, through two
-LAPACK solves; `_rank2_concurrence` takes a rank-2 state by its 4x2 factor
-(fig2's C_A1A2, from a three-qubit state's amplitudes) in closed form,
-with no eigensolver.
+LAPACK solves. fig2's two concurrences read a three-qubit state's
+amplitudes as a 4x2 coefficient matrix V (qubits 0, 1 | qubit 2):
+`_rank2_concurrence` takes C_A1A2 (rho_A1A2 = V V^dagger has rank 2) in
+closed form, `_two_level_concurrence` C_AB from qubit 2's reduced state.
 """
 
 from __future__ import annotations
@@ -221,6 +222,19 @@ def _rank2_concurrence(factor: np.ndarray):
              + 2.0 * (t01r * t01r + t01i * t01i))
     c2 = frob2 - 2.0 * np.sqrt(det_r * det_r + det_i * det_i)
     return _clip01(np.sqrt(np.maximum(c2, 0.0)))
+
+
+def _two_level_concurrence(factor: np.ndarray):
+    """Concurrence 2 sqrt(l1 (1 - l1)) of a pure state across the cut of its
+    coefficient matrix V, one (4, 2) matrix (returns a float) or a
+    (..., 4, 2) stack, with l1 the top eigenvalue of the two-level side's
+    reduced state V^T V^*: one Jacobi call on the (..., 2, 2) stack."""
+    x = np.ascontiguousarray(factor.swapaxes(-1, -2))
+    rho = x @ x.conj().swapaxes(-1, -2)
+    del x  # freed before the solve, which is where fig2 peaks in memory
+    l1 = np.clip(qcore.hermitian_eigenvalues(rho)[..., 0], 0.0, 1.0)
+    c = 2.0 * np.sqrt(l1 * (1.0 - l1))
+    return float(c) if c.ndim == 0 else c
 
 
 def _spectrum4(spec) -> np.ndarray:

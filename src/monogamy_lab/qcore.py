@@ -35,7 +35,9 @@ Conventions used throughout the package:
     Jacobi solver (``_jacobi``, which holds the rotation mechanics). They
     take the protocol's 2^n entangler, its dense engine (sweep and refine),
     the degenerate 3x3 covariances of ``spin``, every sym(n) propagator,
-    and fig2's 2x2 Schmidt spectra. An input whose imaginary part is
+    and fig2's 2x2 reduced states of qubit 2, which
+    ``measures._two_level_concurrence`` forms from the amplitudes as an
+    (N, 4, 2) coefficient stack. An input whose imaginary part is
     exactly zero is solved in real arithmetic (float64), with the bits of
     its complex solve: the OAT, TF and GHZ entanglers and engines, their
     sym(n) propagators and the covariances. TAT (Jx Jy + Jy Jx is

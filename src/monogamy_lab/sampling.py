@@ -11,8 +11,9 @@ sample, one generator call each, straight into a preallocated array;
 everything after them is one array stage over the whole stack of samples,
 with the per-sample bits: fig2's normalisation (each row divided by its own
 ``np.linalg.norm``, taken for every row at once by the same BLAS dot, see
-`_haar_amplitudes`), its C_AB reduce and solve and its closed-form C_A1A2,
-and fig3's normalisation, sort and measures. `qcore` states which
+`_haar_amplitudes`) and its two concurrences, which `measures` reads off
+the (N, 4, 2) coefficient stack, and fig3's normalisation, sort and
+measures; every measure is taken in `measures`. `qcore` states which
 eigensolver each stacked solve uses, and why. Each dataset records the
 wall time of its two stages, draw (for fig2 with the normalisation) and
 measures. `haar_random_pure` and
@@ -30,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import measures, qcore
+from . import measures
 from ._jacobi import row_norms
 from .errors import DomainError, check_count, is_integer
-from .qcore import Partition, PureState
+from .qcore import PureState
 
 _NONZERO_EIGENVALUE = 1e-12
 
@@ -131,44 +132,17 @@ _CLASS_BY_NONZERO = np.array(
 )
 
 
-def _schmidt_concurrences(amplitudes: np.ndarray, n_qubits: int, partition: Partition) -> np.ndarray:
-    """`schmidt_concurrence` of each state in a (..., 2^n) stack of amplitude
-    vectors: one reduce to the smaller side and one eigensolver call."""
-    keep = (
-        partition.qubits_a
-        if len(partition.qubits_a) <= len(partition.qubits_b)
-        else partition.qubits_b
-    )
-    rho = qcore.reduced_state_matrix(amplitudes, n_qubits, keep)
-    l1 = np.clip(qcore.hermitian_eigenvalues(rho)[..., 0], 0.0, 1.0)
-    return 2.0 * np.sqrt(l1 * (1.0 - l1))
-
-
-def schmidt_concurrence(state: PureState, partition: Partition) -> float:
-    """A|B concurrence of a pure state via its effective two-level description.
-
-    With l1 the largest reduced-state eigenvalue, this is 2 sqrt(l1 (1-l1));
-    it equals the two-qubit pure-state concurrence whenever the reduced state
-    has rank two.
-    """
-    return float(_schmidt_concurrences(state.amplitudes, state.n_qubits, partition))
-
-
-FIG2_PARTITION = Partition((0, 1), (2,))
-
-
 def fig2_dataset(n_samples: int, seed: int) -> Dataset:
     """Concurrence pairs (C_AB, C_A1A2) for Haar-random three-qubit states.
 
     Sample i draws its 16 standard normals from its own generator in one
     call, as `haar_random_pure` draws them, into row i of an (N, 16) array;
     one 16-value draw gives the bits of two 8-value draws. The rows are
-    normalised into (N, 8) amplitudes at once, and both concurrences then
-    run once over the stack, with the per-sample results bit for bit: C_AB
-    from one stacked solve of the 2x2 reduced states, C_A1A2 by
-    `measures._rank2_concurrence` from the amplitudes as an (N, 4, 2) stack,
-    each state's factor V of rho_A1A2 = V V^dagger (qubits 0, 1 | qubit 2),
-    with no reduce and no eigensolver.
+    normalised into (N, 8) amplitudes at once, read as an (N, 4, 2) stack of
+    coefficient matrices V (qubits 0, 1 | qubit 2), and both concurrences
+    run once over it, with the per-sample results bit for bit: C_AB by
+    `measures._two_level_concurrence` (one stacked solve of the 2x2 reduced
+    states), C_A1A2 by `measures._rank2_concurrence` (no eigensolver).
     """
     from ._seeds import sample_rngs
 
@@ -180,8 +154,9 @@ def fig2_dataset(n_samples: int, seed: int) -> Dataset:
         rng.standard_normal(out=normals[i])
     psi = _haar_amplitudes(normals)
     drawn = time.perf_counter()
-    x = _schmidt_concurrences(psi, 3, FIG2_PARTITION)
-    y = measures._rank2_concurrence(psi.reshape(n_samples, 4, 2))
+    factors = psi.reshape(n_samples, 4, 2)
+    x = measures._two_level_concurrence(factors)
+    y = measures._rank2_concurrence(factors)
     return Dataset(
         x,
         y,

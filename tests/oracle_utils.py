@@ -8,7 +8,10 @@ one and the real path, `xi2_from_moment_arrays_reference`, the (T, 3, 3)
 einsum form of the squeezing parameter behind its component rows,
 `write_csv_reference`, the per-cell CSV writer behind `cli._write_csv`,
 `haar_amplitudes_reference`, the one-state Haar draw behind the batched
-normalisation in `sampling`, and `refine_reference`, the per-row scalar
+normalisation in `sampling`, `schmidt_concurrence` on `FIG2_PARTITION`,
+the register reduce and Jacobi solve behind fig2's C_AB, which
+`measures._two_level_concurrence` takes from the coefficient stack, and
+`refine_reference`, the per-row scalar
 golden-section search behind the protocol's block refine (it runs on the
 package's own engine, whose grid sweep it shares).
 """
@@ -33,6 +36,24 @@ def haar_amplitudes_reference(rng, dim):
     parts, divided by the vector's ``np.linalg.norm``."""
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return amps / np.linalg.norm(amps)
+
+
+FIG2_PARTITION = qcore.Partition((0, 1), (2,))
+
+
+def schmidt_concurrence(state, partition):
+    """A|B concurrence 2 sqrt(l1 (1 - l1)) of a pure state, with l1 the
+    largest eigenvalue of its reduced state on the smaller side, reduced
+    from the register and solved by the package's Jacobi route. It equals
+    the two-qubit pure-state concurrence whenever that state has rank two."""
+    keep = (
+        partition.qubits_a
+        if len(partition.qubits_a) <= len(partition.qubits_b)
+        else partition.qubits_b
+    )
+    rho = qcore.reduced_state_matrix(state.amplitudes, state.n_qubits, keep)
+    l1 = np.clip(qcore.hermitian_eigenvalues(rho)[..., 0], 0.0, 1.0)
+    return float(2.0 * np.sqrt(l1 * (1.0 - l1)))
 
 
 def random_density(dim, rng, rank=None):

@@ -387,6 +387,14 @@ def test_protocol_resource_cap(tmp_path):
     assert [o["path"] for o in manifest["outputs"]] == [str(prefix) + "_size2_tf.csv"]
 
 
+@pytest.mark.parametrize("out", ["DIR/", "DIR/.csv", "", "DIR/.", ".."])
+def test_appendix_b_refuses_a_prefix_without_a_name(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    assert main(["appendix-b", "--sizes", "2", "--steps", "11", "--out", out]) == 2
+    assert "error: --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invert_ghz_curve(tmp_path):
     out = tmp_path / "curve.csv"
     main([
@@ -459,6 +467,18 @@ def test_invert_parse_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "error: calibration" in captured.err and "non-finite" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("manifest", ["[]", '{"config": []}'])
+def test_invert_refuses_a_manifest_that_is_not_an_object(tmp_path, capsys, manifest):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("min_xi2_a,s_l_ab\n0.2,0.1\n0.8,0.5\n")
+    (tmp_path / "curve.csv.manifest.json").write_text(manifest)
+    out = tmp_path / "out" / "inv.json"
+    assert main(["invert", "--curve", str(curve), "--xi2", "0.5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "not a JSON object" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_invert_extrapolation_error(tmp_path):

@@ -332,6 +332,21 @@ def test_rank2_concurrence_of_ghz_and_w():
         assert abs(measures._rank2_concurrence(factor[0]) - 2 / 3) < 1e-15
 
 
+def test_two_level_concurrence_of_ghz_and_product_states(rng):
+    # C_AB of qubits 0, 1 | qubit 2: 1 on GHZ, 0 on a product state (to
+    # 1e-7: the square root lifts l1 (1 - l1)'s 1e-16 rounding to 1e-8); a
+    # float for one (4, 2) matrix, an array for a stack
+    ghz = np.zeros((4, 2), dtype=complex)
+    ghz[0, 0] = ghz[3, 1] = 1 / np.sqrt(2)
+    product = np.outer(random_state(4, rng), random_state(2, rng))
+    one = measures._two_level_concurrence(ghz)
+    assert isinstance(one, float) and abs(one - 1.0) < 1e-12
+    assert measures._two_level_concurrence(product) < 1e-7
+    stack = measures._two_level_concurrence(np.stack([ghz, product, ghz]))
+    assert isinstance(stack, np.ndarray) and stack.shape == (3,)
+    assert abs(stack[0] - 1.0) < 1e-12 and stack[1] < 1e-7 and stack[2] == stack[0]
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 def test_rank2_concurrence_matches_the_general_route(rng, rank):
     factors = np.zeros((200, 4, 2), dtype=complex)

@@ -10,16 +10,14 @@ import monogamy_lab
 from monogamy_lab import _seeds, analytic, measures, qcore, sampling
 from monogamy_lab.errors import DomainError
 from monogamy_lab.sampling import (
-    FIG2_PARTITION,
     SampleClass,
     fig2_dataset,
     fig3_dataset,
     haar_random_pure,
     random_spectrum,
-    schmidt_concurrence,
 )
 
-from oracle_utils import haar_amplitudes_reference, random_unitary
+from oracle_utils import FIG2_PARTITION, haar_amplitudes_reference, random_unitary, schmidt_concurrence
 
 
 def test_haar_states_normalized():

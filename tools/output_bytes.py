@@ -13,7 +13,8 @@ prints nothing (manifests carry wall times, so they always differ).
 
 The set: the benchmark's study-8q passes (warm and timed), its fig2 pass
 under seeds 0 and 11 and its fig3 pass, all as ``perfbench/workloads.py``
-lists them; appendix-b at its defaults and at two larger sizes; a 3+2
+lists them; fig2 at the CLI's defaults (3,000 samples, seed 0);
+appendix-b at its defaults and at two larger sizes; a 3+2
 GHZ protocol; and, outside the benchmark's sizes, a 3+2 OAT protocol (a
 5-qubit entangler and A's engine, both solved in real arithmetic) and a
 3+3 TAT explore (a complex sym(A) engine).
@@ -46,6 +47,7 @@ BENCHMARK_RUNS = {
 
 # folder -> the arguments of one more command, before its --out
 OTHER_RUNS = {
+    "fig2-default": ["fig2"],
     "appendix-b": ["appendix-b"],
     "appendix-b-8-40": ["appendix-b", "--sizes", "8,40", "--steps", "201"],
     "protocol-3-2-ghz-tat": ["protocol", "--na", "3", "--nb", "2", "--hab", "ghz", "--ha", "tat",
