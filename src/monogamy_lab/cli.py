@@ -336,16 +336,21 @@ def _cmd_explore(args) -> int:
         n_a=args.na, n_b=args.nb, h_ab_kind=args.hab, h_a_kind=args.ha,
         t_grid=protocol.default_t_grid(args.hab), tp_grid=protocol.default_tp_grid(args.ha),
     )
+    tick = time.perf_counter()
     rho_a = protocol.reduced_a_at(cfg, args.prep_t)
+    prepare = time.perf_counter() - tick
     trace = protocol.explore_measure_vs_squeezing(rho_a, args.ha, steps=args.steps)
 
     out = Path(args.out)
+    tick = time.perf_counter()
     count = _write_csv(out, {"tp": trace.tp, "xi2_a": trace.xi2_a, "n_a": trace.n_a})
+    stage_wall_s = {"prepare": prepare, **trace.stage_wall_s, "write": time.perf_counter() - tick}
     config = {**_options(args, "na", "nb", "hab", "prep_t", "ha", "steps"),
               **trace.metadata}
     _write_manifest(out, "explore", config, {out: count}, started,
                     extra={"min_xi2": trace.min_xi2, "max_n_a": trace.max_n_a,
-                           "n_a_at_min_xi2": trace.n_a_at_min_xi2})
+                           "n_a_at_min_xi2": trace.n_a_at_min_xi2,
+                           "stage_wall_s": stage_wall_s})
     return EXIT_OK
 
 

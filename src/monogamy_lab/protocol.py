@@ -191,6 +191,7 @@ class ExplorationTrace:
     xi2_a: np.ndarray
     n_a: np.ndarray
     metadata: dict = field(default_factory=dict)
+    stage_wall_s: dict = field(default_factory=dict)
 
     @property
     def min_xi2(self) -> float:
@@ -678,10 +679,13 @@ def invert(curve: CalibrationCurve, measured_min_xi2: float) -> InversionResult:
 
     Returns all candidate values when the measurement falls in a region
     where the calibration map is not one-to-one, with the ambiguity flag set.
+    A NaN or infinite measurement raises DomainError.
     """
+    if not math.isfinite(measured_min_xi2):
+        raise DomainError(f"measured value {measured_min_xi2} is not finite")
     xmin, xmax = float(np.min(curve.x)), float(np.max(curve.x))
     slack = 1e-9
-    if not xmin - slack <= measured_min_xi2 <= xmax + slack:  # NaN fails too
+    if not xmin - slack <= measured_min_xi2 <= xmax + slack:
         raise ExtrapolationError(
             f"measured value {measured_min_xi2} outside observed range [{xmin}, {xmax}]"
         )
@@ -748,7 +752,10 @@ def explore_measure_vs_squeezing(
     partial transpose on sym(A_1) (x) sym(A_2) given by
     `qcore.symmetric_split_isometry`, a local isometric image of the qubit
     one with the same negativity; all steps' transposes form one stack.
+    The trace's ``stage_wall_s`` holds the seconds of the squeezing sweep
+    and of the negativity spectra.
     """
+    tick = time.perf_counter()
     kind = _as_kind(h_a_kind)
     tp = default_tp_grid(kind, steps)
     n = initial_rho_a.n_qubits
@@ -758,6 +765,7 @@ def explore_measure_vs_squeezing(
     eng = _SubsystemEngine(_build_symmetric(kind, n), spin.symmetric_ops(n).moment_operators, n, tp)
     rho_eig = eng.to_eigenbasis(rho_sym)
     xi2, _ = eng.xi2_sweep(eng.moment_products(rho_eig))
+    tock = time.perf_counter()
     # A symmetric state depends on the split only through its side sizes.
     n_1, n_2 = len(split.qubits_a), len(split.qubits_b)
     emb = qcore.symmetric_split_isometry(n_1, n_2)
@@ -771,6 +779,7 @@ def explore_measure_vs_squeezing(
         xi2_a=xi2,
         n_a=n_a,
         metadata={"split": {"a": list(split.qubits_a), "b": list(split.qubits_b)}},
+        stage_wall_s={"sweep": tock - tick, "negativity": time.perf_counter() - tock},
     )
 
 

@@ -491,6 +491,25 @@ def test_invert_extrapolation_error(tmp_path):
         assert main(["invert", "--curve", str(out), "--xi2", xi2]) == 2
 
 
+def test_invert_says_a_nan_measurement_is_not_finite(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("min_xi2_a,s_l_ab\n0.2,0.8\n0.5,0.5\n0.9,0.1\n")
+    assert main(["invert", "--curve", str(curve), "--xi2", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert "measured value nan is not finite" in err and "outside" not in err
+
+
+def test_explore_manifest_records_stage_wall_times(tmp_path):
+    out = tmp_path / "e.csv"
+    assert main(["explore", "--na", "2", "--nb", "2", "--hab", "oat", "--prep-t", "0.4",
+                 "--ha", "tf", "--steps", "51", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+    stages = manifest["stage_wall_s"]
+    assert set(stages) == {"prepare", "sweep", "negativity", "write"}
+    assert all(s >= 0.0 for s in stages.values())
+    assert sum(stages.values()) <= manifest["wall_time_s"]
+
+
 def test_explore_subcommand(tmp_path):
     out = tmp_path / "explore.csv"
     code = main([

@@ -182,6 +182,16 @@ def test_ghz_calibration_inversion():
         invert(curve, 1.5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_invert_refuses_a_measurement_that_is_not_finite(value):
+    # NaN lies outside no range, so it is refused as not finite rather
+    # than as an extrapolation
+    curve = CalibrationCurve(x=np.array([0.2, 0.5, 0.9]), y=np.array([0.8, 0.5, 0.1]))
+    with pytest.raises(DomainError, match=f"^measured value {value} is not finite$") as info:
+        invert(curve, value)
+    assert not isinstance(info.value, ExtrapolationError)
+
+
 def test_ghz_score_is_one_on_monotone_branch():
     trace = run_protocol(ghz_config(t_steps=40, t_max=np.pi / 4))
     score = monotonicity_score(calibration(trace))
