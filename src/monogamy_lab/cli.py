@@ -129,12 +129,17 @@ def _options(args, *names: str) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-def _check_counts(args) -> None:
-    """Reject a count below 1 given to any subcommand's count flags."""
+def _check_args(args) -> None:
+    """Reject, before any work, a count below 1 given to any count flag, and an
+    --out that names a folder: an empty, "." or ".." name part, or an existing
+    directory (appendix-b's prefix is taken without its ".csv")."""
     for name in COUNT_OPTIONS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+    out = args.out.removesuffix(".csv") if args.command == "appendix-b" else args.out
+    if out is not None and (os.path.basename(out) in ("", ".", "..") or os.path.isdir(out)):
+        raise ValueError(f"--out {args.out!r} names a folder, not an output file")
 
 
 def _int_list(text: str) -> list[int]:
@@ -330,14 +335,21 @@ def _cmd_protocol(args) -> int:
     return EXIT_OK
 
 
+def _explore_state(hab, n_a: int, n_b: int, prep_t: float) -> np.ndarray:
+    """A's state on sym(A), C C^dagger of the coefficient matrix C of n_a + n_b
+    qubits entangled under hab for prep_t; the sizes are checked first."""
+    if n_a < 2 or n_b < 1:
+        raise ValueError("explore needs at least 2 qubits in A, for its internal split, and 1 in B")
+    if n_a > protocol.MAX_EXPLORE_QUBITS or n_a + n_b > protocol.MAX_SYMMETRIC_QUBITS:
+        raise ResourceCapError(f"explore caps n_A at {protocol.MAX_EXPLORE_QUBITS}, n_A + n_B at "
+                               f"{protocol.MAX_SYMMETRIC_QUBITS}")
+    psi = protocol._evolve_all_down(hab, n_a + n_b, prep_t)[None]
+    return protocol._side_a_states(protocol._split_coefficients(psi, n_a, n_b))[0]
+
+
 def _cmd_explore(args) -> int:
-    started = time.perf_counter()
-    cfg = protocol.ProtocolConfig(
-        n_a=args.na, n_b=args.nb, h_ab_kind=args.hab, h_a_kind=args.ha,
-        t_grid=protocol.default_t_grid(args.hab), tp_grid=protocol.default_tp_grid(args.ha),
-    )
-    tick = time.perf_counter()
-    rho_a = protocol.reduced_a_at(cfg, args.prep_t)
+    started = tick = time.perf_counter()
+    rho_a = _explore_state(args.hab, args.na, args.nb, args.prep_t)
     prepare = time.perf_counter() - tick
     trace = protocol.explore_measure_vs_squeezing(rho_a, args.ha, steps=args.steps)
 
@@ -357,8 +369,6 @@ def _cmd_explore(args) -> int:
 def _cmd_appendix_b(args) -> int:
     started = time.perf_counter()
     prefix = args.out.removesuffix(".csv")
-    if os.path.basename(prefix) in ("", ".", ".."):
-        raise ValueError(f"--out {args.out!r} gives no file name to prefix the outputs with")
     results = protocol.appendix_b_study(args.sizes, args.ha_kinds, steps=args.steps)
     outputs = {}
     for (size, kind), tr in results.items():
@@ -446,7 +456,7 @@ HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_counts(args)
+        _check_args(args)
         return HANDLERS[args.command](args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,8 +25,8 @@ class ContractViolationError(MonogamyLabError, ValueError):
 
 
 class ResourceCapError(MonogamyLabError, RuntimeError):
-    """A request exceeds a size cap: the per-side register cap, the
-    symmetric-subspace cap, or the eigensolver's matrix-size cap."""
+    """A request exceeds a size cap: the protocol's per-side cap, the sym(n)
+    cap, explore's cap on A, or the eigensolver's matrix-size cap."""
 
 
 class ConfigError(MonogamyLabError, ValueError):

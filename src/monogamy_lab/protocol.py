@@ -27,11 +27,11 @@ across the A|B cut: the cut negativity is probed at NEGATIVITY_PROBES local
 times along each sweep and must stay constant to NEGATIVITY_DRIFT_TOL. And
 the start state and every generator are symmetric under permutations of
 the qubits, so psi(t) lies in the symmetric subspace sym(n) and A's state
-in sym(A): the protocol projects psi(t) there once, and explore restricts
-its input there, each failing loudly on any weight outside. The routes
-that hold no 2^n array (`appendix_b_study`) are capped by
-MAX_SYMMETRIC_QUBITS; the rest by MAX_SUBSYSTEM_QUBITS per side. Which
-eigensolver each stage uses, and why, is stated once in `qcore`.
+in sym(A): the protocol projects psi(t) there once, failing loudly on any
+weight outside, and explore takes A's state on sym(A). Only the protocol
+holds 2^n arrays, capped by MAX_SUBSYSTEM_QUBITS per side; appendix-b and
+explore by MAX_SYMMETRIC_QUBITS (and explore's A by MAX_EXPLORE_QUBITS).
+Which eigensolver each stage uses, and why, is stated once in `qcore`.
 """
 
 from __future__ import annotations
@@ -56,15 +56,20 @@ from .analytic import ghz_s_l_from_min_xi2
 from .hamiltonians import HamiltonianKind, _as_kind, _build_symmetric, build
 from .qcore import DensityMatrix, SpectralPropagator, all_down_state, half_partition
 
-# Qubits per side, A or B, of the routes that hold 2^n arrays: the
-# protocol's entangler and reduce, A's dense engine, state_at and explore.
-# Two full sides make 2^10 states, `_jacobi.MAX_DIM`, the largest matrix
-# the entangler's Jacobi solve takes.
+# Qubits per side, A or B, of the protocol, which holds 2^n arrays: its
+# entangler and reduce, and A's dense engine. Two full sides make 2^10
+# states, `_jacobi.MAX_DIM`, the largest matrix the entangler's Jacobi
+# solve takes.
 MAX_SUBSYSTEM_QUBITS = 5
-# Size cap of the routes that hold no 2^n array, only sym(n) (appendix-b).
-# Set from a time budget: appendix-b's 3 default kinds x 2001 steps take
-# about 1.2 s at this size on a 2-core VM (0.4 s at 32, 3.1 s at 96).
+# Size cap of the routes that hold only sym(n) (appendix-b, explore). Set
+# from a time budget: appendix-b's 3 default kinds x 2001 steps take about
+# 1.2 s at this size on a 2-core VM (0.4 s at 32, 3.1 s at 96).
 MAX_SYMMETRIC_QUBITS = 64
+# Qubits of A that the CLI's explore takes (2-core VM). Time: 2,001 tf steps
+# take 3.7 s here, 1.4-2.7 s at 16. Thread independence: its sym(A_1) (x)
+# sym(A_2) partial transposes are then 121x121, and LAPACK's eigvalsh gives
+# the same bits under one and two OpenBLAS threads at 160x160, not at 192x192.
+MAX_EXPLORE_QUBITS = 20
 NEGATIVITY_DRIFT_TOL = 1e-9
 # Width of the local-time bracket at which golden-section refinement stops.
 REFINE_TOL = 1e-6
@@ -351,14 +356,6 @@ def _check_weight_inside(weight: np.ndarray) -> None:
         )
 
 
-def _symmetric_part(rho: np.ndarray, iso: np.ndarray) -> np.ndarray:
-    """A (..., d, d) stack of density matrices restricted by the isometry iso;
-    weight outside the subspace raises ContractViolationError."""
-    sym = iso.T @ rho @ iso
-    _check_weight_inside(np.trace(sym, axis1=-2, axis2=-1).real)
-    return sym
-
-
 def _symmetric_amplitudes(psi: np.ndarray, iso: np.ndarray) -> np.ndarray:
     """A (..., d) stack of pure states restricted by the isometry iso, shape
     (..., k); weight outside the subspace raises ContractViolationError."""
@@ -373,13 +370,17 @@ def _split_coefficients(psi_sym: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
     return (psi_sym @ qcore.symmetric_split_isometry(n_a, n_b).T).reshape(-1, n_a + 1, n_b + 1)
 
 
+def _side_a_states(coeffs: np.ndarray) -> np.ndarray:
+    """rho_A = C C^dagger on sym(n_a) of each C in a (T, n_a+1, n_b+1) stack."""
+    return coeffs @ coeffs.conj().swapaxes(-1, -2)
+
+
 def _cut_linear_entropy(coeffs: np.ndarray, n_a: int) -> np.ndarray:
     """Linear entropy of the n_a-qubit side of the pure states with a
     (T, n_a+1, n_b+1) stack of coefficient matrices C, from the purity of
-    rho_A = C C^dagger. The isometry into the register keeps the purity, and
+    `_side_a_states`. The isometry into the register keeps the purity, and
     the rescaling uses A's qubit dimension 2^n_a."""
-    rho_a = coeffs @ coeffs.conj().swapaxes(-1, -2)
-    return measures.linear_entropy_from_purity(measures.purity(rho_a), 2**n_a)
+    return measures.linear_entropy_from_purity(measures.purity(_side_a_states(coeffs)), 2**n_a)
 
 
 def _golden_rows(eng: _SubsystemEngine, products: np.ndarray, lo: np.ndarray,
@@ -732,11 +733,7 @@ def monotonicity_score(curve: CalibrationCurve) -> float:
 # measure-versus-squeezing exploration (mixed initial states of A)
 
 
-def explore_measure_vs_squeezing(
-    initial_rho_a: DensityMatrix,
-    h_a_kind,
-    steps: int = 2001,
-) -> ExplorationTrace:
+def explore_measure_vs_squeezing(rho_a_sym: np.ndarray, h_a_kind, steps: int = 2001) -> ExplorationTrace:
     """Trajectory of (squeezing, internal negativity) for subsystem A.
 
     A is evolved under the chosen local Hamiltonian over the kind's
@@ -745,23 +742,24 @@ def explore_measure_vs_squeezing(
     split `half_partition(n)` (first half versus second half, the smaller
     half first for odd n) are recorded.
 
-    The input must lie in A's symmetric subspace sym(A), as every reduced
-    state of the protocol does; weight outside it raises
-    ContractViolationError. The sweep runs on sym(A), with A's generator
-    and moment operators formed there, and each negativity comes from the
-    partial transpose on sym(A_1) (x) sym(A_2) given by
+    The input is n-qubit A's (n+1, n+1) density matrix on sym(A), in the
+    basis of `qcore.symmetric_isometry`, such as C C^dagger of a protocol
+    state's coefficient matrix C; `qcore.check_density` refuses anything
+    else first. The sweep runs on sym(A), with A's generator and moment
+    operators formed there, and each negativity comes from the partial
+    transpose on sym(A_1) (x) sym(A_2) given by
     `qcore.symmetric_split_isometry`, a local isometric image of the qubit
-    one with the same negativity; all steps' transposes form one stack.
-    The trace's ``stage_wall_s`` holds the seconds of the squeezing sweep
-    and of the negativity spectra.
+    one with the same negativity; all steps' transposes form one stack. No
+    2^n array is held. The trace's ``stage_wall_s`` holds the seconds of
+    the squeezing sweep and of the negativity spectra.
     """
     tick = time.perf_counter()
+    rho_sym = np.asarray(rho_a_sym, dtype=np.complex128)
+    qcore.check_density(rho_sym)
     kind = _as_kind(h_a_kind)
     tp = default_tp_grid(kind, steps)
-    n = initial_rho_a.n_qubits
+    n = rho_sym.shape[0] - 1
     split = half_partition(n)
-    iso = qcore.symmetric_isometry(n)
-    rho_sym = _symmetric_part(initial_rho_a.matrix, iso)
     eng = _SubsystemEngine(_build_symmetric(kind, n), spin.symmetric_ops(n).moment_operators, n, tp)
     rho_eig = eng.to_eigenbasis(rho_sym)
     xi2, _ = eng.xi2_sweep(eng.moment_products(rho_eig))

@@ -138,20 +138,26 @@ class DensityMatrix:
         d = 2**n
         if m.shape != (d, d):
             raise DimensionMismatchError(f"expected a {d}x{d} matrix, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ContractViolationError("density matrix is not Hermitian")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ContractViolationError(f"trace {tr!r} deviates from 1")
-        w = hermitian_eigenvalues(m)
-        if w[-1] < -PSD_TOL:
-            raise ContractViolationError(f"negative eigenvalue {w[-1]!r}")
+        check_density(m)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", _freeze(m.copy()))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def check_density(m: np.ndarray) -> None:
+    """Raise DimensionMismatchError unless the complex array m is non-empty and square, and
+    ContractViolationError unless it is Hermitian, of trace 1 and PSD (HERMITICITY_TOL, TRACE_TOL, PSD_TOL)."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        raise ContractViolationError("density matrix is not Hermitian")
+    if abs((tr := np.trace(m).real) - 1.0) > TRACE_TOL:
+        raise ContractViolationError(f"trace {tr!r} deviates from 1")
+    if (least := hermitian_eigenvalues(m)[-1]) < -PSD_TOL:
+        raise ContractViolationError(f"negative eigenvalue {least!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ the register reduce and Jacobi solve behind fig2's C_AB, which
 `measures._two_level_concurrence` takes from the coefficient stack, and
 `refine_reference`, the per-row scalar
 golden-section search behind the protocol's block refine (it runs on the
-package's own engine, whose grid sweep it shares).
+package's own engine, whose grid sweep it shares). `_symmetric_part` is the
+restriction of a qubit-space rho_A to sym(A) that explore took before it
+took A's sym(A) state, C C^dagger, directly.
 """
 
 import math
@@ -222,6 +224,14 @@ def xi2_from_moment_arrays_reference(moments, n_spins):
     for i in np.flatnonzero(degenerate):
         lam[i] = jacobi_eigh_one(gamma[i], compute_vectors=False)[0][-1]
     return 4.0 * np.clip(lam, 0.0, None) / n_spins, degenerate
+
+
+def _symmetric_part(rho, iso):
+    """A (..., d, d) stack of density matrices restricted by the isometry iso;
+    weight outside the subspace raises ContractViolationError."""
+    sym = iso.T @ rho @ iso
+    protocol._check_weight_inside(np.trace(sym, axis1=-2, axis2=-1).real)
+    return sym
 
 
 def explore_dense(rho, hamiltonian, spin_ops, tp, qubits_a):

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 import monogamy_lab
-from monogamy_lab import analytic, cli, protocol
+from monogamy_lab import analytic, cli, protocol, qcore
 from monogamy_lab.cli import _write_csv, main
-from monogamy_lab.hamiltonians import HamiltonianKind
+from monogamy_lab.hamiltonians import HamiltonianKind, build
 from monogamy_lab.sampling import SampleClass
+from monogamy_lab.spin import collective_ops
 
-from oracle_utils import write_csv_reference
+from oracle_utils import _symmetric_part, explore_dense, write_csv_reference
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -76,9 +77,11 @@ def _run_cli_process(argv, blas_threads):
      "--t-steps", "9", "--tp-steps", "200"],
     ["explore", "--na", "4", "--nb", "4", "--hab", "oat", "--prep-t", "0.65", "--ha", "tf",
      "--steps", "51"],
+    # the largest A explore takes: 121x121 partial transposes, each a LAPACK solve
+    ["explore", "--na", str(protocol.MAX_EXPLORE_QUBITS), "--nb", "4", "--steps", "21"],
     # sym(n) propagators up to 41x41, each a Jacobi solve
     ["appendix-b", "--sizes", "8,40", "--steps", "201"],
-], ids=["fig2", "protocol", "protocol-8q", "explore-8q", "appendix-b"])
+], ids=["fig2", "protocol", "protocol-8q", "explore-8q", "explore-largest-a", "appendix-b"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     # --threads selects nothing; the BLAS threads are the ones that can run.
     # Every CSV the run writes under its --out prefix is compared.
@@ -324,11 +327,13 @@ def test_readme_states_the_caps_and_exit_codes_of_the_code():
     for name, words in meaning.items():
         assert f"`{codes[name]}` {words}" in exit_codes
     assert {int(c) for c in re.findall(r"\bexits? (\d+)", text)} <= set(codes.values())
-    # the two size caps, and no other qubit count
+    # the three size caps, and no other qubit count
     side, sym = protocol.MAX_SUBSYSTEM_QUBITS, protocol.MAX_SYMMETRIC_QUBITS
-    assert f"more than {side} qubits in A or in B" in exit_codes
+    a_cap = protocol.MAX_EXPLORE_QUBITS
+    assert f"`protocol` with more than {side} qubits in A or in B" in exit_codes
+    assert f"`explore` with more than {a_cap} qubits in A or {sym} in A and B" in exit_codes
     assert f"`appendix-b` size above {sym}" in exit_codes
-    assert {int(n) for n in re.findall(r"(?<![+\d])(\d+) qubits", text)} == {side, sym}
+    assert {int(n) for n in re.findall(r"(?<![+\d])(\d+) qubits", text)} == {side, sym, a_cap}
 
 
 def test_readme_names_every_key_of_the_protocol_manifest(tmp_path):
@@ -369,10 +374,8 @@ def test_explore_at_an_overflowing_prep_time_exits_2(tmp_path, capsys):
 
 
 def test_protocol_resource_cap(tmp_path):
-    for command in ("protocol", "explore"):
-        for n_a, n_b in (("6", "2"), ("6", "5"), ("5", "6")):
-            code = main([command, "--na", n_a, "--nb", n_b, "--out", str(tmp_path / "x.csv")])
-            assert code == 3
+    for n_a, n_b in (("6", "2"), ("6", "5"), ("5", "6")):
+        assert main(["protocol", "--na", n_a, "--nb", n_b, "--out", str(tmp_path / "x.csv")]) == 3
     over_cap = str(protocol.MAX_SYMMETRIC_QUBITS + 2)  # the first even size above the cap
     assert main(["appendix-b", "--sizes", over_cap, "--out", str(tmp_path / "appb")]) == 3
     assert main(["appendix-b", "--sizes", "3", "--out", str(tmp_path / "appb")]) == 2
@@ -393,6 +396,22 @@ def test_appendix_b_refuses_a_prefix_without_a_name(tmp_path, monkeypatch, capsy
     assert main(["appendix-b", "--sizes", "2", "--steps", "11", "--out", out]) == 2
     assert "error: --out" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3", "protocol", "explore", "appendix-b", "invert"])
+@pytest.mark.parametrize("out", ["q/", "q/.", "..", "DIR"])
+def test_an_out_that_names_a_folder_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, out):
+    # refused before the handler runs: "q/" must not write a file q, and an
+    # existing folder must not cost the whole computation first
+    monkeypatch.chdir(tmp_path)
+    for folder in ("DIR", "in"):
+        (tmp_path / folder).mkdir()
+    argv = _count_runs(tmp_path / "in")[command]
+    argv[argv.index("--out") + 1] = out
+    monkeypatch.setitem(cli.HANDLERS, command, _refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {out!r} names a folder")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["DIR", "curve.csv", "in"]
 
 
 def test_invert_ghz_curve(tmp_path):
@@ -497,6 +516,65 @@ def test_invert_says_a_nan_measurement_is_not_finite(tmp_path, capsys):
     assert main(["invert", "--curve", str(curve), "--xi2", "nan"]) == 2
     err = capsys.readouterr().err
     assert "measured value nan is not finite" in err and "outside" not in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on a route that must not reach it")
+
+
+def test_explore_caps_exit_3_before_the_entangler(tmp_path, monkeypatch):
+    # the cap on A and the cap on the sym(n) register
+    monkeypatch.setattr(protocol, "_evolve_all_down", _refuse)
+    a_cap, sym = protocol.MAX_EXPLORE_QUBITS, protocol.MAX_SYMMETRIC_QUBITS
+    for n_a, n_b in ((a_cap + 1, 2), (a_cap, sym - a_cap + 1), (2, sym - 1)):
+        assert main(["explore", "--na", str(n_a), "--nb", str(n_b), "--out", str(tmp_path / "x.csv")]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_a, n_b", [(1, 4), (0, 4), (2, 0)])
+def test_explore_without_an_internal_split_or_a_b_exits_2_before_the_entangler(
+        tmp_path, monkeypatch, capsys, n_a, n_b):
+    monkeypatch.setattr(protocol, "_evolve_all_down", _refuse)
+    assert main(["explore", "--na", str(n_a), "--nb", str(n_b), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "error: explore needs at least 2 qubits in A" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_explore_forms_no_register_array(tmp_path, monkeypatch):
+    # every route through a 2^n array raises: explore runs on sym(n) alone
+    for module, name in ((qcore, "reduced_state_matrix"), (qcore, "symmetric_isometry"),
+                         (protocol, "reduced_a_at"), (protocol, "state_at")):
+        monkeypatch.setattr(module, name, _refuse)
+    out = tmp_path / "e.csv"
+    assert main(["explore", "--na", "5", "--nb", "5", "--steps", "21", "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 21
+
+
+@pytest.mark.parametrize("hab", ["oat", "ghz"])
+@pytest.mark.parametrize("n_b", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_a", [2, 3, 4, 5])
+def test_explore_state_matches_the_dense_route(n_a, n_b, hab):
+    # the CLI's C C^dagger on sym(A) against the register route: the 2^n
+    # state reduced to 2^n_A and restricted to sym(A), then explore as it
+    # ran on that restriction, and the qubit-space oracle
+    t = 0.4
+    cfg = protocol.ProtocolConfig(n_a, n_b, hab, "tf", protocol.default_t_grid(hab),
+                                  protocol.default_tp_grid("tf"))
+    dense = protocol.reduced_a_at(cfg, t).matrix
+    restricted = _symmetric_part(dense, qcore.symmetric_isometry(n_a))
+    rho = cli._explore_state(hab, n_a, n_b, t)
+    assert np.max(np.abs(rho - restricted)) <= 1e-14
+    ops = collective_ops(n_a)
+    for kind in HamiltonianKind:
+        new = protocol.explore_measure_vs_squeezing(rho, kind, steps=41)
+        old = protocol.explore_measure_vs_squeezing(restricted, kind, steps=41)
+        assert np.max(np.abs(new.xi2_a - old.xi2_a)) <= 1e-14, kind
+        assert np.max(np.abs(new.n_a - old.n_a)) <= 1e-14, kind
+        xi2, n_a_dense = explore_dense(dense, build(kind, n_a), (ops.jx, ops.jy, ops.jz), new.tp,
+                                       tuple(range(n_a // 2)))
+        assert np.max(np.abs(new.xi2_a - xi2)) <= 1e-10, kind
+        assert np.max(np.abs(new.n_a - n_a_dense)) <= 1e-10, kind
+        assert new.max_n_a > 0.1, kind  # the negativity comparison is not vacuous
 
 
 def test_explore_manifest_records_stage_wall_times(tmp_path):

@@ -15,4 +15,4 @@ def test_the_tool_writes_every_output_with_its_expected_exit_code(tmp_path):
     assert (tmp_path / "study-8q-timed" / "invert.json").exists()
     assert len(list((tmp_path / "appendix-b-8-40").glob("*.csv"))) == 6
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
-    assert len(codes) == sum(len(c) for c in tool.runs(tmp_path).values()) == 15
+    assert len(codes) == sum(len(c) for c in tool.runs(tmp_path).values()) == 16

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from monogamy_lab import analytic, measures, protocol, qcore
+from monogamy_lab.cli import _explore_state
 from monogamy_lab.errors import (
     ConfigError,
     ContractViolationError,
+    DimensionMismatchError,
     DomainError,
     ExtrapolationError,
     ResourceCapError,
@@ -30,7 +32,6 @@ from monogamy_lab.protocol import (
     _refine_rows,
     _select_p_states,
     _symmetric_amplitudes,
-    _symmetric_part,
     appendix_b_study,
     calibration,
     default_t_grid,
@@ -45,7 +46,7 @@ from monogamy_lab.protocol import (
     state_at,
     sweep,
 )
-from monogamy_lab.qcore import DensityMatrix, SpectralPropagator, all_down_state
+from monogamy_lab.qcore import SpectralPropagator, all_down_state
 from monogamy_lab.spin import (
     _spin_frame,
     collective_ops,
@@ -54,7 +55,7 @@ from monogamy_lab.spin import (
     xi2_from_moment_arrays,
 )
 
-from oracle_utils import explore_dense, oat_closed_form, random_density, refine_reference
+from oracle_utils import _symmetric_part, explore_dense, oat_closed_form, random_density, refine_reference
 
 
 def ghz_config(t_steps=61, tp_steps=600, t_max=np.pi / 2):
@@ -508,8 +509,7 @@ def test_p_state_selection_synthetic():
 
 
 def test_explore_records_metadata_and_ranges(rng):
-    iso = qcore.symmetric_isometry(2)  # a rank-2 density supported on sym(2)
-    rho = DensityMatrix(2, iso @ random_density(3, rng, rank=2) @ iso.T)
+    rho = random_density(3, rng, rank=2)  # a rank-2 density on sym(2)
     tr = explore_measure_vs_squeezing(rho, "tf", steps=101)
     assert tr.tp.size == 101
     assert np.all(tr.n_a >= 0) and np.all(tr.n_a <= 1)
@@ -521,8 +521,7 @@ def test_explore_records_metadata_and_ranges(rng):
 def test_explore_block_dynamics_negativity_endpoints():
     # a reduced state diagonal in the {|00>, |11>} block is separable across
     # the internal split, and the block flip returns it to diagonal at pi/2
-    cfg = ghz_config(t_steps=5)
-    rho = reduced_a_at(cfg, 0.3)
+    rho = _explore_state("ghz", 2, 2, 0.3)
     tr = explore_measure_vs_squeezing(rho, "ghz", steps=65)
     assert tr.n_a[0] < 1e-10
     assert tr.n_a[32] < 1e-10  # local time pi/2
@@ -530,16 +529,17 @@ def test_explore_block_dynamics_negativity_endpoints():
 
 
 def _symmetric_density(n, rng):
-    """A random rank-2 density matrix of n qubits supported on sym(n)."""
-    iso = qcore.symmetric_isometry(n)
-    return DensityMatrix(n, iso @ random_density(n + 1, rng, rank=2) @ iso.T)
+    """A random rank-2 density matrix of n qubits on sym(n), (n+1) x (n+1)."""
+    return random_density(n + 1, rng, rank=2)
 
 
 def _assert_explore_matches_dense(rho, kind):
     tr = explore_measure_vs_squeezing(rho, kind, steps=41)
-    n = rho.n_qubits
+    n = rho.shape[0] - 1
     ops = collective_ops(n)
-    xi2, n_a = explore_dense(rho.matrix, build(kind, n), (ops.jx, ops.jy, ops.jz), tr.tp, tuple(range(n // 2)))
+    iso = qcore.symmetric_isometry(n)
+    xi2, n_a = explore_dense(iso @ rho @ iso.T, build(kind, n), (ops.jx, ops.jy, ops.jz), tr.tp,
+                             tuple(range(n // 2)))
     assert np.max(np.abs(tr.xi2_a - xi2)) <= 1e-10
     assert np.max(np.abs(tr.n_a - n_a)) <= 1e-10
     assert np.max(n_a) > 0.01  # the negativity comparison is not vacuous
@@ -551,14 +551,19 @@ def test_symmetric_explore_matches_dense_route(n, kind, rng):
     _assert_explore_matches_dense(_symmetric_density(n, rng), kind)
 
 
-def test_explore_rejects_weight_outside_symmetric_subspace(rng):
-    with pytest.raises(ContractViolationError):
-        explore_measure_vs_squeezing(DensityMatrix(2, random_density(4, rng)), "tf", steps=11)
-    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    sym = _symmetric_density(2, rng).matrix
-    mixed = (1 - 1e-9) * sym + 1e-9 * np.outer(singlet, singlet)
-    with pytest.raises(ContractViolationError):
-        explore_measure_vs_squeezing(DensityMatrix(2, mixed), "tf", steps=11)
+@pytest.mark.parametrize("bad", ["non-square", "empty", "non-Hermitian", "trace", "negative"])
+def test_explore_refuses_an_input_that_is_not_a_density_matrix(bad, rng):
+    rho = _symmetric_density(3, rng)
+    flipped = np.diag([1.0 + 2 * qcore.PSD_TOL, 0.0, 0.0, -2 * qcore.PSD_TOL])
+    rho, error, match = {
+        "non-square": (rho[:, :3], DimensionMismatchError, "square"),
+        "empty": (np.zeros((0, 0)), DimensionMismatchError, "square"),
+        "non-Hermitian": (rho + 1e-9j * np.triu(np.ones((4, 4)), 1), ContractViolationError, "Hermitian"),
+        "trace": (rho * (1 + 1e-9), ContractViolationError, "trace"),
+        "negative": (flipped, ContractViolationError, "negative eigenvalue"),
+    }[bad]
+    with pytest.raises(error, match=match):
+        explore_measure_vs_squeezing(rho, "tf", steps=11)
 
 
 @pytest.mark.parametrize("steps", [0, -3, 2.5, 3.0, "5", True, None])

@@ -16,8 +16,9 @@ under seeds 0 and 11 and its fig3 pass, all as ``perfbench/workloads.py``
 lists them; fig2 at the CLI's defaults (3,000 samples, seed 0);
 appendix-b at its defaults and at two larger sizes; a 3+2
 GHZ protocol; and, outside the benchmark's sizes, a 3+2 OAT protocol (a
-5-qubit entangler and A's engine, both solved in real arithmetic) and a
-3+3 TAT explore (a complex sym(A) engine).
+5-qubit entangler and A's engine, both solved in real arithmetic), a
+3+3 TAT explore (a complex sym(A) engine) and an 8+8 TF explore (beyond
+the protocol's 5 qubits a side).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ OTHER_RUNS = {
                              "--t-steps", "41", "--tp-steps", "200"],
     "protocol-3-2-oat-oat": ["protocol", "--na", "3", "--nb", "2", "--hab", "oat", "--ha", "oat"],
     "explore-3-3-tat": ["explore", "--na", "3", "--nb", "3", "--ha", "tat"],
+    "explore-8-8-tf": ["explore", "--na", "8", "--nb", "8", "--ha", "tf"],
 }
 
 
