@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end. Each subcommand parses its flags, calls public
+names of the library, and writes its columns and a manifest.
 
 Every subcommand is deterministic given its flags, emits CSV files with
 frozen column schemas, and writes a JSON manifest (``<out>.manifest.json``)
@@ -240,6 +241,29 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
+def _write_run(args, started: float, columns: dict[str, np.ndarray], config: dict,
+               stage_wall_s: dict, **extra) -> None:
+    """Write the columns to --out, then its manifest with ``extra`` and the
+    stage times, the write's own as stage "write"."""
+    out = Path(args.out)
+    tick = time.perf_counter()
+    count = _write_csv(out, columns)
+    stage_wall_s = {**stage_wall_s, "write": time.perf_counter() - tick}
+    _write_manifest(out, args.command, config, {out: count}, started,
+                    extra={**extra, "stage_wall_s": stage_wall_s})
+
+
+def _write_dataset(args, started: float, ds, columns: dict[str, np.ndarray],
+                   violation: np.ndarray, config: dict, **gap) -> int:
+    """Write a sampled dataset; its manifest adds the seed, the count of rows
+    that violate the gate and ``gap``, the gate's figures (its closest
+    approach). EXIT_VIOLATION when any row violates."""
+    violations = int(np.count_nonzero(violation))
+    _write_run(args, started, columns, {**_options(args, "samples", "seed"), **config, **ds.metadata},
+               ds.stage_wall_s, seed=args.seed, violations=violations, **gap)
+    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+
+
 def _cmd_fig2(args) -> int:
     started = time.perf_counter()
     ds = sampling.fig2_dataset(args.samples, args.seed)
@@ -247,19 +271,10 @@ def _cmd_fig2(args) -> int:
     if args.test_corrupt_bound:
         bound = 0.5 * bound
     violation = ds.y > bound + VIOLATION_SLACK
-    violations = int(np.count_nonzero(violation))
-
-    out = Path(args.out)
-    tick = time.perf_counter()
-    count = _write_csv(out, {"c_ab": ds.x, "c_a1a2": ds.y, "bound": bound, "violation": violation})
-    stage_wall_s = {**ds.stage_wall_s, "write": time.perf_counter() - tick}
-    config = {**_options(args, "samples", "seed"),
-              "corrupt_bound_test_hook": args.test_corrupt_bound, **ds.metadata}
-    _write_manifest(out, "fig2", config, {out: count}, started,
-                    extra={"seed": args.seed, "violations": violations,
-                           "max_c_a1a2_minus_bound": float(np.max(ds.y - bound)),
-                           "stage_wall_s": stage_wall_s})
-    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+    return _write_dataset(args, started, ds,
+                          {"c_ab": ds.x, "c_a1a2": ds.y, "bound": bound, "violation": violation},
+                          violation, {"corrupt_bound_test_hook": args.test_corrupt_bound},
+                          max_c_a1a2_minus_bound=float(np.max(ds.y - bound)))
 
 
 def _cmd_fig3(args) -> int:
@@ -267,20 +282,12 @@ def _cmd_fig3(args) -> int:
     ds = sampling.fig3_dataset(args.samples, args.seed)
     threshold = analytic.threshold_negativity()
     can_entangle = ds.y > 1e-12
-    violations = int(np.count_nonzero((ds.x > threshold + VIOLATION_SLACK) & can_entangle))
-
-    out = Path(args.out)
-    tick = time.perf_counter()
-    count = _write_csv(out, {**dict(zip(("l1", "l2", "l3", "l4"), ds.spectra.T)),
-                             "n_ab": ds.x, "n_max": ds.y, "class": ds.cls})
-    stage_wall_s = {**ds.stage_wall_s, "write": time.perf_counter() - tick}
-    config = {**_options(args, "samples", "seed"), **ds.metadata}
-    _write_manifest(out, "fig3", config, {out: count}, started,
-                    extra={"seed": args.seed, "threshold": threshold, "violations": violations,
-                           # the marker rows include a pure spectrum, so never empty
-                           "max_n_ab_minus_threshold": float(np.max(ds.x[can_entangle] - threshold)),
-                           "stage_wall_s": stage_wall_s})
-    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+    return _write_dataset(args, started, ds,
+                          {**dict(zip(("l1", "l2", "l3", "l4"), ds.spectra.T)),
+                           "n_ab": ds.x, "n_max": ds.y, "class": ds.cls},
+                          (ds.x > threshold + VIOLATION_SLACK) & can_entangle, {}, threshold=threshold,
+                          # the marker rows include a pure spectrum, so never empty
+                          max_n_ab_minus_threshold=float(np.max(ds.x[can_entangle] - threshold)))
 
 
 def _cmd_protocol(args) -> int:
@@ -304,65 +311,36 @@ def _cmd_protocol(args) -> int:
             stage_wall_s[name][kind.value] = seconds
     trace = traces[ha]
 
-    out = Path(args.out)
-    tick = time.perf_counter()
-    count = _write_csv(out, {
-        "t": trace.t, "s_l_ab": trace.s_l_ab, "xi2_ab": trace.xi2_ab,
-        "min_xi2_a": trace.min_xi2_a, "argmin_tp": trace.argmin_tp,
-        "nonmonotone_flag": trace.nonmonotone,
-    })
-    stage_wall_s["write"] = time.perf_counter() - tick
-
     scores = {}
     for kind, tr in traces.items():
         try:
             scores[kind.value] = protocol.monotonicity_score(protocol.calibration(tr))
         except MonogamyLabError:
             scores[kind.value] = None
-    config = _options(args, "na", "nb", "hab", "ha", "t_steps", "tp_steps")
-    _write_manifest(out, "protocol", config, {out: count}, started,
-                    extra={"monotonicity_scores": scores,
-                           "stage_wall_s": stage_wall_s,
-                           "p_states": trace.metadata["p_states"],
-                           "flagged_rows": {kind.value: int(np.count_nonzero(tr.nonmonotone))
-                                            for kind, tr in traces.items()},
-                           "refine_points": {kind.value: tr.refine_points for kind, tr in traces.items()},
-                           "degenerate_points": {kind.value: tr.metadata["degenerate_points"]
-                                                 for kind, tr in traces.items()},
-                           "max_negativity_drift": max(
-                               tr.metadata["max_negativity_drift"] for tr in traces.values()),
-                           "negativity_drift_gate": protocol.NEGATIVITY_DRIFT_TOL})
+    _write_run(args, started, {
+        "t": trace.t, "s_l_ab": trace.s_l_ab, "xi2_ab": trace.xi2_ab,
+        "min_xi2_a": trace.min_xi2_a, "argmin_tp": trace.argmin_tp,
+        "nonmonotone_flag": trace.nonmonotone,
+    }, _options(args, "na", "nb", "hab", "ha", "t_steps", "tp_steps"), stage_wall_s,
+        monotonicity_scores=scores,
+        p_states=trace.metadata["p_states"],
+        flagged_rows={kind.value: int(np.count_nonzero(tr.nonmonotone)) for kind, tr in traces.items()},
+        refine_points={kind.value: tr.refine_points for kind, tr in traces.items()},
+        degenerate_points={kind.value: tr.metadata["degenerate_points"] for kind, tr in traces.items()},
+        max_negativity_drift=max(tr.metadata["max_negativity_drift"] for tr in traces.values()),
+        negativity_drift_gate=protocol.NEGATIVITY_DRIFT_TOL)
     return EXIT_OK
-
-
-def _explore_state(hab, n_a: int, n_b: int, prep_t: float) -> np.ndarray:
-    """A's state on sym(A), C C^dagger of the coefficient matrix C of n_a + n_b
-    qubits entangled under hab for prep_t; the sizes are checked first."""
-    if n_a < 2 or n_b < 1:
-        raise ValueError("explore needs at least 2 qubits in A, for its internal split, and 1 in B")
-    if n_a > protocol.MAX_EXPLORE_QUBITS or n_a + n_b > protocol.MAX_SYMMETRIC_QUBITS:
-        raise ResourceCapError(f"explore caps n_A at {protocol.MAX_EXPLORE_QUBITS}, n_A + n_B at "
-                               f"{protocol.MAX_SYMMETRIC_QUBITS}")
-    psi = protocol._evolve_all_down(hab, n_a + n_b, prep_t)[None]
-    return protocol._side_a_states(protocol._split_coefficients(psi, n_a, n_b))[0]
 
 
 def _cmd_explore(args) -> int:
     started = tick = time.perf_counter()
-    rho_a = _explore_state(args.hab, args.na, args.nb, args.prep_t)
+    rho_a = protocol.explore_state(args.hab, args.na, args.nb, args.prep_t)
     prepare = time.perf_counter() - tick
     trace = protocol.explore_measure_vs_squeezing(rho_a, args.ha, steps=args.steps)
-
-    out = Path(args.out)
-    tick = time.perf_counter()
-    count = _write_csv(out, {"tp": trace.tp, "xi2_a": trace.xi2_a, "n_a": trace.n_a})
-    stage_wall_s = {"prepare": prepare, **trace.stage_wall_s, "write": time.perf_counter() - tick}
-    config = {**_options(args, "na", "nb", "hab", "prep_t", "ha", "steps"),
-              **trace.metadata}
-    _write_manifest(out, "explore", config, {out: count}, started,
-                    extra={"min_xi2": trace.min_xi2, "max_n_a": trace.max_n_a,
-                           "n_a_at_min_xi2": trace.n_a_at_min_xi2,
-                           "stage_wall_s": stage_wall_s})
+    _write_run(args, started, {"tp": trace.tp, "xi2_a": trace.xi2_a, "n_a": trace.n_a},
+               {**_options(args, "na", "nb", "hab", "prep_t", "ha", "steps"), **trace.metadata},
+               {"prepare": prepare, **trace.stage_wall_s},
+               min_xi2=trace.min_xi2, max_n_a=trace.max_n_a, n_a_at_min_xi2=trace.n_a_at_min_xi2)
     return EXIT_OK
 
 

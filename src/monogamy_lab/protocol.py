@@ -28,9 +28,11 @@ times along each sweep and must stay constant to NEGATIVITY_DRIFT_TOL. And
 the start state and every generator are symmetric under permutations of
 the qubits, so psi(t) lies in the symmetric subspace sym(n) and A's state
 in sym(A): the protocol projects psi(t) there once, failing loudly on any
-weight outside, and explore takes A's state on sym(A). Only the protocol
-holds 2^n arrays, capped by MAX_SUBSYSTEM_QUBITS per side; appendix-b and
-explore by MAX_SYMMETRIC_QUBITS (and explore's A by MAX_EXPLORE_QUBITS).
+weight outside, and explore takes A's state on sym(A) from `explore_state`.
+Only the protocol holds 2^n arrays, capped by MAX_SUBSYSTEM_QUBITS per
+side; appendix-b and explore by MAX_SYMMETRIC_QUBITS (and explore's A by
+MAX_EXPLORE_QUBITS). Explore's refusals and caps live here, in
+`explore_state` and `explore_measure_vs_squeezing`, not in the CLI.
 Which eigensolver each stage uses, and why, is stated once in `qcore`.
 """
 
@@ -51,6 +53,7 @@ from .errors import (
     ResourceCapError,
     UndefinedScoreError,
     check_count,
+    is_integer,
 )
 from .analytic import ghz_s_l_from_min_xi2
 from .hamiltonians import HamiltonianKind, _as_kind, _build_symmetric, build
@@ -65,7 +68,7 @@ MAX_SUBSYSTEM_QUBITS = 5
 # from a time budget: appendix-b's 3 default kinds x 2001 steps take about
 # 1.2 s at this size on a 2-core VM (0.4 s at 32, 3.1 s at 96).
 MAX_SYMMETRIC_QUBITS = 64
-# Qubits of A that the CLI's explore takes (2-core VM). Time: 2,001 tf steps
+# Qubits of A that explore takes (2-core VM). Time: 2,001 tf steps
 # take 3.7 s here, 1.4-2.7 s at 16. Thread independence: its sym(A_1) (x)
 # sym(A_2) partial transposes are then 121x121, and LAPACK's eigvalsh gives
 # the same bits under one and two OpenBLAS threads at 160x160, not at 192x192.
@@ -650,8 +653,6 @@ def _merge_close(values: np.ndarray, tol: float) -> list[float]:
 
 def calibration(trace: ProtocolTrace) -> CalibrationCurve:
     """Calibration map from the trace, split into monotone runs of min xi2_A."""
-    if len(trace) == 0:
-        raise ConfigError("empty trace")
     x = trace.min_xi2_a
     y = trace.s_l_ab
     ghz_exact = (
@@ -743,9 +744,11 @@ def explore_measure_vs_squeezing(rho_a_sym: np.ndarray, h_a_kind, steps: int = 2
     half first for odd n) are recorded.
 
     The input is n-qubit A's (n+1, n+1) density matrix on sym(A), in the
-    basis of `qcore.symmetric_isometry`, such as C C^dagger of a protocol
-    state's coefficient matrix C; `qcore.check_density` refuses anything
-    else first. The sweep runs on sym(A), with A's generator and moment
+    basis of `qcore.symmetric_isometry`, as `explore_state` prepares it. n
+    above MAX_EXPLORE_QUBITS raises ResourceCapError and a non-density fails
+    `qcore.check_density`, both before any eigensolve; a 2^n qubit density
+    such as ``reduced_a_at(...).matrix`` is read, unrefused, as a state on
+    sym(2^n - 1). The sweep runs on sym(A), with A's generator and moment
     operators formed there, and each negativity comes from the partial
     transpose on sym(A_1) (x) sym(A_2) given by
     `qcore.symmetric_split_isometry`, a local isometric image of the qubit
@@ -755,6 +758,8 @@ def explore_measure_vs_squeezing(rho_a_sym: np.ndarray, h_a_kind, steps: int = 2
     """
     tick = time.perf_counter()
     rho_sym = np.asarray(rho_a_sym, dtype=np.complex128)
+    if rho_sym.ndim == 2 and rho_sym.shape[0] - 1 > MAX_EXPLORE_QUBITS:
+        raise ResourceCapError(f"explore caps n_A at {MAX_EXPLORE_QUBITS}, got {rho_sym.shape[0] - 1}")
     qcore.check_density(rho_sym)
     kind = _as_kind(h_a_kind)
     tp = default_tp_grid(kind, steps)
@@ -779,6 +784,20 @@ def explore_measure_vs_squeezing(rho_a_sym: np.ndarray, h_a_kind, steps: int = 2
         metadata={"split": {"a": list(split.qubits_a), "b": list(split.qubits_b)}},
         stage_wall_s={"sweep": tock - tick, "negativity": time.perf_counter() - tock},
     )
+
+
+def explore_state(h_ab_kind, n_a: int, n_b: int, t: float) -> np.ndarray:
+    """Explore's input: A's state on sym(A), C C^dagger of the coefficient
+    matrix C of n_a + n_b qubits entangled under h_ab_kind for t. The sizes
+    are refused, with DomainError or ResourceCapError, before the entangler runs."""
+    if not (is_integer(n_a) and is_integer(n_b)) or n_a < 2 or n_b < 1:
+        raise DomainError("explore needs at least 2 qubits in A, for its internal split, and 1 in B, "
+                          f"as integers; got {n_a!r} and {n_b!r}")
+    if n_a > MAX_EXPLORE_QUBITS or n_a + n_b > MAX_SYMMETRIC_QUBITS:
+        raise ResourceCapError(f"explore caps n_A at {MAX_EXPLORE_QUBITS}, n_A + n_B at "
+                               f"{MAX_SYMMETRIC_QUBITS}")
+    psi = _evolve_all_down(h_ab_kind, n_a + n_b, t)[None]
+    return _side_a_states(_split_coefficients(psi, n_a, n_b))[0]
 
 
 # ---------------------------------------------------------------------------

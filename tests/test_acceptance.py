@@ -14,10 +14,9 @@ import pytest
 
 import monogamy_lab as ml
 from monogamy_lab import analytic, measures, qcore
-from monogamy_lab.cli import _explore_state
 from monogamy_lab.cli import main as cli_main
 from monogamy_lab.hamiltonians import HamiltonianKind
-from monogamy_lab.protocol import ProtocolConfig, default_t_grid, default_tp_grid
+from monogamy_lab.protocol import ProtocolConfig, default_t_grid, default_tp_grid, explore_state
 from monogamy_lab.spin import collective_ops, squeezing_parameter
 
 from oracle_utils import random_state, squeezing_scan
@@ -187,7 +186,7 @@ def test_criterion_6_local_hamiltonian_trend(eight_qubit_traces):
     gaps = {}
     for name in ("p1", "p2"):
         assert p_states[name] is not None, f"{name} not found on the default grid"
-        rho = _explore_state(cfg.h_ab_kind, cfg.n_a, cfg.n_b, p_states[name]["t"])  # on sym(A)
+        rho = explore_state(cfg.h_ab_kind, cfg.n_a, cfg.n_b, p_states[name]["t"])  # on sym(A)
         ex = ml.explore_measure_vs_squeezing(rho, "tf", steps=2001)
         ratios[name] = ex.n_a_at_min_xi2 / ex.max_n_a
         gaps[name] = ex.max_n_a - ex.n_a_at_min_xi2

@@ -554,7 +554,7 @@ def test_explore_forms_no_register_array(tmp_path, monkeypatch):
 @pytest.mark.parametrize("n_b", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n_a", [2, 3, 4, 5])
 def test_explore_state_matches_the_dense_route(n_a, n_b, hab):
-    # the CLI's C C^dagger on sym(A) against the register route: the 2^n
+    # explore_state's C C^dagger on sym(A) against the register route: the 2^n
     # state reduced to 2^n_A and restricted to sym(A), then explore as it
     # ran on that restriction, and the qubit-space oracle
     t = 0.4
@@ -562,7 +562,7 @@ def test_explore_state_matches_the_dense_route(n_a, n_b, hab):
                                   protocol.default_tp_grid("tf"))
     dense = protocol.reduced_a_at(cfg, t).matrix
     restricted = _symmetric_part(dense, qcore.symmetric_isometry(n_a))
-    rho = cli._explore_state(hab, n_a, n_b, t)
+    rho = protocol.explore_state(hab, n_a, n_b, t)
     assert np.max(np.abs(rho - restricted)) <= 1e-14
     ops = collective_ops(n_a)
     for kind in HamiltonianKind:

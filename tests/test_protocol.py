@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monogamy_lab import analytic, measures, protocol, qcore
-from monogamy_lab.cli import _explore_state
+from monogamy_lab import analytic, hamiltonians, measures, protocol, qcore
 from monogamy_lab.errors import (
     ConfigError,
     ContractViolationError,
@@ -38,6 +37,7 @@ from monogamy_lab.protocol import (
     default_tp_grid,
     entangle,
     explore_measure_vs_squeezing,
+    explore_state,
     invert,
     monotonicity_score,
     reduced_a_at,
@@ -521,7 +521,7 @@ def test_explore_records_metadata_and_ranges(rng):
 def test_explore_block_dynamics_negativity_endpoints():
     # a reduced state diagonal in the {|00>, |11>} block is separable across
     # the internal split, and the block flip returns it to diagonal at pi/2
-    rho = _explore_state("ghz", 2, 2, 0.3)
+    rho = explore_state("ghz", 2, 2, 0.3)
     tr = explore_measure_vs_squeezing(rho, "ghz", steps=65)
     assert tr.n_a[0] < 1e-10
     assert tr.n_a[32] < 1e-10  # local time pi/2
@@ -564,6 +564,32 @@ def test_explore_refuses_an_input_that_is_not_a_density_matrix(bad, rng):
     }[bad]
     with pytest.raises(error, match=match):
         explore_measure_vs_squeezing(rho, "tf", steps=11)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on a route that must not reach it")
+
+
+def test_explore_caps_a_before_any_eigensolve(monkeypatch):
+    # the cap holds for library callers, not only for the CLI's route
+    cap = protocol.MAX_EXPLORE_QUBITS
+    assert explore_measure_vs_squeezing(np.eye(cap + 1) / (cap + 1), "tf", steps=3).tp.size == 3
+    for module, name in ((hamiltonians, "_build_symmetric"), (protocol, "_build_symmetric"),
+                         (qcore, "hermitian_eigenvalues"), (qcore, "lapack_eigenvalues")):
+        monkeypatch.setattr(module, name, _refuse)
+    with pytest.raises(ResourceCapError, match=f"caps n_A at {cap}, got {cap + 1}"):
+        explore_measure_vs_squeezing(np.eye(cap + 2) / (cap + 2), "tf", steps=3)
+
+
+def test_explore_state_refuses_its_sizes_before_the_entangler(monkeypatch):
+    monkeypatch.setattr(protocol, "_evolve_all_down", _refuse)
+    for n_a, n_b in ((1, 4), (0, 4), (2, 0), (2.5, 2), (3.0, 2), ("3", 2), (2, True)):
+        with pytest.raises(DomainError, match="at least 2 qubits in A"):
+            explore_state("oat", n_a, n_b, 0.2)
+    a_cap, sym = protocol.MAX_EXPLORE_QUBITS, MAX_SYMMETRIC_QUBITS
+    for n_a, n_b in ((a_cap + 1, 2), (a_cap, sym - a_cap + 1), (2, sym - 1)):
+        with pytest.raises(ResourceCapError, match="explore caps"):
+            explore_state("oat", n_a, n_b, 0.2)
 
 
 @pytest.mark.parametrize("steps", [0, -3, 2.5, 3.0, "5", True, None])
